@@ -1,13 +1,15 @@
 """Per-slot shortest-path distances and the query / replication / storage costs.
 
-The distance oracle precomputes, for every slot, shortest-path distances over
-the snapshot graph under one metric (hop count, ideal latency, or sampled
-latency). Disconnected pairs are +inf. Cost evaluations are pure functions of
+The distance oracle gives, for every slot, shortest-path distances over the
+snapshot graph under one metric (hop count, ideal latency, or sampled
+latency), either as full precomputed matrices or as per-source rows computed
+on demand. Disconnected pairs are +inf. Cost evaluations are pure functions of
 (schedule, demand, oracle, params) and can run concurrently per content.
 """
 
 from __future__ import annotations
 
+import os
 from collections.abc import Mapping
 from dataclasses import dataclass
 from typing import Sequence
@@ -20,25 +22,50 @@ from .constellation import GATEWAY, ORIGIN, SAT, USER
 METRICS = ("hop", "ideal", "sampled")
 
 
-class DistanceOracle:
-    """All-pairs shortest-path distances per slot, plus node role metadata.
+class _Slot:
+    """One slot's distances: the full arrays once built, else the slot graph
+    and the rows computed from it so far, keyed by source."""
 
-    ``matrix(t)`` returns the (n, n) distance array for 1-based slot ``t``.
+    __slots__ = ("graph", "full", "pred", "rows", "pred_rows")
+
+    def __init__(self, full=None, pred=None, graph=None):
+        self.full, self.pred, self.graph = full, pred, graph
+        self.rows: dict[int, np.ndarray] = {}
+        self.pred_rows: dict[int, np.ndarray] = {}
+
+
+class DistanceOracle:
+    """Shortest-path distances per slot, plus node role metadata.
+
+    ``row(t, src)`` is the distance row of source ``src`` at 1-based slot
+    ``t`` and ``pred_row(t, src)`` its shortest-path predecessor row (-9999
+    where unreachable). A slot holds either its full arrays (rows are slices)
+    or its graph, from which missing rows are computed with Dijkstra on
+    demand and cached. ``matrix(t)`` and ``predecessors(t)`` return the full
+    (n, n) arrays, building them through the same routine when needed.
     The node ordering follows the snapshot's node table: satellites, gateways,
     origins, users — so candidate and user blocks are contiguous slices.
     """
 
-    def __init__(self, matrices: Sequence[np.ndarray], ids: Sequence[str], kind: np.ndarray,
+    def __init__(self, matrices: Sequence[np.ndarray] | None, ids: Sequence[str], kind: np.ndarray,
                  *, shell: np.ndarray | None = None, orbit: np.ndarray | None = None,
                  in_orbit: np.ndarray | None = None, orbit_key: np.ndarray | None = None,
                  metric: str = "custom", slot_seconds: float = 300.0,
                  predecessors: Sequence[np.ndarray] | None = None,
-                 candidates: np.ndarray | None = None):
-        self._matrices = list(matrices)
+                 candidates: np.ndarray | None = None, graphs=None, paths: bool = False,
+                 dtype=np.float64):
         self.ids = list(ids)
         self.kind = np.asarray(kind, dtype=np.int8)
         n = len(self.ids)
-        if self.kind.size != n or any(m.shape != (n, n) for m in self._matrices):
+        if graphs is not None:
+            self._slots = [_Slot(graph=g) for g in graphs]
+        else:
+            matrices = list(matrices)
+            preds = list(predecessors) if predecessors is not None else [None] * len(matrices)
+            if any(m.shape != (n, n) for m in matrices):
+                raise ValueError("matrix/id/kind shapes disagree")
+            self._slots = [_Slot(m, p) for m, p in zip(matrices, preds)]
+        if self.kind.size != n:
             raise ValueError("matrix/id/kind shapes disagree")
         fill = np.full(n, -1, dtype=np.int32)
         self.shell = np.asarray(shell, dtype=np.int32) if shell is not None else fill.copy()
@@ -47,7 +74,8 @@ class DistanceOracle:
         self.orbit_key = np.asarray(orbit_key, dtype=np.int32) if orbit_key is not None else fill.copy()
         self.metric = metric
         self.slot_seconds = float(slot_seconds)
-        self._pred = list(predecessors) if predecessors is not None else None
+        self.dtype = np.dtype(dtype)
+        self.has_paths = paths if graphs is not None else predecessors is not None
         self.index = {nid: i for i, nid in enumerate(self.ids)}
         if candidates is not None:
             self._candidates = np.asarray(candidates, dtype=np.int64)
@@ -56,7 +84,7 @@ class DistanceOracle:
 
     @property
     def slot_count(self) -> int:
-        return len(self._matrices)
+        return len(self._slots)
 
     @property
     def n_nodes(self) -> int:
@@ -74,23 +102,74 @@ class DistanceOracle:
     def candidates_idx(self) -> np.ndarray:
         return self._candidates
 
-    def matrix(self, t: int) -> np.ndarray:
+    def _slot(self, t: int) -> _Slot:
         if not 1 <= t <= self.slot_count:
             raise IndexError(f"slot {t} outside 1..{self.slot_count}")
-        return self._matrices[t - 1]
+        return self._slots[t - 1]
+
+    def _solve(self, slot: _Slot, sources: np.ndarray):
+        """Distance (and predecessor) rows of ``sources``: one Dijkstra call."""
+        res = dijkstra(slot.graph, directed=False, indices=sources,
+                       unweighted=(self.metric == "hop"), return_predecessors=self.has_paths)
+        dist, pred = res if self.has_paths else (res, None)
+        if pred is not None:
+            pred = pred.astype(np.int32, copy=False)
+        return np.ascontiguousarray(dist, dtype=self.dtype), pred
+
+    def _fill(self, slot: _Slot, src: int) -> None:
+        """Compute ``src``'s row together with every user row not yet cached."""
+        users = [int(u) for u in self.users_idx if int(u) not in slot.rows and u != src]
+        sources = np.asarray([src] + users, dtype=np.int64)
+        dist, pred = self._solve(slot, sources)
+        for i, s in enumerate(sources.tolist()):
+            slot.rows[s] = dist[i]
+            if pred is not None:
+                slot.pred_rows[s] = pred[i]
+
+    def row(self, t: int, src: int) -> np.ndarray:
+        slot = self._slot(t)
+        if slot.full is not None:
+            return slot.full[src]
+        src = int(src)
+        if src not in slot.rows:
+            self._fill(slot, src)
+        return slot.rows[src]
+
+    def pred_row(self, t: int, src: int) -> np.ndarray:
+        if not self.has_paths:
+            raise ValueError("oracle was built without path predecessors")
+        slot = self._slot(t)
+        if slot.full is not None:
+            return slot.pred[src]
+        src = int(src)
+        if src not in slot.pred_rows:
+            self._fill(slot, src)
+        return slot.pred_rows[src]
+
+    def matrix(self, t: int) -> np.ndarray:
+        slot = self._slot(t)
+        if slot.full is None:
+            n = self.n_nodes
+            check_fits(n, 1, self.dtype.itemsize, self.has_paths)
+            slot.full, slot.pred = self._solve(slot, np.arange(n))
+            slot.graph = None
+            slot.rows.clear()
+            slot.pred_rows.clear()
+        return slot.full
 
     def d(self, t: int, u, v) -> float:
         ui = self.index[u] if isinstance(u, str) else int(u)
         vi = self.index[v] if isinstance(v, str) else int(v)
-        return float(self.matrix(t)[ui, vi])
+        return float(self.row(t, ui)[vi])
 
     def predecessors(self, t: int) -> np.ndarray:
-        if self._pred is None:
+        if not self.has_paths:
             raise ValueError("oracle was built without path predecessors")
-        return self._pred[t - 1]
+        self.matrix(t)
+        return self._slots[t - 1].pred
 
     def with_candidates(self, candidates: np.ndarray) -> "DistanceOracle":
-        """Shallow view sharing matrices but with a restricted candidate set."""
+        """Shallow view sharing distances but with a restricted candidate set."""
         out = DistanceOracle.__new__(DistanceOracle)
         out.__dict__.update(self.__dict__)
         out._candidates = np.asarray(candidates, dtype=np.int64)
@@ -106,12 +185,51 @@ class DistanceOracle:
         return cls([np.asarray(m, dtype=float) for m in matrices], ids, kind, **kw)
 
 
+def available_memory_bytes() -> int | None:
+    """Physical memory still available to this process, or None if unknown.
+
+    Prefers the kernel's MemAvailable estimate, which counts reclaimable page
+    cache; falls back to free pages from ``os.sysconf``.
+    """
+    try:
+        with open("/proc/meminfo") as fh:
+            for line in fh:
+                if line.startswith("MemAvailable:"):
+                    return int(line.split()[1]) * 1024
+    except OSError:
+        pass
+    try:
+        return os.sysconf("SC_AVPHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    except (OSError, ValueError):
+        return None
+
+
+def check_fits(n: int, slots: int, itemsize: int, paths: bool) -> None:
+    """Raise MemoryError before building ``slots`` full (n, n) distance arrays
+    (plus int32 predecessors when ``paths``) that would not fit in memory.
+
+    The estimate adds one slot's float64 Dijkstra output, which exists while
+    it is cast to the stored dtype.
+    """
+    pred = 4 if paths else 0
+    need = n * n * (slots * (itemsize + pred) + 8 + pred)
+    avail = available_memory_bytes()
+    if avail is not None and need > avail:
+        raise MemoryError(
+            f"distance oracle for n={n} nodes over {slots} slot(s) needs about {need} bytes "
+            f"of full matrices, but only {avail} bytes of physical memory are available")
+
+
 def build_distance_oracle(snapshots, metric: str, *, need_paths: bool = False,
                           dtype=None) -> DistanceOracle:
-    """Run per-slot shortest paths over snapshot graphs.
+    """Shortest paths per slot over snapshot graphs.
 
     Hop metric uses unweighted (BFS-style) distances. Large networks default to
-    float32 storage; small ones keep float64.
+    float32 storage; small ones keep float64. Without ``need_paths`` the full
+    per-slot matrices are built up front (the placement solvers read whole
+    blocks). With ``need_paths`` the oracle keeps the slot graphs and computes
+    distance and predecessor rows per source on demand: delivery only routes
+    from user sources.
     """
     if metric not in METRICS:
         raise ValueError(f"metric must be one of {METRICS}")
@@ -121,23 +239,18 @@ def build_distance_oracle(snapshots, metric: str, *, need_paths: bool = False,
     n = nt.n_nodes
     if dtype is None:
         dtype = np.float64 if n <= 768 else np.float32
+    if not need_paths:
+        check_fits(n, len(snapshots), np.dtype(dtype).itemsize, False)
 
-    matrices, preds = [], []
-    for snap in snapshots:
-        csr = snap.to_csr(metric)
-        res = dijkstra(csr, directed=False, unweighted=(metric == "hop"),
-                       return_predecessors=need_paths)
-        if need_paths:
-            dist, pred = res
-            preds.append(pred.astype(np.int32))
-        else:
-            dist = res
-        matrices.append(np.ascontiguousarray(dist, dtype=dtype))
-
-    return DistanceOracle(matrices, nt.ids, nt.kind, shell=nt.shell, orbit=nt.orbit,
-                          in_orbit=nt.in_orbit, orbit_key=nt.orbit_key, metric=metric,
-                          slot_seconds=_infer_slot_seconds(snapshots),
-                          predecessors=preds if need_paths else None)
+    oracle = DistanceOracle(None, nt.ids, nt.kind, shell=nt.shell, orbit=nt.orbit,
+                            in_orbit=nt.in_orbit, orbit_key=nt.orbit_key, metric=metric,
+                            slot_seconds=_infer_slot_seconds(snapshots),
+                            graphs=[snap.to_csr(metric) for snap in snapshots],
+                            paths=need_paths, dtype=dtype)
+    if not need_paths:
+        for t in range(1, oracle.slot_count + 1):
+            oracle.matrix(t)
+    return oracle
 
 
 def _infer_slot_seconds(snapshots) -> float:

@@ -76,16 +76,21 @@ class Router:
         self.policy = policy
         self._rr: dict[tuple[int, str], int] = {}
         self._wrr: dict[tuple[int, str], np.ndarray] = {}
+        self._ranks: dict[tuple[int, str, int], list[int]] = {}
 
     def _ranked(self, user_idx: int, content: str, slot: int) -> list[int]:
-        replicas = np.asarray(self.schedule.nodes(content, slot), dtype=np.int64)
-        d = np.asarray([self.oracle.d(slot, user_idx, int(r)) for r in replicas])
-        finite = np.isfinite(d)
-        if not finite.any():
-            return []
-        replicas, d = replicas[finite], d[finite]
-        order = np.lexsort((replicas, d))
-        return [int(r) for r in replicas[order[:self.policy.fanout]]]
+        """Reachable replicas nearest first (ties by id), at most ``fanout``;
+        memoized per (user, content, slot)."""
+        key = (user_idx, content, slot)
+        ranked = self._ranks.get(key)
+        if ranked is None:
+            replicas = np.asarray(self.schedule.nodes(content, slot), dtype=np.int64)
+            d = np.asarray(self.oracle.row(slot, user_idx)[replicas], dtype=float)
+            finite = np.isfinite(d)
+            replicas, d = replicas[finite], d[finite]
+            order = np.lexsort((replicas, d))
+            ranked = self._ranks[key] = [int(r) for r in replicas[order[:self.policy.fanout]]]
+        return ranked
 
     def route(self, user, content: str, slot: int):
         """Pick the serving replica; falls back to the lowest-id origin with an
@@ -125,11 +130,11 @@ def path_links(oracle: DistanceOracle, slot: int, src: int, dst: int) -> list[tu
     oracle built with path predecessors)."""
     if src == dst:
         return []
-    pred = oracle.predecessors(slot)
+    pred = oracle.pred_row(slot, src)
     links = []
     node = dst
     while node != src:
-        p = int(pred[src, node])
+        p = int(pred[node])
         if p < 0:
             return []  # unreachable
         links.append((p, node))
@@ -156,7 +161,7 @@ def chunk_download_time(user, replica, chunk_size_mb: float, slot: int,
         raise ValueError("download times need a latency-metric oracle (ideal or sampled)")
     user_idx = oracle.index[user] if isinstance(user, str) else int(user)
     rep_idx = oracle.index[replica] if isinstance(replica, str) else int(replica)
-    prop_ms = oracle.d(slot, user_idx, rep_idx)
+    prop_ms = float(oracle.row(slot, user_idx)[rep_idx])
     if not math.isfinite(prop_ms):
         return math.inf
     edges = path_links(oracle, slot, user_idx, rep_idx)
@@ -199,6 +204,8 @@ def simulate_delivery(schedule: ReplicaSchedule, demand, policy: RoutingPolicy,
     requests queue FIFO per (replica, slot).
     """
     router = Router(schedule, oracle, policy)
+    # (edge count, bottleneck Gbps, distance) per (user, replica, slot)
+    paths: dict[tuple[int, int, int], tuple[int, float, float]] = {}
     T = min(demand.slot_count, schedule.slot_count)
     qoe_sum = np.zeros(T)
     qoe_n = np.zeros(T, dtype=np.int64)
@@ -223,8 +230,13 @@ def simulate_delivery(schedule: ReplicaSchedule, demand, policy: RoutingPolicy,
                         unreachable += 1
                         qoe_n[t - 1] += 1
                         continue
-                    edges = path_links(oracle, t, int(u), rep)
-                    gbps = _bottleneck_gbps(oracle, edges, links)
+                    key = (int(u), rep, t)
+                    hit = paths.get(key)
+                    if hit is None:
+                        edges = path_links(oracle, t, int(u), rep)
+                        hit = paths[key] = (len(edges), _bottleneck_gbps(oracle, edges, links),
+                                            float(oracle.row(t, int(u))[rep]))
+                    n_edges, gbps, dist_ms = hit
                     if links.server_capacity_mbps is not None:
                         gbps = min(gbps, links.server_capacity_mbps / 1000.0)
                     transmit_s = (size_mb * 8.0e6) / (gbps * 1.0e9)
@@ -233,10 +245,10 @@ def simulate_delivery(schedule: ReplicaSchedule, demand, policy: RoutingPolicy,
                         key = (rep, t)
                         wait_s = backlog.get(key, 0.0)
                         backlog[key] = wait_s + transmit_s
-                    dt = oracle.d(t, int(u), rep) / 1000.0 + wait_s + transmit_s
+                    dt = dist_ms / 1000.0 + wait_s + transmit_s
                     qoe_sum[t - 1] += qoe.score(dt)
                     qoe_n[t - 1] += 1
-                    traffic_gb += size_gb * len(edges)
+                    traffic_gb += size_gb * n_edges
                     rec["gb"] += size_gb
 
     mean_qoe = [float(qoe_sum[i] / qoe_n[i]) if qoe_n[i] else float("nan") for i in range(T)]

@@ -63,6 +63,11 @@ class DemandMatrix:
     def per_content(self, content: str) -> np.ndarray:
         return self.values[:, self.contents.index(content), :]
 
+    def only(self, content: str) -> "DemandMatrix":
+        """The one-content demand matrix of ``content``."""
+        ci = self.contents.index(content)
+        return DemandMatrix(self.users, [content], self.values[:, ci:ci + 1, :])
+
     def total(self) -> float:
         return float(self.values.sum())
 

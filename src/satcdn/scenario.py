@@ -181,6 +181,7 @@ def restrict_candidates(scenario: Scenario, mode: str) -> Scenario:
 class BuiltScenario:
     scenario: Scenario
     network: cst.Network
+    snapshots: list[cst.SnapshotGraph]
     oracle: DistanceOracle
     demand: dm.DemandMatrix
     planning_demand: dm.DemandMatrix
@@ -298,8 +299,8 @@ def build_scenario(sc: Scenario) -> BuiltScenario:
     else:
         planning = demand
 
-    return BuiltScenario(scenario=sc, network=network, oracle=oracle, demand=demand,
-                         planning_demand=planning, catalog=catalog, params=params,
+    return BuiltScenario(scenario=sc, network=network, snapshots=snapshots, oracle=oracle,
+                         demand=demand, planning_demand=planning, catalog=catalog, params=params,
                          users=users, gateways=gateways, origins=origins,
                          latency_source=sampler.source)
 
@@ -361,8 +362,9 @@ def run_scenario(config, out_dir, *, algorithms=None, metric=None, seed=None,
 
     delivery_oracle = None
     if sc.routing["policies"]:
-        snaps = built.network.snapshots(demand.slot_count)
-        delivery_oracle = build_distance_oracle(snaps, "ideal", need_paths=True)
+        # the planning snapshots cover the demand horizon; reuse them
+        delivery_oracle = build_distance_oracle(built.snapshots[:demand.slot_count], "ideal",
+                                                need_paths=True)
 
     metadata: dict[str, Any] = {
         "resolved_config": sc.resolved(),
@@ -411,7 +413,7 @@ def run_scenario(config, out_dir, *, algorithms=None, metric=None, seed=None,
         agg = None
         for c in sorted(sched.contents):
             one = ReplicaSchedule([c], sched.slot_count, {c: sched.sets[c]})
-            br = total_cost(one, demand, catalog, oracle, params)
+            br = total_cost(one, demand.only(c), catalog, oracle, params)
             agg = br if agg is None else agg + br
             rows.append((name, c, sc.metric, br.query, br.replication, br.storage, br.total))
         if agg is None:

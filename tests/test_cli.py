@@ -8,7 +8,9 @@ import pytest
 
 from helpers import motion_instance, schedule_cost_ref
 from satcdn.cli import main
-from satcdn.scenario import ConfigError, load_config, restrict_candidates, run_scenario
+from satcdn.costmodel import ReplicaSchedule, query_cost
+from satcdn.scenario import (ConfigError, build_scenario, load_config, restrict_candidates,
+                             run_scenario)
 
 
 def minimal_config(**over):
@@ -188,6 +190,37 @@ class TestRunScenario:
         policies = {r[1] for r in rows[1:]}
         assert policies == {"closest", "weighted_round_robin"}
         assert (out / "no_replica_replica_load.csv").exists()
+
+    def test_two_content_breakdown_sums_to_all(self, tmp_path):
+        cfg = small_leo_config(routing={"policies": ["closest"]},
+                               algorithms=["no_replica", "naive_greedy", "mtols"])
+        cfg["users"] = {"mode": "population", "requests": 80,
+                        "contents": ["content/a", "content/b"]}
+        cfg["shells"][0].update(orbits=12, sats_per_orbit=12)
+        out = tmp_path / "out"
+        summary = run_scenario(cfg, out)
+        meta = json.loads((out / "metadata.json").read_text())
+        assert not meta["failures"] and set(summary) == set(cfg["algorithms"])
+        for name in cfg["algorithms"]:
+            rows = read_csv(out / f"{name}_breakdown.csv")[1:]
+            per = [r for r in rows if r[1] != "ALL"]
+            (total,) = [r for r in rows if r[1] == "ALL"]
+            assert [r[1] for r in per] == ["content/a", "content/b"]
+            for col in range(3, 7):
+                assert sum(float(r[col]) for r in per) == pytest.approx(float(total[col]),
+                                                                      rel=1e-12)
+            assert float(per[0][3]) > 0 and float(per[1][3]) > 0
+            assert float(total[6]) == summary[name]
+        # each content's query term is its own demand against its own sets
+        built = build_scenario(load_config(cfg))
+        rows = read_csv(out / "mtols_schedule.csv")[1:]
+        for c in ("content/a", "content/b"):
+            sets = [tuple(sorted(built.oracle.index[r[2]] for r in rows
+                                 if r[0] == c and int(r[1]) == t)) for t in (1, 2, 3, 4)]
+            one = ReplicaSchedule([c], 4, {c: sets})
+            want = query_cost(one, built.demand.only(c), built.oracle)
+            got = [float(r[3]) for r in read_csv(out / "mtols_breakdown.csv")[1:] if r[1] == c]
+            assert got == [want]
 
 
 def masked_bytes(path: Path) -> bytes:

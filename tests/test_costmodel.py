@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from scipy.sparse.csgraph import dijkstra
 
 from helpers import motion_instance, schedule_cost_ref
+from satcdn import costmodel
 from satcdn.constellation import GroundNode, Network, starlink_phase1, viasat
 from satcdn.costmodel import (CostParams, DistanceOracle, ReplicaSchedule,
                               build_distance_oracle, compute_c_qmin, disconnected_users,
@@ -78,6 +80,112 @@ class TestDistanceOracle:
             for j in range(n):
                 for k in range(n):
                     assert D[i, j] <= D[i, k] + D[k, j] + 1e-9
+
+
+def leo_network():
+    shell = starlink_phase1(orbit_count=4, sats_per_orbit=6, name="s", min_elevation_deg=5.0)
+    ground = [GroundNode("gw/b", "gateway", 45.0, -80.0),
+              GroundNode("origin/o", "origin", 40.0, -90.0),
+              GroundNode("user/a", "user_region", 30.0, -100.0),
+              GroundNode("user/c", "user_region", -20.0, 60.0),
+              GroundNode("user/d", "user_region", 35.0, 20.0)]
+    return Network([shell], ground, seed=2)
+
+
+def split_network():
+    """Two GEO satellites without inter-satellite links: {sat 0 deg, gw,
+    origin, user/a} and {sat 180 deg, user/b} are separate components."""
+    ground = [GroundNode("gw/g", "gateway", 5.0, -5.0),
+              GroundNode("origin/o", "origin", 10.0, 5.0),
+              GroundNode("user/a", "user_region", 0.0, 0.0),
+              GroundNode("user/b", "user_region", 0.0, 180.0)]
+    return Network([viasat(longitudes_deg=(0.0, 180.0))], ground)
+
+
+def full_apsp(snap, metric):
+    """Distances and predecessors of every source in one call, independent of
+    the oracle's per-row routine."""
+    return dijkstra(snap.to_csr(metric), directed=False, unweighted=(metric == "hop"),
+                    return_predecessors=True)
+
+
+class TestLazyRows:
+    @pytest.mark.parametrize("metric", ["hop", "ideal"])
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("make_net", [leo_network, split_network])
+    def test_rows_equal_full_apsp_bit_for_bit(self, metric, dtype, make_net):
+        snaps = make_net().snapshots(2)
+        lazy = build_distance_oracle(snaps, metric, need_paths=True, dtype=dtype)
+        eager = build_distance_oracle(snaps, metric, dtype=dtype)
+        n = lazy.n_nodes
+        for t, snap in enumerate(snaps, start=1):
+            dist, pred = full_apsp(snap, metric)
+            want = dist.astype(dtype)
+            assert eager.matrix(t).tobytes() == want.tobytes()
+            # user sources first (the batched call), then every other source
+            sources = list(lazy.users_idx) + [s for s in range(n) if s not in lazy.users_idx]
+            for src in sources:
+                assert lazy.row(t, src).tobytes() == want[src].tobytes()
+                assert lazy.pred_row(t, src).tobytes() == pred[src].astype(np.int32).tobytes()
+                assert eager.row(t, src).tobytes() == want[src].tobytes()
+            assert lazy.matrix(t).tobytes() == want.tobytes()
+            assert np.array_equal(lazy.predecessors(t), pred)
+
+    def test_partitioned_rows_keep_inf_and_missing_predecessors(self):
+        for metric in ("hop", "ideal"):
+            lazy = build_distance_oracle(split_network().snapshots(1), metric, need_paths=True)
+            a, b = lazy.index["user/a"], lazy.index["user/b"]
+            o = lazy.index["origin/o"]
+            assert np.isinf(lazy.row(1, a)[b]) and np.isinf(lazy.row(1, b)[o])
+            assert lazy.pred_row(1, a)[b] == -9999 and lazy.pred_row(1, b)[o] == -9999
+            assert np.isfinite(lazy.row(1, a)[o]) and lazy.pred_row(1, a)[o] >= 0
+            assert lazy.d(1, "user/b", "origin/o") == np.inf
+
+    def test_user_row_read_computes_only_user_rows(self):
+        lazy = build_distance_oracle(leo_network().snapshots(2), "ideal", need_paths=True)
+        lazy.row(2, lazy.index["user/a"])
+        slot = lazy._slots[1]
+        assert slot.full is None
+        assert sorted(slot.rows) == sorted(int(u) for u in lazy.users_idx)
+        assert not lazy._slots[0].rows
+
+    def test_planning_oracle_has_no_paths(self):
+        eager = build_distance_oracle(leo_network().snapshots(1), "hop")
+        with pytest.raises(ValueError, match="predecessors"):
+            eager.pred_row(1, 0)
+        with pytest.raises(ValueError, match="predecessors"):
+            eager.predecessors(1)
+
+
+class TestMemoryGuard:
+    def test_eager_oracle_fails_before_building(self, monkeypatch):
+        monkeypatch.setattr(costmodel, "available_memory_bytes", lambda: 10_000)
+        snaps = leo_network().snapshots(3)
+        n = snaps[0].n_nodes
+        with pytest.raises(MemoryError, match=rf"n={n} nodes over 3 slot"):
+            build_distance_oracle(snaps, "hop")
+
+    def test_lazy_oracle_serves_rows_but_refuses_full_matrix(self, monkeypatch):
+        monkeypatch.setattr(costmodel, "available_memory_bytes", lambda: 10_000)
+        lazy = build_distance_oracle(leo_network().snapshots(2), "ideal", need_paths=True)
+        assert lazy.row(1, lazy.index["user/a"])[lazy.index["user/a"]] == 0.0
+        with pytest.raises(MemoryError, match="1 slot"):
+            lazy.matrix(1)
+
+    def test_estimate_counts_matrices_predecessors_and_temporary(self, monkeypatch):
+        # 48 float32 slots of 1000x1000 plus one float64 Dijkstra output
+        need = 1000 * 1000 * (48 * 4 + 8)
+        monkeypatch.setattr(costmodel, "available_memory_bytes", lambda: need)
+        costmodel.check_fits(1000, 48, 4, False)
+        with pytest.raises(MemoryError, match=str(need + 1000 * 1000 * 49 * 4)):
+            costmodel.check_fits(1000, 48, 4, True)
+        monkeypatch.setattr(costmodel, "available_memory_bytes", lambda: need - 1)
+        with pytest.raises(MemoryError):
+            costmodel.check_fits(1000, 48, 4, False)
+
+    def test_unknown_memory_skips_the_check(self, monkeypatch):
+        monkeypatch.setattr(costmodel, "available_memory_bytes", lambda: None)
+        costmodel.check_fits(10**6, 48, 4, True)
 
 
 class TestCQMin:

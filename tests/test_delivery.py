@@ -2,11 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from scipy.sparse.csgraph import dijkstra
 
-from satcdn.costmodel import DistanceOracle, ReplicaSchedule
+from satcdn.constellation import GroundNode, Network, starlink_phase1
+from satcdn.costmodel import DistanceOracle, ReplicaSchedule, build_distance_oracle
 from satcdn.delivery import (LinkModel, QoEModel, Router, RoutingPolicy,
                              chunk_download_time, path_links, route, simulate_delivery)
-from satcdn.demand import ContentCatalog, DemandMatrix
+from satcdn.demand import (US_BBOX, ContentCatalog, DemandMatrix, random_ground_sites,
+                           synth_population_demand, us_state_nodes)
 
 SAT, USER, GATEWAY, ORIGIN = 0, 1, 2, 3
 NOPRED = -9999
@@ -248,3 +251,72 @@ class TestSimulateDelivery:
                                 QoEModel(), oracle)
         rows = list(rep.rows())
         assert rows[0][0] == 1 and rows[0][1] == "closest"
+
+
+def network_oracles():
+    """A lazy path oracle on a small LEO network and an eager one holding the
+    full APSP arrays of the same snapshots."""
+    shell = starlink_phase1(orbit_count=6, sats_per_orbit=8, name="s")
+    states, weights = us_state_nodes()
+    ground = random_ground_sites(4, US_BBOX, seed=9) + \
+        [GroundNode("origin/east", "origin", 39.0, -77.0)] + states
+    snaps = Network([shell], ground, seed=5).snapshots(3)
+    lazy = build_distance_oracle(snaps, "ideal", need_paths=True)
+    full = [dijkstra(s.to_csr("ideal"), directed=False, return_predecessors=True)
+            for s in snaps]
+    eager = DistanceOracle.from_matrices([d for d, _ in full], lazy.ids, lazy.kind,
+                                         metric="ideal", predecessors=[p for _, p in full])
+    demand = synth_population_demand(weights, 600, 3, rng_seed=4, contents=["c0", "c1"])
+    cands = lazy.candidates_idx
+    origins = tuple(int(o) for o in lazy.origins_idx)
+    sets = {c: [tuple(sorted(origins + tuple(int(x) for x in cands[(t + k) % 5::5])))
+                for t in range(3)] for k, c in enumerate(demand.contents)}
+    return lazy, eager, ReplicaSchedule(demand.contents, 3, sets), demand
+
+
+class TestLazyOracleDelivery:
+    @pytest.mark.parametrize("kind", ["closest", "weighted_round_robin"])
+    @pytest.mark.parametrize("capacity", [None, 96.0])
+    def test_report_identical_on_lazy_and_eager_oracle(self, kind, capacity):
+        lazy, eager, sched, demand = network_oracles()
+        catalog = ContentCatalog.uniform(demand.contents, 4.0)
+        links = LinkModel(server_capacity_mbps=capacity)
+        reports = [simulate_delivery(sched, demand, RoutingPolicy(kind=kind), links,
+                                     QoEModel(), o, catalog) for o in (lazy, eager)]
+        assert reports[0].per_replica and repr(reports[0]) == repr(reports[1])
+
+    def test_download_time_and_paths_match(self):
+        lazy, eager, sched, demand = network_oracles()
+        for user in demand.users[:10]:
+            u = lazy.index[user]
+            for rep in sched.nodes("c0", 2):
+                assert path_links(lazy, 2, u, rep) == path_links(eager, 2, u, rep)
+                assert chunk_download_time(user, rep, 4.0, 2, LinkModel(), lazy) == \
+                    chunk_download_time(user, rep, 4.0, 2, LinkModel(), eager)
+
+    def test_closest_report_matches_per_request_restatement(self):
+        # routes, paths and download times recomputed for every request from
+        # the full matrices, with no memo, in the simulator's loop order
+        lazy, eager, sched, demand = network_oracles()
+        catalog = ContentCatalog.uniform(demand.contents, 4.0)
+        T = demand.slot_count
+        qoe, qoe_sum, qoe_n, traffic, unreachable = QoEModel(), [0.0] * T, [0] * T, 0.0, 0
+        for t in range(1, T + 1):
+            D = eager.matrix(t)
+            for ci, c in enumerate(demand.contents):
+                for uj, user in enumerate(demand.users):
+                    u = eager.index[user]
+                    reach = [(D[u, r], r) for r in sched.nodes(c, t) if np.isfinite(D[u, r])]
+                    for _ in range(int(round(demand.values[uj, ci, t - 1]))):
+                        qoe_n[t - 1] += 1
+                        if not reach:
+                            unreachable += 1
+                            continue
+                        rep = min(reach)[1]
+                        dt = chunk_download_time(user, rep, 4.0, t, LinkModel(), eager)
+                        qoe_sum[t - 1] += qoe.score(dt)
+                        traffic += 0.004 * len(path_links(eager, t, u, rep))
+        got = simulate_delivery(sched, demand, RoutingPolicy(), LinkModel(), qoe, lazy, catalog)
+        assert unreachable and got.unreachable_requests == unreachable
+        assert got.traffic_gb == traffic
+        assert got.mean_qoe == [s / n for s, n in zip(qoe_sum, qoe_n)]
