@@ -15,10 +15,7 @@ from .delivery import (DeliveryReport, LinkModel, QoEModel, Router, RoutingPolic
                        chunk_download_time, route, simulate_delivery)
 from .demand import (ContentCatalog, DemandMatrix, load_trace, predict_demand, save_trace,
                      synth_grid_demand, synth_population_demand)
-from .placement import (SOLVERS, OptimizerConfig, PlacementResult, baseline_jms_greedy,
-                        baseline_local_search, baseline_naive_greedy, baseline_no_replica,
-                        baseline_pch, baseline_starfront, mtls, mtols, solve_mtls,
-                        solve_mtols)
+from .placement import SOLVERS, OptimizerConfig, PlacementResult, solve_mtls, solve_mtols
 from .scenario import Scenario, load_config, restrict_candidates, run_scenario
 
 __version__ = "0.1.0"

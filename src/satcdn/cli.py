@@ -18,14 +18,13 @@ import numpy as np
 
 from . import constellation as cst
 from . import demand as dm
-from .scenario import ConfigError, build_scenario, load_config, run_scenario
+from .scenario import ConfigError, build_network, load_config, run_scenario
 
 
 def _cmd_run(args) -> int:
     algorithms = args.algorithms.split(",") if args.algorithms else None
-    metric = {"hop": "hop", "ideal": "ideal", "sampled": "sampled"}.get(args.metric, args.metric)
     summary = run_scenario(args.config, args.out, algorithms=algorithms,
-                           metric=metric, seed=args.seed, threads=args.threads)
+                           metric=args.metric, seed=args.seed)
     for name, total in summary.items():
         print(f"{name:>14s}  total={total:.6g}")
     print(f"results written to {args.out}")
@@ -53,11 +52,10 @@ def _cmd_gen_demand(args) -> int:
 
 
 def _cmd_inspect(args) -> int:
-    sc = load_config(args.config)
-    built = build_scenario(sc)
-    net = built.network
-    print(f"network: {net.nodes.n_sats} satellites, {len(built.gateways)} gateways, "
-          f"{len(built.origins)} origins, {len(built.users)} user regions")
+    net, _catalog, demand = build_network(load_config(args.config))
+    nt = net.nodes
+    print(f"network: {nt.n_sats} satellites, {nt.gateways_idx.size} gateways, "
+          f"{nt.origins_idx.size} origins, {nt.users_idx.size} user regions")
     for con in net.constellations:
         spec = con.spec
         period_min = (cst.SIDEREAL_DAY_S if spec.is_geostationary
@@ -66,8 +64,7 @@ def _cmd_inspect(args) -> int:
               f"{spec.altitude_km:.0f} km, inclination {spec.inclination_deg:.1f} deg, "
               f"period {period_min:.1f} min, ISLs {'on' if spec.isl else 'off'}, "
               f"min elevation {spec.min_elevation_deg:.0f} deg")
-    slots = min(args.slots, built.demand.slot_count or args.slots)
-    nt = net.nodes
+    slots = min(args.slots, demand.slot_count or args.slots)
     rows = []
     for t in range(1, slots + 1):
         snap = net.snapshot(t)
@@ -125,7 +122,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--seed", type=int, default=None)
     p_run.add_argument("--algorithms", default=None, help="comma-separated algorithm list")
     p_run.add_argument("--metric", default=None, choices=["hop", "ideal", "sampled"])
-    p_run.add_argument("--threads", type=int, default=1)
     p_run.set_defaults(func=_cmd_run)
 
     p_gen = sub.add_parser("gen-demand", help="generate a synthetic demand trace")

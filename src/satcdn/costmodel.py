@@ -400,26 +400,26 @@ class CostBreakdown:
                              self.storage + other.storage)
 
 
-def _weighted_min(dem: np.ndarray, dists: np.ndarray) -> float:
-    """Sum of demand * nearest-distance, treating zero-demand users as free."""
-    nn = dists.min(axis=1) if dists.ndim == 2 else dists
-    with np.errstate(invalid="ignore"):
-        terms = np.where(dem > 0, dem * nn, 0.0)
-    return float(terms.sum())
-
-
-def query_cost(schedule: ReplicaSchedule, demand, oracle: DistanceOracle) -> float:
-    """Demand-weighted distance from each user to its closest replica, summed
-    over contents and slots. +inf when a demanding user is fully disconnected."""
+def _nearest(schedule: ReplicaSchedule, demand, oracle: DistanceOracle):
+    """Yield (content, slot, per-user demand, per-user distance to the nearest
+    replica) for every (content, slot) with some positive demand."""
     users = np.array([oracle.index[u] for u in demand.users], dtype=np.int64)
-    total = 0.0
     for ci, c in enumerate(demand.contents):
         for t in range(1, min(demand.slot_count, schedule.slot_count) + 1):
             dem = demand.values[:, ci, t - 1]
             if not dem.any():
                 continue
             block = oracle.matrix(t)[np.ix_(users, np.asarray(schedule.nodes(c, t)))]
-            total += _weighted_min(dem, np.asarray(block, dtype=float))
+            yield c, t, dem, np.asarray(block, dtype=float).min(axis=1)
+
+
+def query_cost(schedule: ReplicaSchedule, demand, oracle: DistanceOracle) -> float:
+    """Demand-weighted distance from each user to its closest replica, summed
+    over contents and slots. +inf when a demanding user is fully disconnected."""
+    total = 0.0
+    for _c, _t, dem, nn in _nearest(schedule, demand, oracle):
+        with np.errstate(invalid="ignore"):  # zero-demand users are free even at +inf
+            total += float(np.where(dem > 0, dem * nn, 0.0).sum())
     return total
 
 
@@ -463,15 +463,6 @@ def total_cost(schedule: ReplicaSchedule, demand, catalog, oracle: DistanceOracl
 def disconnected_users(schedule: ReplicaSchedule, demand, oracle: DistanceOracle):
     """(content, slot, user_id) triples where positive demand cannot reach any
     replica, origin included. These drive the +inf query-cost flagging."""
-    users = np.array([oracle.index[u] for u in demand.users], dtype=np.int64)
-    out = []
-    for ci, c in enumerate(demand.contents):
-        for t in range(1, min(demand.slot_count, schedule.slot_count) + 1):
-            dem = demand.values[:, ci, t - 1]
-            if not dem.any():
-                continue
-            block = oracle.matrix(t)[np.ix_(users, np.asarray(schedule.nodes(c, t)))]
-            nn = np.asarray(block, dtype=float).min(axis=1)
-            for ui in np.flatnonzero((dem > 0) & ~np.isfinite(nn)):
-                out.append((c, t, demand.users[int(ui)]))
-    return out
+    return [(c, t, demand.users[int(ui)])
+            for c, t, dem, nn in _nearest(schedule, demand, oracle)
+            for ui in np.flatnonzero((dem > 0) & ~np.isfinite(nn))]

@@ -75,7 +75,10 @@ class Router:
         self.oracle = oracle
         self.policy = policy
         self._rr: dict[tuple[int, str], int] = {}
-        self._wrr: dict[tuple[int, str], np.ndarray] = {}
+        self._wrr: dict[tuple[int, str], list[float]] = {}
+        # weight total per ranked-list length; NumPy's reduction fixes the last-ulp
+        # rounding the picks depend on (Python's compensated sum can differ)
+        self._wrr_total = [float(np.sum(policy.weights[:k])) for k in range(policy.fanout + 1)]
         self._ranks: dict[tuple[int, str, int], list[int]] = {}
 
     def _ranked(self, user_idx: int, content: str, slot: int) -> list[int]:
@@ -106,14 +109,13 @@ class Router:
             c = self._rr.get(key, 0)
             self._rr[key] = c + 1
             return ranked[c % len(ranked)], True
-        # Smooth weighted round robin over proximity ranks.
-        w = np.asarray(self.policy.weights[:len(ranked)])
+        # Smooth weighted round robin over proximity ranks; ties go to the nearest.
         cur = self._wrr.get(key)
-        if cur is None or cur.size != len(ranked):
-            cur = np.zeros(len(ranked))
-        cur = cur + w
-        pick = int(np.argmax(cur))
-        cur[pick] -= w.sum()
+        if cur is None or len(cur) != len(ranked):
+            cur = [0.0] * len(ranked)
+        cur = [c + w for c, w in zip(cur, self.policy.weights)]
+        pick = cur.index(max(cur))
+        cur[pick] -= self._wrr_total[len(ranked)]
         self._wrr[key] = cur
         return ranked[pick], True
 

@@ -1,12 +1,10 @@
 """Replica placement algorithms: MTLS, MTOLS, and the baseline strategies."""
 
-from .baselines import (baseline_jms_greedy, baseline_local_search, baseline_naive_greedy,
-                        baseline_no_replica, baseline_pch, baseline_starfront,
-                        default_thresholds, solve_jms_greedy, solve_local_search,
+from .baselines import (default_thresholds, solve_jms_greedy, solve_local_search,
                         solve_naive_greedy, solve_no_replica, solve_pch, solve_starfront)
-from .core import (ContentProblem, Counters, MoveSet, OptimizerConfig, PlacementResult,
-                   PlacementStats, dp_pass)
-from .local_search import mtls, mtols, solve_mtls, solve_mtols
+from .core import (ContentProblem, MoveSet, OptimizerConfig, PlacementResult, PlacementStats,
+                   dp_pass)
+from .local_search import solve_mtls, solve_mtols
 
 SOLVERS = {
     "no_replica": solve_no_replica,
@@ -20,10 +18,8 @@ SOLVERS = {
 }
 
 __all__ = [
-    "ContentProblem", "Counters", "MoveSet", "OptimizerConfig", "PlacementResult",
-    "PlacementStats", "SOLVERS", "baseline_jms_greedy", "baseline_local_search",
-    "baseline_naive_greedy", "baseline_no_replica", "baseline_pch", "baseline_starfront",
-    "default_thresholds", "dp_pass", "mtls", "mtols", "solve_jms_greedy",
-    "solve_local_search", "solve_mtls", "solve_mtols", "solve_naive_greedy",
-    "solve_no_replica", "solve_pch", "solve_starfront",
+    "ContentProblem", "MoveSet", "OptimizerConfig", "PlacementResult", "PlacementStats",
+    "SOLVERS", "default_thresholds", "dp_pass", "solve_jms_greedy", "solve_local_search",
+    "solve_mtls", "solve_mtols", "solve_naive_greedy", "solve_no_replica", "solve_pch",
+    "solve_starfront",
 ]

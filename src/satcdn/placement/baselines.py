@@ -14,40 +14,18 @@ import time
 
 import numpy as np
 
-from ..costmodel import CostParams, DistanceOracle, ReplicaSchedule, total_cost
+from ..costmodel import CostParams, DistanceOracle, total_cost
 from ..demand import DemandMatrix
-from .core import BIG, ContentProblem, OptimizerConfig, PlacementResult, PlacementStats
+from .core import BIG, ContentProblem, OptimizerConfig, PlacementResult, solve_per_content
 
 _TOL = 1e-12
 
 
-def _problems(demand, oracle, params, catalog):
-    users_global = np.array([oracle.index[u] for u in demand.users], dtype=np.int64)
-    out = []
-    for ci, c in enumerate(demand.contents):
-        size_c = catalog.size_of(c) if catalog is not None else 1.0
-        out.append((c, ContentProblem(oracle, users_global, demand.values[:, ci, :],
-                                      size_c, params)))
-    return out
-
-
-def _result(algorithm, demand, per_content, t_start, *, warnings=None,
-            iterations=0) -> PlacementResult:
-    stats = PlacementStats(algorithm=algorithm, iterations=iterations,
-                           wall_s=time.perf_counter() - t_start,
-                           warnings=list(warnings or []))
-    return PlacementResult(ReplicaSchedule(list(demand.contents), demand.slot_count,
-                                           per_content), stats)
-
-
-def solve_no_replica(demand: DemandMatrix, oracle: DistanceOracle,
-                     params: CostParams | None = None,
+def solve_no_replica(demand: DemandMatrix, oracle: DistanceOracle, params: CostParams,
                      config: OptimizerConfig | None = None, *, catalog=None) -> PlacementResult:
     """Serve everything from the origin servers."""
-    t0 = time.perf_counter()
-    origins = tuple(int(i) for i in np.sort(oracle.origins_idx))
-    per_content = {c: [origins] * demand.slot_count for c in demand.contents}
-    return _result("no_replica", demand, per_content, t0)
+    return solve_per_content("no_replica", demand, oracle, params, catalog,
+                             lambda c, prob, stats: [prob.s0] * prob.T)
 
 
 def _opening_costs(prob: ContentProblem, view, prev_set) -> np.ndarray:
@@ -61,40 +39,96 @@ def _opening_costs(prob: ContentProblem, view, prev_set) -> np.ndarray:
     return open_cost
 
 
-def solve_naive_greedy(demand: DemandMatrix, oracle: DistanceOracle, params: CostParams,
-                       config: OptimizerConfig | None = None, *, catalog=None) -> PlacementResult:
-    """Per-slot greedy: repeatedly add the candidate that most reduces the
-    slot's total cost; stop when no addition helps."""
-    t0 = time.perf_counter()
-    per_content: dict[str, list[tuple[int, ...]]] = {}
-    for c, prob in _problems(demand, oracle, params, catalog):
+def _slot_by_slot(slot_rule):
+    """Per-content rule that solves the slots in order, charging each slot's
+    opening costs against the previous slot's set (the origins before slot 1).
+
+    ``slot_rule(prob, view, du, wz, prev)`` gets the slot's distance view,
+    user block and demand weights and returns the slot's replica set.
+    """
+
+    def rule(c, prob, stats):
         prev = prob.s0
         slots = []
         for t in range(1, prob.T + 1):
             view = prob.view(t)
-            du = view.users()
-            wz = prob.weights(t)
-            open_cost = _opening_costs(prob, view, prev)
-            chosen = list(prob.s0)
-            d1u = du[:, np.asarray(chosen)].min(axis=1) if prob.users.size else np.empty(0)
-            while True:
-                in_set = np.zeros(prob.R, dtype=bool)
-                in_set[np.asarray(chosen)] = True
-                cand = prob.cand_pos[~in_set[prob.cand_pos]]
-                if cand.size == 0 or not prob.users.size:
-                    break
-                new_qc = (wz[:, None] * np.minimum(d1u[:, None], du[:, cand])).sum(axis=0)
-                delta = new_qc - float((wz * d1u).sum()) + open_cost[cand]
-                j = int(np.argmin(delta))
-                if delta[j] >= -_TOL:
-                    break
-                w = int(cand[j])
-                chosen.append(w)
-                d1u = np.minimum(d1u, du[:, w])
-            slots.append(tuple(sorted(chosen)))
-            prev = slots[-1]
-        per_content[c] = prob.to_global(slots)
-    return _result("naive_greedy", demand, per_content, t0)
+            prev = slot_rule(prob, view, view.users(), prob.weights(t), prev)
+            slots.append(prev)
+        return slots
+
+    return rule
+
+
+def _naive_greedy_slot(prob, view, du, wz, prev):
+    open_cost = _opening_costs(prob, view, prev)
+    chosen = list(prob.s0)
+    d1u = du[:, np.asarray(chosen)].min(axis=1) if prob.users.size else np.empty(0)
+    while True:
+        in_set = np.zeros(prob.R, dtype=bool)
+        in_set[np.asarray(chosen)] = True
+        cand = prob.cand_pos[~in_set[prob.cand_pos]]
+        if cand.size == 0 or not prob.users.size:
+            break
+        new_qc = (wz[:, None] * np.minimum(d1u[:, None], du[:, cand])).sum(axis=0)
+        delta = new_qc - float((wz * d1u).sum()) + open_cost[cand]
+        j = int(np.argmin(delta))
+        if delta[j] >= -_TOL:
+            break
+        w = int(cand[j])
+        chosen.append(w)
+        d1u = np.minimum(d1u, du[:, w])
+    return tuple(sorted(chosen))
+
+
+def solve_naive_greedy(demand: DemandMatrix, oracle: DistanceOracle, params: CostParams,
+                       config: OptimizerConfig | None = None, *, catalog=None) -> PlacementResult:
+    """Per-slot greedy: repeatedly add the candidate that most reduces the
+    slot's total cost; stop when no addition helps."""
+    return solve_per_content("naive_greedy", demand, oracle, params, catalog,
+                             _slot_by_slot(_naive_greedy_slot))
+
+
+def _jms_greedy_slot(prob, view, du, wz, prev):
+    clients = np.flatnonzero(wz > 0)
+    if clients.size == 0:
+        return prob.s0
+    facilities = np.concatenate([np.asarray(prob.s0), prob.cand_pos])
+    f_open = np.concatenate([np.zeros(len(prob.s0)),
+                             _opening_costs(prob, view, prev)[prob.cand_pos]])
+    Draw = du[np.ix_(clients, facilities)].astype(np.float64)
+    D = Draw * wz[clients][:, None]
+    # D[j, i]: demand-weighted connection cost of client j to facility i;
+    # prefixes are ordered by raw distance (cost per unit of demand).
+    order = np.argsort(Draw, axis=0, kind="stable")
+    Ds = np.take_along_axis(D, order, axis=0)
+    w_cl = wz[clients]
+    ws = w_cl[order]
+
+    assigned = np.zeros(clients.size, dtype=bool)
+    cur = np.full(clients.size, np.inf)
+    open_mask = np.zeros(facilities.size, dtype=bool)
+    opened: list[int] = []
+    while not assigned.all():
+        amask = assigned[order]  # (n_clients, n_fac) sorted rows
+        conn = np.where(amask, 0.0, Ds).cumsum(axis=0)
+        wsum = np.where(amask, 0.0, ws).cumsum(axis=0)
+        rebate = np.where(assigned[:, None], np.maximum(cur[:, None] - D, 0.0), 0.0).sum(axis=0)
+        f_eff = np.where(open_mask, 0.0, f_open)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ratio = (f_eff[None, :] - rebate[None, :] + conn) / wsum
+        ratio[wsum <= 0] = np.inf
+        flat = int(np.argmin(ratio.T))  # facility-major for lowest-id ties
+        fi, p = divmod(flat, ratio.shape[0])
+        take = order[:p + 1, fi]
+        take = take[~assigned[take]]
+        open_mask[fi] = True
+        if int(facilities[fi]) not in prob.s0 and int(facilities[fi]) not in opened:
+            opened.append(int(facilities[fi]))
+        assigned[take] = True
+        cur[take] = D[take, fi]
+        switch = assigned & (D[:, fi] < cur)
+        cur[switch] = D[switch, fi]
+    return tuple(sorted(set(prob.s0) | set(opened)))
 
 
 def solve_jms_greedy(demand: DemandMatrix, oracle: DistanceOracle, params: CostParams,
@@ -102,178 +136,129 @@ def solve_jms_greedy(demand: DemandMatrix, oracle: DistanceOracle, params: CostP
     """Per-slot average-cost greedy: open (facility, client-prefix) pairs with
     the best (opening + connections - rebates) per unit of newly covered
     demand; opened facilities may be reused later at zero opening cost."""
-    t0 = time.perf_counter()
-    per_content: dict[str, list[tuple[int, ...]]] = {}
-    for c, prob in _problems(demand, oracle, params, catalog):
-        prev = prob.s0
-        slots = []
-        for t in range(1, prob.T + 1):
-            view = prob.view(t)
-            du = view.users()
-            wz = prob.weights(t)
-            clients = np.flatnonzero(wz > 0)
-            facilities = np.concatenate([np.asarray(prob.s0), prob.cand_pos])
-            f_open = np.concatenate([np.zeros(len(prob.s0)),
-                                     _opening_costs(prob, view, prev)[prob.cand_pos]])
-            if clients.size == 0:
-                slots.append(prob.s0)
-                prev = prob.s0
-                continue
-            Draw = du[np.ix_(clients, facilities)].astype(np.float64)
-            D = Draw * wz[clients][:, None]
-            # D[j, i]: demand-weighted connection cost of client j to facility i;
-            # prefixes are ordered by raw distance (cost per unit of demand).
-            order = np.argsort(Draw, axis=0, kind="stable")
-            Ds = np.take_along_axis(D, order, axis=0)
-            w_cl = wz[clients]
-            ws = w_cl[order]
+    return solve_per_content("jms_greedy", demand, oracle, params, catalog,
+                             _slot_by_slot(_jms_greedy_slot))
 
-            assigned = np.zeros(clients.size, dtype=bool)
-            cur = np.full(clients.size, np.inf)
-            open_mask = np.zeros(facilities.size, dtype=bool)
-            opened: list[int] = []
-            while not assigned.all():
-                amask = assigned[order]  # (n_clients, n_fac) sorted rows
-                conn = np.where(amask, 0.0, Ds).cumsum(axis=0)
-                wsum = np.where(amask, 0.0, ws).cumsum(axis=0)
-                rebate = np.where(assigned[:, None], np.maximum(cur[:, None] - D, 0.0), 0.0).sum(axis=0)
-                f_eff = np.where(open_mask, 0.0, f_open)
-                with np.errstate(divide="ignore", invalid="ignore"):
-                    ratio = (f_eff[None, :] - rebate[None, :] + conn) / wsum
-                ratio[wsum <= 0] = np.inf
-                flat = int(np.argmin(ratio.T))  # facility-major for lowest-id ties
-                fi, p = divmod(flat, ratio.shape[0])
-                take = order[:p + 1, fi]
-                take = take[~assigned[take]]
-                open_mask[fi] = True
-                if int(facilities[fi]) not in prob.s0 and int(facilities[fi]) not in opened:
-                    opened.append(int(facilities[fi]))
-                assigned[take] = True
-                cur[take] = D[take, fi]
-                switch = assigned & (D[:, fi] < cur)
-                cur[switch] = D[switch, fi]
-            slots.append(tuple(sorted(set(prob.s0) | set(opened))))
-            prev = slots[-1]
-        per_content[c] = prob.to_global(slots)
-    return _result("jms_greedy", demand, per_content, t0)
+
+def _local_search_slot(prob, view, du, wz, prev):
+    open_cost = _opening_costs(prob, view, prev)
+    chosen = set(prob.s0)
+    while True:
+        ch = np.asarray(sorted(chosen), dtype=np.int64)
+        members = np.array([p for p in ch if p not in prob.origin_set], dtype=np.int64)
+        in_set = np.zeros(prob.R, dtype=bool)
+        in_set[ch] = True
+        cand = prob.cand_pos[~in_set[prob.cand_pos]]
+        if prob.users.size:
+            sub = du[:, ch]
+            part = np.partition(sub, 1, axis=1) if ch.size > 1 else None
+            d1u = sub.min(axis=1)
+            d2u = part[:, 1] if part is not None else np.full(wz.size, BIG)
+            a1u = ch[np.argmin(sub, axis=1)]
+            qc_cur = float((wz * d1u).sum())
+        else:
+            d1u = d2u = a1u = np.empty(0)
+            qc_cur = 0.0
+
+        best_delta, best_op = -_TOL, None
+        if cand.size and prob.users.size:
+            qc_add = (wz[:, None] * np.minimum(d1u[:, None], du[:, cand])).sum(axis=0)
+            deltas = qc_add - qc_cur + open_cost[cand]
+            j = int(np.argmin(deltas))
+            if deltas[j] < best_delta:
+                best_delta, best_op = float(deltas[j]), ("add", int(cand[j]), -1)
+        for z in members:
+            dz = np.where(a1u == z, d2u, d1u)
+            qc_del = float((wz * dz).sum())
+            delta = qc_del - qc_cur - open_cost[z]
+            if delta < best_delta:
+                best_delta, best_op = float(delta), ("del", -1, int(z))
+            if cand.size and prob.users.size:
+                qc_swap = (wz[:, None] * np.minimum(dz[:, None], du[:, cand])).sum(axis=0)
+                deltas = qc_swap - qc_cur + open_cost[cand] - open_cost[z]
+                j = int(np.argmin(deltas))
+                if deltas[j] < best_delta:
+                    best_delta, best_op = float(deltas[j]), ("swap", int(cand[j]), int(z))
+        if best_op is None:
+            break
+        kind, w, z = best_op
+        if kind in ("add", "swap"):
+            chosen.add(w)
+        if kind in ("del", "swap"):
+            chosen.discard(z)
+    return tuple(sorted(chosen))
 
 
 def solve_local_search(demand: DemandMatrix, oracle: DistanceOracle, params: CostParams,
                        config: OptimizerConfig | None = None, *, catalog=None) -> PlacementResult:
     """Per-slot local search (add / delete / swap) run to a local optimum."""
-    t0 = time.perf_counter()
-    per_content: dict[str, list[tuple[int, ...]]] = {}
-    for c, prob in _problems(demand, oracle, params, catalog):
-        prev = prob.s0
-        slots = []
-        for t in range(1, prob.T + 1):
-            view = prob.view(t)
-            du = view.users()
-            wz = prob.weights(t)
-            open_cost = _opening_costs(prob, view, prev)
-            chosen = set(prob.s0)
-            while True:
-                ch = np.asarray(sorted(chosen), dtype=np.int64)
-                members = np.array([p for p in ch if p not in prob.origin_set], dtype=np.int64)
-                in_set = np.zeros(prob.R, dtype=bool)
-                in_set[ch] = True
-                cand = prob.cand_pos[~in_set[prob.cand_pos]]
-                if prob.users.size:
-                    sub = du[:, ch]
-                    part = np.partition(sub, 1, axis=1) if ch.size > 1 else None
-                    d1u = sub.min(axis=1)
-                    d2u = part[:, 1] if part is not None else np.full(wz.size, BIG)
-                    a1u = ch[np.argmin(sub, axis=1)]
-                    qc_cur = float((wz * d1u).sum())
-                else:
-                    d1u = d2u = a1u = np.empty(0)
-                    qc_cur = 0.0
-
-                best_delta, best_op = -_TOL, None
-                if cand.size and prob.users.size:
-                    qc_add = (wz[:, None] * np.minimum(d1u[:, None], du[:, cand])).sum(axis=0)
-                    deltas = qc_add - qc_cur + open_cost[cand]
-                    j = int(np.argmin(deltas))
-                    if deltas[j] < best_delta:
-                        best_delta, best_op = float(deltas[j]), ("add", int(cand[j]), -1)
-                for z in members:
-                    dz = np.where(a1u == z, d2u, d1u)
-                    qc_del = float((wz * dz).sum())
-                    delta = qc_del - qc_cur - open_cost[z]
-                    if delta < best_delta:
-                        best_delta, best_op = float(delta), ("del", -1, int(z))
-                    if cand.size and prob.users.size:
-                        qc_swap = (wz[:, None] * np.minimum(dz[:, None], du[:, cand])).sum(axis=0)
-                        deltas = qc_swap - qc_cur + open_cost[cand] - open_cost[z]
-                        j = int(np.argmin(deltas))
-                        if deltas[j] < best_delta:
-                            best_delta, best_op = float(deltas[j]), ("swap", int(cand[j]), int(z))
-                if best_op is None:
-                    break
-                kind, w, z = best_op
-                if kind in ("add", "swap"):
-                    chosen.add(w)
-                if kind in ("del", "swap"):
-                    chosen.discard(z)
-            slots.append(tuple(sorted(chosen)))
-            prev = slots[-1]
-        per_content[c] = prob.to_global(slots)
-    return _result("local_search", demand, per_content, t0)
+    return solve_per_content("local_search", demand, oracle, params, catalog,
+                             _slot_by_slot(_local_search_slot))
 
 
 def default_thresholds(metric: str) -> tuple[float, ...]:
     return (1.0, 2.0, 3.0, 4.0, 5.0) if metric == "hop" else (5.0, 10.0, 20.0, 40.0, 80.0)
 
 
+def _starfront_sets(prob: ContentProblem, theta: float):
+    """One content's persistent-replica sets under threshold ``theta`` and the
+    number of user-slots that no candidate within ``theta`` could cover."""
+    placed: set[int] = set()
+    slots = []
+    flagged = 0
+    for t in range(1, prob.T + 1):
+        view = prob.view(t)
+        du = view.users()
+        wz = prob.weights(t)
+        cur = set(prob.s0) | placed
+        for uj in np.flatnonzero(wz > 0):
+            cur_arr = np.asarray(sorted(cur), dtype=np.int64)
+            if du[uj, cur_arr].min() <= theta:
+                continue
+            qual = prob.cand_pos[(du[uj, prob.cand_pos] <= theta)
+                                 & ~np.isin(prob.cand_pos, cur_arr)]
+            if qual.size == 0:
+                flagged += 1
+                continue
+            d_src = view.block(qual, cur_arr).min(axis=1).astype(np.float64)
+            remaining = prob.T - t + 1
+            score = prob.alpha * d_src + remaining * prob.rate[qual]
+            w = int(qual[np.argmin(score)])
+            placed.add(w)
+            cur.add(w)
+        slots.append(tuple(sorted(cur)))
+    return slots, flagged
+
+
 def solve_starfront(demand: DemandMatrix, oracle: DistanceOracle, params: CostParams,
                     config: OptimizerConfig | None = None, *, catalog=None) -> PlacementResult:
     """Threshold-driven persistent replicas: for each threshold in the grid,
     greedily place replicas so every demanding user is within the threshold
-    (replicas never move once placed), then keep the cheapest threshold."""
+    (replicas never move once placed), then keep the threshold whose whole
+    schedule, all contents together, costs least (the first on ties)."""
     t0 = time.perf_counter()
     config = config or OptimizerConfig()
-    thresholds = config.starfront_thresholds or default_thresholds(params.metric)
-    warnings: list[str] = []
-
     best = None
-    for theta in thresholds:
-        per_content: dict[str, list[tuple[int, ...]]] = {}
+    for theta in config.starfront_thresholds or default_thresholds(params.metric):
         flagged = 0
-        for c, prob in _problems(demand, oracle, params, catalog):
-            placed: set[int] = set()
-            slots = []
-            for t in range(1, prob.T + 1):
-                view = prob.view(t)
-                du = view.users()
-                wz = prob.weights(t)
-                cur = set(prob.s0) | placed
-                for uj in np.flatnonzero(wz > 0):
-                    cur_arr = np.asarray(sorted(cur), dtype=np.int64)
-                    if du[uj, cur_arr].min() <= theta:
-                        continue
-                    qual = prob.cand_pos[(du[uj, prob.cand_pos] <= theta)
-                                         & ~np.isin(prob.cand_pos, cur_arr)]
-                    if qual.size == 0:
-                        flagged += 1
-                        continue
-                    d_src = view.block(qual, cur_arr).min(axis=1).astype(np.float64)
-                    remaining = prob.T - t + 1
-                    score = prob.alpha * d_src + remaining * prob.rate[qual]
-                    w = int(qual[np.argmin(score)])
-                    placed.add(w)
-                    cur.add(w)
-                slots.append(tuple(sorted(cur)))
-            per_content[c] = prob.to_global(slots)
-        sched = ReplicaSchedule(list(demand.contents), demand.slot_count, per_content)
-        cost = total_cost(sched, demand, catalog, oracle, params).total
-        if best is None or cost < best[0]:
-            best = (cost, theta, per_content, flagged)
 
-    _, theta, per_content, flagged = best
+        def rule(c, prob, stats):
+            nonlocal flagged
+            slots, n = _starfront_sets(prob, theta)
+            flagged += n
+            return slots
+
+        res = solve_per_content("starfront", demand, oracle, params, catalog, rule)
+        cost = total_cost(res.schedule, demand, catalog, oracle, params).total
+        if best is None or cost < best[0]:
+            best = (cost, theta, flagged, res)
+
+    _, theta, flagged, res = best
     if flagged:
-        warnings.append(f"threshold {theta}: {flagged} user-slot(s) left beyond the "
-                        "threshold and served by the nearest existing replica")
-    return _result("starfront", demand, per_content, t0, warnings=warnings)
+        res.stats.warnings.append(f"threshold {theta}: {flagged} user-slot(s) left beyond the "
+                                  "threshold and served by the nearest existing replica")
+    res.stats.wall_s = time.perf_counter() - t0  # every threshold's solve
+    return res
 
 
 def solve_pch(demand: DemandMatrix, oracle: DistanceOracle, params: CostParams,
@@ -283,11 +268,8 @@ def solve_pch(demand: DemandMatrix, oracle: DistanceOracle, params: CostParams,
     every intra-orbit period, and to the better same-index satellite of an
     adjacent orbit every (longer) inter-orbit period. Demand-oblivious after
     initialization."""
-    t0 = time.perf_counter()
     config = config or OptimizerConfig()
     slot_s = oracle.slot_seconds
-    warnings: list[str] = []
-    per_content: dict[str, list[tuple[int, ...]]] = {}
 
     sat_lookup: dict[tuple[int, int, int], int] = {}
     for g in oracle.candidates_idx:
@@ -301,14 +283,13 @@ def solve_pch(demand: DemandMatrix, oracle: DistanceOracle, params: CostParams,
             P, Q = shell_dims.get(s, (0, 0))
             shell_dims[s] = (max(P, int(oracle.orbit[g]) + 1), max(Q, int(oracle.in_orbit[g]) + 1))
 
-    for c, prob in _problems(demand, oracle, params, catalog):
+    def rule(c, prob, stats):
         sat_cand = prob.cand_pos[oracle.orbit[prob.r_nodes[prob.cand_pos]] >= 0]
         first = next((t for t in range(1, prob.T + 1) if prob.dem[:, t - 1].sum() > 0), None)
         if first is None or sat_cand.size == 0:
             if sat_cand.size == 0 and first is not None:
-                warnings.append(f"{c}: no satellite candidates, serving from origins only")
-            per_content[c] = prob.to_global([prob.s0] * prob.T)
-            continue
+                stats.warnings.append(f"{c}: no satellite candidates, serving from origins only")
+            return [prob.s0] * prob.T
 
         du = prob.user_block(first)
         wz_init = prob.weights(first)
@@ -353,29 +334,6 @@ def solve_pch(demand: DemandMatrix, oracle: DistanceOracle, params: CostParams,
                         new_caches.append(int(np.searchsorted(prob.r_nodes, tgt)))
                 caches = sorted(set(new_caches)) or caches
             slots.append(tuple(sorted(set(prob.s0) | set(caches))))
-        per_content[c] = prob.to_global(slots)
-    return _result("pch", demand, per_content, t0, warnings=warnings)
+        return slots
 
-
-def baseline_no_replica(demand, oracle, params=None, config=None, *, catalog=None):
-    return solve_no_replica(demand, oracle, params, config, catalog=catalog).schedule
-
-
-def baseline_naive_greedy(demand, oracle, params, config=None, *, catalog=None):
-    return solve_naive_greedy(demand, oracle, params, config, catalog=catalog).schedule
-
-
-def baseline_jms_greedy(demand, oracle, params, config=None, *, catalog=None):
-    return solve_jms_greedy(demand, oracle, params, config, catalog=catalog).schedule
-
-
-def baseline_local_search(demand, oracle, params, config=None, *, catalog=None):
-    return solve_local_search(demand, oracle, params, config, catalog=catalog).schedule
-
-
-def baseline_starfront(demand, oracle, params, config=None, *, catalog=None):
-    return solve_starfront(demand, oracle, params, config, catalog=catalog).schedule
-
-
-def baseline_pch(demand, oracle, params, config=None, *, catalog=None):
-    return solve_pch(demand, oracle, params, config, catalog=catalog).schedule
+    return solve_per_content("pch", demand, oracle, params, catalog, rule)

@@ -1,5 +1,5 @@
-"""Shared optimizer plumbing: per-content problem views, move sets, and the
-slot-by-slot DP over nearby replica sets.
+"""Shared optimizer plumbing: the per-content solver driver, per-content
+problem views, move sets, and the slot-by-slot DP over nearby replica sets.
 
 The DP state space per slot is built from the *current* replica set by one
 addition, one deletion, one replacement, or no change. Transition costs are
@@ -11,6 +11,7 @@ reported costs always come from a clean re-evaluation against the oracle.
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -30,7 +31,6 @@ class OptimizerConfig:
 
     max_iterations: int = 50
     neighbor_limit: int = 4
-    rng_seed: int = 0
     improvement_tol: float = 1e-9
     starfront_thresholds: tuple[float, ...] | None = None
     pch_intra_period_s: float = 258.0
@@ -64,14 +64,6 @@ class PlacementStats:
 class PlacementResult:
     schedule: ReplicaSchedule
     stats: PlacementStats
-
-
-class Counters:
-    __slots__ = ("relaxations", "orbit_relaxations")
-
-    def __init__(self):
-        self.relaxations = 0
-        self.orbit_relaxations = 0
 
 
 @dataclass
@@ -268,9 +260,32 @@ class SlotView:
         return self.prob.user_block(self.t)
 
 
-def schedule_from_sets(contents: Sequence[str], slot_count: int,
-                       per_content: dict[str, list[tuple[int, ...]]]) -> ReplicaSchedule:
-    return ReplicaSchedule(list(contents), slot_count, per_content)
+Rule = Callable[[str, ContentProblem, PlacementStats], list[tuple[int, ...]]]
+
+
+def solve_per_content(algorithm: str, demand: DemandMatrix, oracle: DistanceOracle,
+                      params: CostParams, catalog, rule: Rule) -> PlacementResult:
+    """Solve each content independently with ``rule`` and time the whole call.
+
+    ``rule(content, problem, stats)`` returns the content's per-slot replica
+    sets in R-position space and may record counts, history and warnings in
+    ``stats``. Each content's problem is built when its turn comes and dropped
+    after, so only one problem's cached blocks are alive at a time.
+    """
+    t_start = time.perf_counter()
+    try:
+        users_global = np.array([oracle.index[u] for u in demand.users], dtype=np.int64)
+    except KeyError as exc:
+        raise ValueError(f"demand user {exc.args[0]!r} not present in the network") from exc
+    stats = PlacementStats(algorithm=algorithm)
+    per_content: dict[str, list[tuple[int, ...]]] = {}
+    for ci, c in enumerate(demand.contents):
+        size_c = catalog.size_of(c) if catalog is not None else 1.0
+        prob = ContentProblem(oracle, users_global, demand.values[:, ci, :], size_c, params)
+        per_content[c] = prob.to_global(rule(c, prob, stats))
+    stats.wall_s = time.perf_counter() - t_start
+    return PlacementResult(ReplicaSchedule(list(demand.contents), demand.slot_count,
+                                           per_content), stats)
 
 
 def evaluate_content(problem: ContentProblem, content: str, users: list[str],
@@ -302,11 +317,12 @@ def _fold(best, ptr, vals, ptrs):
 
 def dp_pass(problem: ContentProblem, sets: list[tuple[int, ...]],
             gen_moves: Callable[[int, tuple[int, ...], "SlotView"], MoveSet],
-            counters: Counters) -> tuple[list[tuple[int, ...]], float]:
+            stats: PlacementStats) -> tuple[list[tuple[int, ...]], float]:
     """One full DP sweep over slots 1..T.
 
     Returns the best nearby-set sequence (ties keep the current sets) and its
-    DP objective. ``gen_moves(t, base, view)`` defines the per-slot move space.
+    DP objective. ``gen_moves(t, base, view)`` defines the per-slot move space;
+    the pass's transition count is added to ``stats.relaxations``.
     """
     T = problem.T
     alpha = problem.alpha
@@ -445,7 +461,7 @@ def dp_pass(problem: ContentProblem, sets: list[tuple[int, ...]],
                 f_cur[lo + j] = vals[b] + qc_zw + sc_keep - rate[z] + rate[w]
                 bp_cur[lo + j] = b
 
-        counters.relaxations += prev_moves.n_moves * n_cur
+        stats.relaxations += prev_moves.n_moves * n_cur
         trail.append((mv, bp_cur))
         prev_moves, prev_f, prev_base = mv, f_cur, base
 

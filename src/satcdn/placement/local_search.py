@@ -5,15 +5,14 @@ orbits). Both iterate DP passes until no strict total-cost improvement.
 
 from __future__ import annotations
 
-import time
 from typing import Sequence
 
 import numpy as np
 
-from ..costmodel import CostParams, DistanceOracle, ReplicaSchedule
+from ..costmodel import CostParams, DistanceOracle
 from ..demand import DemandMatrix
-from .core import (ContentProblem, Counters, MoveSet, OptimizerConfig, PlacementResult,
-                   PlacementStats, dp_pass, evaluate_content)
+from .core import (ContentProblem, MoveSet, OptimizerConfig, PlacementResult, PlacementStats,
+                   dp_pass, evaluate_content, solve_per_content)
 
 
 def _mtls_movegen(problem: ContentProblem, k: int):
@@ -44,7 +43,7 @@ def _mtls_movegen(problem: ContentProblem, k: int):
 
 
 def _orbit_dp(problem: ContentProblem, sets: list[tuple[int, ...]],
-              counters: Counters) -> list[int]:
+              stats: PlacementStats) -> list[int]:
     """Pick one orbit per slot by DP.
 
     Choosing orbit o at slot t means hypothetically deploying that orbit's
@@ -107,7 +106,7 @@ def _orbit_dp(problem: ContentProblem, sets: list[tuple[int, ...]],
             g_new = qc_o + sc_o
             g_new[have] += alpha * d1p[v_sel[have]].astype(np.float64)
             bp = np.full(nO, -1, dtype=np.int64)
-            counters.orbit_relaxations += nO
+            stats.orbit_relaxations += nO
         else:
             rc = np.zeros((nO, nO))  # rows: previous orbit, cols: current orbit
             rc[:, have] = alpha * d1p[v_sel[have]].astype(np.float64)[None, :]
@@ -120,7 +119,7 @@ def _orbit_dp(problem: ContentProblem, sets: list[tuple[int, ...]],
             tot = g_prev[:, None] + rc
             bp = np.argmin(tot, axis=0)
             g_new = qc_o + sc_o + np.take_along_axis(tot, bp[None, :], axis=0)[0]
-            counters.orbit_relaxations += nO * nO
+            stats.orbit_relaxations += nO * nO
 
         v_trail.append(v_sel)
         bp_trail.append(bp)
@@ -155,67 +154,45 @@ def _mtols_movegen(problem: ContentProblem, orbit_seq: Sequence[int]):
     return gen
 
 
-def _solve_multitime(algorithm: str, demand: DemandMatrix, oracle: DistanceOracle,
-                     params: CostParams, config: OptimizerConfig | None,
-                     catalog, orbit_mode: bool) -> PlacementResult:
-    t_start = time.perf_counter()
-    config = config or OptimizerConfig()
-    stats = PlacementStats(algorithm=algorithm)
-    counters = Counters()
-    contents = list(demand.contents)
-    T = demand.slot_count
-    try:
-        users_global = np.array([oracle.index[u] for u in demand.users], dtype=np.int64)
-    except KeyError as exc:
-        raise ValueError(f"demand user {exc.args[0]!r} not present in the network") from exc
+def _search_rule(users: list[str], catalog, config: OptimizerConfig, orbit_mode: bool):
+    """Per-content rule shared by MTLS and MTOLS: DP passes from the origin-only
+    schedule until one fails to improve the true total cost strictly."""
 
-    per_content: dict[str, list[tuple[int, ...]]] = {}
-    for ci, c in enumerate(contents):
-        size_c = catalog.size_of(c) if catalog is not None else 1.0
-        prob = ContentProblem(oracle, users_global, demand.values[:, ci, :], size_c, params)
-        sets = [prob.s0] * T
-        hist = [evaluate_content(prob, c, demand.users, sets, catalog).total]
-        orbit_seq = [-1] * T
+    def rule(c: str, prob: ContentProblem, stats: PlacementStats) -> list[tuple[int, ...]]:
+        sets = [prob.s0] * prob.T
+        hist = [evaluate_content(prob, c, users, sets, catalog).total]
+        orbit_seq = [-1] * prob.T
         for _ in range(config.max_iterations):
             if orbit_mode:
-                orbit_seq = _orbit_dp(prob, sets, counters)
+                orbit_seq = _orbit_dp(prob, sets, stats)
                 gen = _mtols_movegen(prob, orbit_seq)
             else:
                 gen = _mtls_movegen(prob, config.neighbor_limit)
-            new_sets, _f = dp_pass(prob, sets, gen, counters)
+            new_sets, _f = dp_pass(prob, sets, gen, stats)
             stats.iterations += 1
-            new_total = evaluate_content(prob, c, demand.users, new_sets, catalog).total
+            new_total = evaluate_content(prob, c, users, new_sets, catalog).total
             old = hist[-1]
             if new_total < old - config.improvement_tol * max(1.0, abs(old)):
                 sets, hist = new_sets, hist + [new_total]
             else:
                 break
-        per_content[c] = prob.to_global(sets)
         stats.history[c] = hist
         if orbit_mode:
             stats.orbit_sequence[c] = list(orbit_seq)
+        return sets
 
-    stats.relaxations = counters.relaxations
-    stats.orbit_relaxations = counters.orbit_relaxations
-    stats.wall_s = time.perf_counter() - t_start
-    return PlacementResult(ReplicaSchedule(contents, T, per_content), stats)
+    return rule
 
 
 def solve_mtls(demand: DemandMatrix, oracle: DistanceOracle, params: CostParams,
                config: OptimizerConfig | None = None, *, catalog=None) -> PlacementResult:
     """Multi-time local search with full per-iteration DP over nearby sets."""
-    return _solve_multitime("mtls", demand, oracle, params, config, catalog, orbit_mode=False)
+    rule = _search_rule(demand.users, catalog, config or OptimizerConfig(), orbit_mode=False)
+    return solve_per_content("mtls", demand, oracle, params, catalog, rule)
 
 
 def solve_mtols(demand: DemandMatrix, oracle: DistanceOracle, params: CostParams,
                 config: OptimizerConfig | None = None, *, catalog=None) -> PlacementResult:
     """Orbit-based multi-time local search: orbit DP then restricted additions."""
-    return _solve_multitime("mtols", demand, oracle, params, config, catalog, orbit_mode=True)
-
-
-def mtls(demand, oracle, params, config=None, *, catalog=None) -> ReplicaSchedule:
-    return solve_mtls(demand, oracle, params, config, catalog=catalog).schedule
-
-
-def mtols(demand, oracle, params, config=None, *, catalog=None) -> ReplicaSchedule:
-    return solve_mtols(demand, oracle, params, config, catalog=catalog).schedule
+    rule = _search_rule(demand.users, catalog, config or OptimizerConfig(), orbit_mode=True)
+    return solve_per_content("mtols", demand, oracle, params, catalog, rule)

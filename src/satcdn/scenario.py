@@ -11,8 +11,6 @@ from __future__ import annotations
 
 import csv
 import json
-import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Any
@@ -187,10 +185,6 @@ class BuiltScenario:
     planning_demand: dm.DemandMatrix
     catalog: dm.ContentCatalog
     params: CostParams
-    users: list[cst.GroundNode]
-    gateways: list[cst.GroundNode]
-    origins: list[cst.GroundNode]
-    latency_source: str
 
 
 def _build_gateways(sc: Scenario) -> list[cst.GroundNode]:
@@ -257,10 +251,11 @@ def _load_user_nodes(path):
     return nodes, weights
 
 
-def build_scenario(sc: Scenario) -> BuiltScenario:
+def build_network(sc: Scenario) -> tuple[cst.Network, dm.ContentCatalog, dm.DemandMatrix]:
+    """The network and demand half of ``build_scenario``: shells, ground
+    nodes, latency sampler, catalog and demand, with no snapshots or oracle."""
     shells = []
-    gamma_map = {}
-    for i, shell in enumerate(sc.shells):
+    for shell in sc.shells:
         spec = cst.ShellSpec(
             orbit_count=int(shell["orbits"]), sats_per_orbit=int(shell["sats_per_orbit"]),
             altitude_km=float(shell["altitude_km"]), inclination_deg=float(shell["inclination_deg"]),
@@ -269,7 +264,6 @@ def build_scenario(sc: Scenario) -> BuiltScenario:
             name=str(shell["name"]),
             geo_longitudes_deg=tuple(shell["geo_longitudes_deg"]) if shell.get("geo_longitudes_deg") else None)
         shells.append(cst.build_shell(spec))
-        gamma_map[i] = float(shell["gamma"])
 
     gateways = _build_gateways(sc)
     origins = [cst.GroundNode(f"origin/{o['name']}", "origin", float(o["lat_deg"]),
@@ -282,9 +276,14 @@ def build_scenario(sc: Scenario) -> BuiltScenario:
         ln = sc.lognormal_latency
         sampler = cst.LatencySampler.lognormal(float(ln["median_ms"]), float(ln["sigma"]))
 
-    horizon = demand.slot_count if sc.users["mode"] == "trace" else sc.horizon_slots
     network = cst.Network(shells, gateways + origins + users,
                           slot_seconds=sc.slot_seconds, latency_sampler=sampler, seed=sc.seed)
+    return network, catalog, demand
+
+
+def build_scenario(sc: Scenario) -> BuiltScenario:
+    network, catalog, demand = build_network(sc)
+    horizon = demand.slot_count if sc.users["mode"] == "trace" else sc.horizon_slots
     snapshots = network.snapshots(horizon)
     oracle = build_distance_oracle(snapshots, sc.metric)
     if sc.candidates == "gateways_only":
@@ -292,6 +291,7 @@ def build_scenario(sc: Scenario) -> BuiltScenario:
     elif sc.candidates == "satellites_only":
         oracle = oracle.restrict_kinds([cst.SAT])
 
+    gamma_map = {i: float(shell["gamma"]) for i, shell in enumerate(sc.shells)}
     params = CostParams.from_oracle(oracle, alpha=sc.alpha, beta=sc.beta, gamma=gamma_map)
 
     if sc.prediction.get("mode") == "moving_average":
@@ -300,9 +300,7 @@ def build_scenario(sc: Scenario) -> BuiltScenario:
         planning = demand
 
     return BuiltScenario(scenario=sc, network=network, snapshots=snapshots, oracle=oracle,
-                         demand=demand, planning_demand=planning, catalog=catalog, params=params,
-                         users=users, gateways=gateways, origins=origins,
-                         latency_source=sampler.source)
+                         demand=demand, planning_demand=planning, catalog=catalog, params=params)
 
 
 def _fmt(x) -> str:
@@ -333,8 +331,7 @@ def _shell_usage(schedule: ReplicaSchedule, oracle: DistanceOracle, shells) -> l
             for i in range(len(shells))]
 
 
-def run_scenario(config, out_dir, *, algorithms=None, metric=None, seed=None,
-                 threads: int = 1) -> dict:
+def run_scenario(config, out_dir, *, algorithms=None, metric=None, seed=None) -> dict:
     """Execute a scenario and write its result bundle under ``out_dir``."""
     sc = load_config(config)
     if metric is not None:
@@ -355,7 +352,7 @@ def run_scenario(config, out_dir, *, algorithms=None, metric=None, seed=None,
     opt = sc.optimizer
     opt_config = OptimizerConfig(
         max_iterations=int(opt["max_iterations"]), neighbor_limit=int(opt["neighbor_limit"]),
-        rng_seed=sc.seed, improvement_tol=float(opt["improvement_tol"]),
+        improvement_tol=float(opt["improvement_tol"]),
         starfront_thresholds=tuple(opt["starfront_thresholds"]) if opt["starfront_thresholds"] else None,
         pch_intra_period_s=float(opt["pch_intra_period_s"]),
         pch_inter_period_s=float(opt["pch_inter_period_s"]) if opt["pch_inter_period_s"] else None)
@@ -366,44 +363,29 @@ def run_scenario(config, out_dir, *, algorithms=None, metric=None, seed=None,
         delivery_oracle = build_distance_oracle(built.snapshots[:demand.slot_count], "ideal",
                                                 need_paths=True)
 
+    nodes = built.network.nodes
     metadata: dict[str, Any] = {
         "resolved_config": sc.resolved(),
         "c_qmin": params.c_qmin,
-        "latency_source": built.latency_source,
-        "node_counts": {"satellites": int(built.network.nodes.n_sats),
-                        "gateways": len(built.gateways), "origins": len(built.origins),
-                        "users": len(built.users)},
+        "latency_source": built.network.latency_sampler.source,
+        "node_counts": {"satellites": int(nodes.n_sats),
+                        "gateways": int(nodes.gateways_idx.size),
+                        "origins": int(nodes.origins_idx.size),
+                        "users": int(nodes.users_idx.size)},
         "algorithms": {},
         "failures": {},
     }
 
-    def solve(name: str):
-        solver = SOLVERS[name]
-        planning = demand if name == "pch" else built.planning_demand
-        t0 = time.perf_counter()
-        result = solver(planning, oracle, params, opt_config, catalog=catalog)
-        result.stats.wall_s = time.perf_counter() - t0
-        return result
-
-    names = list(sc.algorithms)
     results = {}
-    if threads > 1 and len(names) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            futures = {n: pool.submit(solve, n) for n in names}
-            for n in names:
-                try:
-                    results[n] = futures[n].result()
-                except Exception as exc:  # record and keep going
-                    metadata["failures"][n] = repr(exc)
-    else:
-        for n in names:
-            try:
-                results[n] = solve(n)
-            except Exception as exc:
-                metadata["failures"][n] = repr(exc)
+    for name in sc.algorithms:
+        planning = demand if name == "pch" else built.planning_demand
+        try:
+            results[name] = SOLVERS[name](planning, oracle, params, opt_config, catalog=catalog)
+        except Exception as exc:  # record and keep going
+            metadata["failures"][name] = repr(exc)
 
     summary = {}
-    for name in names:
+    for name in sc.algorithms:
         if name not in results:
             continue
         res = results[name]

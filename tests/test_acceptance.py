@@ -19,7 +19,7 @@ from satcdn.demand import (US_BBOX, ContentCatalog, DemandMatrix, random_ground_
                            synth_grid_demand)
 from satcdn.placement import (SOLVERS, OptimizerConfig, solve_mtls, solve_mtols,
                               solve_pch, solve_starfront)
-from satcdn.placement.core import ContentProblem, Counters, dp_pass
+from satcdn.placement.core import ContentProblem, PlacementStats, dp_pass
 from satcdn.placement.local_search import _mtls_movegen
 from satcdn.scenario import run_scenario
 
@@ -94,7 +94,7 @@ def test_criterion_2_dp_exactness():
             prob = ContentProblem(oracle, users, demand.values[:, 0, :], 1.0, params)
             pos = {int(g): p for p, g in enumerate(prob.r_nodes)}
             sets_pos = [tuple(sorted(pos[v] for v in st)) for st in start]
-            new_sets, f = dp_pass(prob, sets_pos, _mtls_movegen(prob, 4), Counters())
+            new_sets, f = dp_pass(prob, sets_pos, _mtls_movegen(prob, 4), PlacementStats("mtls"))
             ref, _ = best_nearby_sequence(oracle, demand, catalog, params,
                                           {"c0": list(start)}, "c0", k=4)
             assert f == pytest.approx(ref, rel=1e-9), f"case {case}"

@@ -331,6 +331,17 @@ class TestCLICommands:
         assert "36" in out and "period" in out
         assert (tmp_path / "cov.csv").exists()
 
+    def test_inspect_builds_no_distance_oracle(self, tmp_path, monkeypatch):
+        import satcdn.scenario as sc_mod
+
+        def boom(*a, **k):
+            raise AssertionError("inspect-constellation built a distance oracle")
+
+        monkeypatch.setattr(sc_mod, "build_distance_oracle", boom)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(small_leo_config()))
+        assert main(["inspect-constellation", "--config", str(cfg_path), "--slots", "2"]) == 0
+
     def test_compare_bundles(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(minimal_config()))
@@ -371,11 +382,3 @@ class TestCLICommands:
         rc = main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "o")])
         assert rc == 2
         assert "metric" in capsys.readouterr().err
-
-    def test_threads_flag_matches_serial(self, tmp_path):
-        cfg = small_leo_config(algorithms=["no_replica", "naive_greedy", "mtols"])
-        run_scenario(cfg, tmp_path / "serial", threads=1)
-        run_scenario(cfg, tmp_path / "thr", threads=3)
-        for name in sorted(p.name for p in (tmp_path / "serial").glob("*.csv")):
-            assert masked_bytes(tmp_path / "serial" / name) == \
-                masked_bytes(tmp_path / "thr" / name), name

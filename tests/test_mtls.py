@@ -4,8 +4,8 @@ import pytest
 from helpers import best_nearby_sequence, motion_instance, schedule_cost_ref
 from satcdn.costmodel import CostParams, DistanceOracle, total_cost
 from satcdn.demand import DemandMatrix
-from satcdn.placement import OptimizerConfig, solve_mtls
-from satcdn.placement.core import ContentProblem, Counters, dp_pass
+from satcdn.placement import SOLVERS, OptimizerConfig, solve_mtls
+from satcdn.placement.core import ContentProblem, PlacementStats, dp_pass
 from satcdn.placement.local_search import _mtls_movegen
 
 SAT, USER, GATEWAY, ORIGIN = 0, 1, 2, 3
@@ -16,7 +16,7 @@ def run_one_dp_pass(oracle, demand, catalog, params, start_sets, k):
     prob = ContentProblem(oracle, users, demand.values[:, 0, :], 1.0, params)
     pos_of = {int(g): p for p, g in enumerate(prob.r_nodes)}
     sets_pos = [tuple(sorted(pos_of[v] for v in st)) for st in start_sets]
-    counters = Counters()
+    counters = PlacementStats("mtls")
     new_sets, f = dp_pass(prob, sets_pos, _mtls_movegen(prob, k), counters)
     return prob.to_global(new_sets), f, counters
 
@@ -123,7 +123,7 @@ class TestMTLSSolver:
         prob = ContentProblem(oracle, users, demand.values[:, 0, :], 1.0, params)
         pos = {int(g): p for p, g in enumerate(prob.r_nodes)}
         start = [tuple(sorted((pos[0], pos[3])))]  # {z, origin}
-        counters = Counters()
+        counters = PlacementStats("mtls")
         new_sets, _ = dp_pass(prob, start, _mtls_movegen(prob, 1), counters)
         moved_to = set(prob.to_global(new_sets)[0])
         # with k=1 the replace z->w2 is not available; the DP may add w2
@@ -177,8 +177,9 @@ class TestEdgeCases:
         origins = tuple(int(i) for i in oracle.origins_idx)
         assert all(res.schedule.nodes("c0", t) == origins for t in (1, 2))
 
-    def test_unknown_demand_user_raises(self):
+    @pytest.mark.parametrize("name", sorted(SOLVERS))
+    def test_unknown_demand_user_raises(self, name):
         oracle, demand, catalog, params = motion_instance(12, 2, 3, 2)
         bad = DemandMatrix(["user/ghost", "user/u1"], ["c0"], demand.values)
         with pytest.raises(ValueError, match="ghost"):
-            solve_mtls(bad, oracle, params)
+            SOLVERS[name](bad, oracle, params)

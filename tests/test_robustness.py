@@ -7,7 +7,7 @@ import pytest
 from helpers import motion_instance
 from satcdn.costmodel import (CostParams, DistanceOracle, query_cost, total_cost)
 from satcdn.demand import ContentCatalog, DemandMatrix
-from satcdn.placement import (OptimizerConfig, solve_mtls, solve_mtols,
+from satcdn.placement import (SOLVERS, OptimizerConfig, solve_mtls, solve_mtols,
                               solve_naive_greedy)
 from satcdn.scenario import run_scenario
 
@@ -82,19 +82,31 @@ class TestOrbitSaturation:
 
 class TestPerContentIndependence:
     def test_joint_solve_equals_content_by_content(self):
-        oracle, demand, catalog, params = motion_instance(99, 3, 6, 4)
+        # starfront is left out: it picks one threshold for all contents
+        # jointly by design, so its contents are not independent
+        oracle, demand, catalog, params = motion_instance(99, 3, 6, 4, orbit_rows=2)
         rng = np.random.default_rng(5)
         vals = rng.uniform(0, 3, size=(3, 2, 4))
         joint = DemandMatrix(list(demand.users), ["c0", "c1"], vals)
         cat = ContentCatalog(["c0", "c1"], np.array([1.0, 2.5]))
-        res = solve_mtls(joint, oracle, params, OptimizerConfig(max_iterations=8),
-                         catalog=cat)
-        for ci, c in enumerate(["c0", "c1"]):
-            solo = DemandMatrix(list(demand.users), [c], vals[:, ci:ci + 1, :])
-            solo_cat = ContentCatalog([c], np.array([cat.size_of(c)]))
-            ref = solve_mtls(solo, oracle, params, OptimizerConfig(max_iterations=8),
-                             catalog=solo_cat)
-            assert res.schedule.sets[c] == ref.schedule.sets[c]
+        cfg = OptimizerConfig(max_iterations=8)
+        for name, solver in SOLVERS.items():
+            if name == "starfront":
+                continue
+            res = solver(joint, oracle, params, cfg, catalog=cat)
+            refs = []
+            for ci, c in enumerate(["c0", "c1"]):
+                solo = DemandMatrix(list(demand.users), [c], vals[:, ci:ci + 1, :])
+                solo_cat = ContentCatalog([c], np.array([cat.size_of(c)]))
+                refs.append(solver(solo, oracle, params, cfg, catalog=solo_cat))
+                assert res.schedule.sets[c] == refs[-1].schedule.sets[c], (name, c)
+            if name in ("mtls", "mtols"):
+                assert res.stats.iterations == sum(r.stats.iterations for r in refs), name
+                assert res.stats.relaxations == sum(r.stats.relaxations for r in refs), name
+                assert res.stats.orbit_relaxations == \
+                    sum(r.stats.orbit_relaxations for r in refs), name
+                for c, ref in zip(["c0", "c1"], refs):
+                    assert res.stats.history[c] == ref.stats.history[c], (name, c)
 
 
 class TestShellTradeoffs:
