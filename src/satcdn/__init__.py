@@ -16,6 +16,6 @@ from .delivery import (DeliveryReport, LinkModel, QoEModel, Router, RoutingPolic
 from .demand import (ContentCatalog, DemandMatrix, load_trace, predict_demand, save_trace,
                      synth_grid_demand, synth_population_demand)
 from .placement import SOLVERS, OptimizerConfig, PlacementResult, solve_mtls, solve_mtols
-from .scenario import Scenario, load_config, restrict_candidates, run_scenario
+from .scenario import Scenario, load_config, run_scenario
 
 __version__ = "0.1.0"

@@ -18,6 +18,7 @@ import numpy as np
 
 from . import constellation as cst
 from . import demand as dm
+from .costmodel import METRICS
 from .scenario import ConfigError, build_network, load_config, run_scenario
 
 
@@ -121,7 +122,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--out", required=True, help="output directory")
     p_run.add_argument("--seed", type=int, default=None)
     p_run.add_argument("--algorithms", default=None, help="comma-separated algorithm list")
-    p_run.add_argument("--metric", default=None, choices=["hop", "ideal", "sampled"])
+    p_run.add_argument("--metric", default=None, choices=METRICS)
     p_run.set_defaults(func=_cmd_run)
 
     p_gen = sub.add_parser("gen-demand", help="generate a synthetic demand trace")

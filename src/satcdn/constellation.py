@@ -549,21 +549,15 @@ class Network:
             rng = np.random.default_rng((self.seed, slot))
             sampled[start:start + gs_edge_count] = self.latency_sampler.draw(rng, gs_edge_count)
 
-        isolated: list[str] = []
-        if nt.users_idx.size:
-            deg = np.zeros(nt.n_nodes, dtype=np.int64)
-            np.add.at(deg, lo, 1)
-            np.add.at(deg, hi, 1)
-            for ui in nt.users_idx:
-                if deg[ui] == 0:
-                    isolated.append(nt.ids[ui])
-            if isolated:
-                logger.warning("slot %d: %d user node(s) have no visible satellite: %s",
-                               slot, len(isolated), ", ".join(isolated[:5]))
-
-        return SnapshotGraph(slot=slot, time_s=t_s, nodes=nt,
+        snap = SnapshotGraph(slot=slot, time_s=t_s, nodes=nt,
                              edge_u=lo.astype(np.int32), edge_v=hi.astype(np.int32),
-                             ideal_ms=ideal, sampled_ms=sampled, isolated_users=isolated)
+                             ideal_ms=ideal, sampled_ms=sampled)
+        deg = snap.degrees()
+        snap.isolated_users = [nt.ids[ui] for ui in nt.users_idx if deg[ui] == 0]
+        if snap.isolated_users:
+            logger.warning("slot %d: %d user node(s) have no visible satellite: %s",
+                           slot, len(snap.isolated_users), ", ".join(snap.isolated_users[:5]))
+        return snap
 
     def snapshots(self, horizon: int) -> list[SnapshotGraph]:
         return [self.snapshot(t) for t in range(1, horizon + 1)]

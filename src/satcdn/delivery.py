@@ -60,6 +60,10 @@ class QoEModel:
     budget_s: float = 4.0
     max_score: float = 10.0
 
+    def __post_init__(self):
+        if self.budget_s <= 0:
+            raise ValueError("budget_s must be positive")
+
     def score(self, download_s: float) -> float:
         if not math.isfinite(download_s):
             return 0.0

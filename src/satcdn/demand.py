@@ -60,9 +60,6 @@ class DemandMatrix:
     def slot_count(self) -> int:
         return self.values.shape[2]
 
-    def per_content(self, content: str) -> np.ndarray:
-        return self.values[:, self.contents.index(content), :]
-
     def only(self, content: str) -> "DemandMatrix":
         """The one-content demand matrix of ``content``."""
         ci = self.contents.index(content)

@@ -16,7 +16,8 @@ import numpy as np
 
 from ..costmodel import CostParams, DistanceOracle, total_cost
 from ..demand import DemandMatrix
-from .core import BIG, ContentProblem, OptimizerConfig, PlacementResult, solve_per_content
+from .core import (ContentProblem, OptimizerConfig, PlacementResult, _two_smallest,
+                   solve_per_content)
 
 _TOL = 1e-12
 
@@ -62,12 +63,12 @@ def _slot_by_slot(slot_rule):
 def _naive_greedy_slot(prob, view, du, wz, prev):
     open_cost = _opening_costs(prob, view, prev)
     chosen = list(prob.s0)
-    d1u = du[:, np.asarray(chosen)].min(axis=1) if prob.users.size else np.empty(0)
+    d1u = du[:, np.asarray(chosen)].min(axis=1)
     while True:
         in_set = np.zeros(prob.R, dtype=bool)
         in_set[np.asarray(chosen)] = True
         cand = prob.cand_pos[~in_set[prob.cand_pos]]
-        if cand.size == 0 or not prob.users.size:
+        if cand.size == 0:
             break
         new_qc = (wz[:, None] * np.minimum(d1u[:, None], du[:, cand])).sum(axis=0)
         delta = new_qc - float((wz * d1u).sum()) + open_cost[cand]
@@ -90,8 +91,6 @@ def solve_naive_greedy(demand: DemandMatrix, oracle: DistanceOracle, params: Cos
 
 def _jms_greedy_slot(prob, view, du, wz, prev):
     clients = np.flatnonzero(wz > 0)
-    if clients.size == 0:
-        return prob.s0
     facilities = np.concatenate([np.asarray(prob.s0), prob.cand_pos])
     f_open = np.concatenate([np.zeros(len(prob.s0)),
                              _opening_costs(prob, view, prev)[prob.cand_pos]])
@@ -149,19 +148,11 @@ def _local_search_slot(prob, view, du, wz, prev):
         in_set = np.zeros(prob.R, dtype=bool)
         in_set[ch] = True
         cand = prob.cand_pos[~in_set[prob.cand_pos]]
-        if prob.users.size:
-            sub = du[:, ch]
-            part = np.partition(sub, 1, axis=1) if ch.size > 1 else None
-            d1u = sub.min(axis=1)
-            d2u = part[:, 1] if part is not None else np.full(wz.size, BIG)
-            a1u = ch[np.argmin(sub, axis=1)]
-            qc_cur = float((wz * d1u).sum())
-        else:
-            d1u = d2u = a1u = np.empty(0)
-            qc_cur = 0.0
+        d1u, d2u, a1u = _two_smallest(du[:, ch], ch)
+        qc_cur = float((wz * d1u).sum())
 
         best_delta, best_op = -_TOL, None
-        if cand.size and prob.users.size:
+        if cand.size:
             qc_add = (wz[:, None] * np.minimum(d1u[:, None], du[:, cand])).sum(axis=0)
             deltas = qc_add - qc_cur + open_cost[cand]
             j = int(np.argmin(deltas))
@@ -173,7 +164,7 @@ def _local_search_slot(prob, view, du, wz, prev):
             delta = qc_del - qc_cur - open_cost[z]
             if delta < best_delta:
                 best_delta, best_op = float(delta), ("del", -1, int(z))
-            if cand.size and prob.users.size:
+            if cand.size:
                 qc_swap = (wz[:, None] * np.minimum(dz[:, None], du[:, cand])).sum(axis=0)
                 deltas = qc_swap - qc_cur + open_cost[cand] - open_cost[z]
                 j = int(np.argmin(deltas))

@@ -183,7 +183,7 @@ class ContentProblem:
             self.orbit_members = {}
         self._du_cache: dict[int, np.ndarray] = {}
         self._r_index = _as_index(self.r_nodes)
-        self._u_index = _as_index(self.users) if self.users.size else self.users
+        self._u_index = _as_index(self.users)
         self._cand_cols = _as_index(self.cand_pos)
 
     def view(self, t: int) -> "SlotView":
@@ -193,12 +193,9 @@ class ContentProblem:
         """(U x R) sanitized user-to-candidate distances, cached per slot."""
         du = self._du_cache.get(t)
         if du is None:
-            D = self.oracle.matrix(t)
-            if self.users.size:
-                du = np.array(_take2(D, self._u_index, self._r_index), dtype=self.dp_dtype)
-                du[~np.isfinite(du)] = BIG
-            else:
-                du = np.empty((0, self.R), dtype=self.dp_dtype)
+            du = np.array(_take2(self.oracle.matrix(t), self._u_index, self._r_index),
+                          dtype=self.dp_dtype)
+            du[~np.isfinite(du)] = BIG
             self._du_cache[t] = du
         return du
 
@@ -390,12 +387,8 @@ def dp_pass(problem: ContentProblem, sets: list[tuple[int, ...]],
 
         # Query and storage of the base set at t.
         wz = problem.weights(t)
-        if problem.users.size:
-            u1, u2, ua1 = _two_smallest(du[:, base_arr], base_arr)
-            qc_keep = float((wz * u1).sum())
-        else:
-            u1 = u2 = ua1 = np.empty(0)
-            qc_keep = 0.0
+        u1, u2, ua1 = _two_smallest(du[:, base_arr], base_arr)
+        qc_keep = float((wz * u1).sum())
         sc_keep = float(rate[base_arr].sum())
 
         n_cur = mv.n_moves
@@ -425,10 +418,7 @@ def dp_pass(problem: ContentProblem, sets: list[tuple[int, ...]],
                     view.block(W, pri).T).T
                 am = np.argmin(M, axis=1)
                 _fold(best, ptr, np.take_along_axis(M, am[:, None], axis=1)[:, 0], off_r + am)
-            if problem.users.size:
-                qc_add = ((wz[:, None] * np.minimum(u1[:, None], du[:, W])).sum(axis=0))
-            else:
-                qc_add = np.zeros(W.size)
+            qc_add = ((wz[:, None] * np.minimum(u1[:, None], du[:, W])).sum(axis=0))
             lo = 1
             f_cur[lo:lo + W.size] = best + qc_add + sc_keep + rate[W]
             bp_cur[lo:lo + W.size] = ptr
@@ -447,17 +437,14 @@ def dp_pass(problem: ContentProblem, sets: list[tuple[int, ...]],
             for j, z in enumerate(mv.dels):
                 vals = g_concat - alpha * nnd_small[:, col[int(z)]]
                 b = int(vals.argmin())
-                qc_z = float((wz * qc_without(int(z))).sum()) if problem.users.size else 0.0
+                qc_z = float((wz * qc_without(int(z))).sum())
                 f_cur[lo + j] = vals[b] + qc_z + sc_keep - rate[z]
                 bp_cur[lo + j] = b
             lo += mv.dels.size
             for j, (z, w) in enumerate(zip(mv.rep_out, mv.rep_in)):
                 vals = g_concat - alpha * nnd_small[:, col[int(z)]] + alpha * nnd_small[:, col[int(w)]]
                 b = int(vals.argmin())
-                if problem.users.size:
-                    qc_zw = float((wz * np.minimum(qc_without(int(z)), du[:, int(w)])).sum())
-                else:
-                    qc_zw = 0.0
+                qc_zw = float((wz * np.minimum(qc_without(int(z)), du[:, int(w)])).sum())
                 f_cur[lo + j] = vals[b] + qc_zw + sc_keep - rate[z] + rate[w]
                 bp_cur[lo + j] = b
 

@@ -74,13 +74,9 @@ def _orbit_dp(problem: ContentProblem, sets: list[tuple[int, ...]],
         in_base[base_arr] = True
         wz = problem.weights(t)
 
-        if problem.users.size:
-            u1 = du[:, base_arr].min(axis=1)
-            qc_base = float((wz * u1).sum())
-            mqc = (wz[:, None] * np.minimum(u1[:, None], du[:, problem._cand_cols])).sum(axis=0)
-        else:
-            qc_base = 0.0
-            mqc = np.zeros(problem.cand_pos.size)
+        u1 = du[:, base_arr].min(axis=1)
+        qc_base = float((wz * u1).sum())
+        mqc = (wz[:, None] * np.minimum(u1[:, None], du[:, problem._cand_cols])).sum(axis=0)
         sc_base = float(rate[base_arr].sum())
 
         # Best eligible (not already deployed) satellite per orbit: candidates

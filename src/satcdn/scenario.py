@@ -11,15 +11,15 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 from typing import Any
 
 from . import constellation as cst
 from . import demand as dm
-from .costmodel import (CostParams, DistanceOracle, ReplicaSchedule, build_distance_oracle,
-                        disconnected_users, total_cost)
-from .delivery import LinkModel, QoEModel, RoutingPolicy, simulate_delivery
+from .costmodel import (METRICS, CostBreakdown, CostParams, DistanceOracle, ReplicaSchedule,
+                        build_distance_oracle, disconnected_users, total_cost)
+from .delivery import POLICIES, LinkModel, QoEModel, RoutingPolicy, simulate_delivery
 from .placement import SOLVERS, OptimizerConfig
 
 ALGORITHMS = tuple(SOLVERS)
@@ -57,27 +57,12 @@ class Scenario:
     optimizer: dict = field(default_factory=dict)
     routing: dict = field(default_factory=dict)
 
-    def resolved(self) -> dict:
-        out = {
-            "seed": self.seed, "slot_seconds": self.slot_seconds,
-            "horizon_slots": self.horizon_slots, "metric": self.metric,
-            "alpha": self.alpha, "beta": self.beta, "shells": self.shells,
-            "gateways": self.gateways, "origins": self.origins, "users": self.users,
-            "latency_samples_file": self.latency_samples_file,
-            "lognormal_latency": self.lognormal_latency, "candidates": self.candidates,
-            "algorithms": self.algorithms, "prediction": self.prediction,
-            "optimizer": self.optimizer, "routing": self.routing,
-        }
-        return out
-
 
 _SHELL_DEFAULTS = dict(orbits=1, sats_per_orbit=1, altitude_km=550.0, inclination_deg=53.0,
                        phasing_offset=0.0, min_elevation_deg=10.0, isl=True, gamma=10.0,
                        geo_longitudes_deg=None)
 
-_OPT_DEFAULTS = dict(max_iterations=50, neighbor_limit=4, improvement_tol=1e-9,
-                     starfront_thresholds=None, pch_intra_period_s=258.0,
-                     pch_inter_period_s=None)
+_OPT_DEFAULTS = {f.name: f.default for f in fields(OptimizerConfig)}
 
 _ROUTING_DEFAULTS = dict(policies=[], fanout=3, weights=[4.0 / 7.0, 2.0 / 7.0, 1.0 / 7.0],
                          terrestrial_gbps=20.0, satellite_gbps=10.0, qoe_budget_s=4.0,
@@ -97,7 +82,7 @@ def load_config(source) -> Scenario:
         _expect(key in known, key, "unknown configuration field")
 
     sc = Scenario(**{k: raw[k] for k in raw})
-    _expect(sc.metric in ("hop", "ideal", "sampled"), "metric", "must be hop, ideal, or sampled")
+    _expect(sc.metric in METRICS, "metric", f"must be one of {METRICS}")
     _expect(sc.horizon_slots >= 1 or sc.users.get("mode") == "trace",
             "horizon_slots", "must be >= 1")
     _expect(sc.slot_seconds > 0, "slot_seconds", "must be positive")
@@ -158,21 +143,14 @@ def load_config(source) -> Scenario:
     if pmode == "moving_average":
         _expect(int(sc.prediction.get("window_slots", 1)) >= 1,
                 "prediction.window_slots", "must be >= 1")
-    sc.optimizer = {**_OPT_DEFAULTS, **sc.optimizer}
-    sc.routing = {**_ROUTING_DEFAULTS, **sc.routing}
+    for section, defaults in (("optimizer", _OPT_DEFAULTS), ("routing", _ROUTING_DEFAULTS)):
+        given = getattr(sc, section)
+        for k in given:
+            _expect(k in defaults, f"{section}.{k}", f"unknown {section} field")
+        setattr(sc, section, {**defaults, **given})
     for p in sc.routing["policies"]:
-        _expect(p in ("closest", "round_robin", "weighted_round_robin"),
-                "routing.policies", f"unknown policy {p!r}")
+        _expect(p in POLICIES, "routing.policies", f"unknown policy {p!r}")
     return sc
-
-
-def restrict_candidates(scenario: Scenario, mode: str) -> Scenario:
-    """Limit replica candidates to gateways only, satellites only, or both."""
-    if mode not in CANDIDATE_MODES:
-        raise ConfigError(f"candidates: must be one of {CANDIDATE_MODES}")
-    out = replace(scenario)
-    out.candidates = mode
-    return out
 
 
 @dataclass
@@ -255,15 +233,18 @@ def build_network(sc: Scenario) -> tuple[cst.Network, dm.ContentCatalog, dm.Dema
     """The network and demand half of ``build_scenario``: shells, ground
     nodes, latency sampler, catalog and demand, with no snapshots or oracle."""
     shells = []
-    for shell in sc.shells:
-        spec = cst.ShellSpec(
-            orbit_count=int(shell["orbits"]), sats_per_orbit=int(shell["sats_per_orbit"]),
-            altitude_km=float(shell["altitude_km"]), inclination_deg=float(shell["inclination_deg"]),
-            phasing_offset=float(shell["phasing_offset"]),
-            min_elevation_deg=float(shell["min_elevation_deg"]), isl=bool(shell["isl"]),
-            name=str(shell["name"]),
-            geo_longitudes_deg=tuple(shell["geo_longitudes_deg"]) if shell.get("geo_longitudes_deg") else None)
-        shells.append(cst.build_shell(spec))
+    for i, shell in enumerate(sc.shells):
+        try:
+            spec = cst.ShellSpec(
+                orbit_count=int(shell["orbits"]), sats_per_orbit=int(shell["sats_per_orbit"]),
+                altitude_km=float(shell["altitude_km"]), inclination_deg=float(shell["inclination_deg"]),
+                phasing_offset=float(shell["phasing_offset"]),
+                min_elevation_deg=float(shell["min_elevation_deg"]), isl=bool(shell["isl"]),
+                name=str(shell["name"]),
+                geo_longitudes_deg=tuple(shell["geo_longitudes_deg"]) if shell.get("geo_longitudes_deg") else None)
+            shells.append(cst.build_shell(spec))
+        except ValueError as exc:
+            raise ConfigError(f"shells[{i}]: {exc}") from exc
 
     gateways = _build_gateways(sc)
     origins = [cst.GroundNode(f"origin/{o['name']}", "origin", float(o["lat_deg"]),
@@ -331,6 +312,31 @@ def _shell_usage(schedule: ReplicaSchedule, oracle: DistanceOracle, shells) -> l
             for i in range(len(shells))]
 
 
+def _settings(sc: Scenario) -> tuple[OptimizerConfig, list[RoutingPolicy], LinkModel, QoEModel]:
+    """The optimizer and delivery settings of ``sc``, built before any work so
+    that a bad value fails as a config error."""
+    opt, r = sc.optimizer, sc.routing
+    try:
+        opt_config = OptimizerConfig(
+            max_iterations=int(opt["max_iterations"]), neighbor_limit=int(opt["neighbor_limit"]),
+            improvement_tol=float(opt["improvement_tol"]),
+            starfront_thresholds=tuple(opt["starfront_thresholds"]) if opt["starfront_thresholds"] else None,
+            pch_intra_period_s=float(opt["pch_intra_period_s"]),
+            pch_inter_period_s=float(opt["pch_inter_period_s"]) if opt["pch_inter_period_s"] else None)
+    except ValueError as exc:
+        raise ConfigError(f"optimizer: {exc}") from exc
+    try:
+        policies = [RoutingPolicy(kind=p, fanout=int(r["fanout"]), weights=tuple(r["weights"]))
+                    for p in r["policies"]]
+        links = LinkModel(terrestrial_gbps=float(r["terrestrial_gbps"]),
+                          satellite_gbps=float(r["satellite_gbps"]),
+                          server_capacity_mbps=r["server_capacity_mbps"])
+        qoe = QoEModel(budget_s=float(r["qoe_budget_s"]))
+    except ValueError as exc:
+        raise ConfigError(f"routing: {exc}") from exc
+    return opt_config, policies, links, qoe
+
+
 def run_scenario(config, out_dir, *, algorithms=None, metric=None, seed=None) -> dict:
     """Execute a scenario and write its result bundle under ``out_dir``."""
     sc = load_config(config)
@@ -339,33 +345,24 @@ def run_scenario(config, out_dir, *, algorithms=None, metric=None, seed=None) ->
     if seed is not None:
         sc.seed = int(seed)
     if algorithms is not None:
-        for a in algorithms:
-            _expect(a in ALGORITHMS, "algorithms", f"unknown algorithm {a!r}")
         sc.algorithms = list(algorithms)
-    sc = load_config(sc.resolved())  # re-validate with overrides applied
+    sc = load_config(asdict(sc))  # re-validate with overrides applied
+    opt_config, policies, links, qoe = _settings(sc)
 
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     built = build_scenario(sc)
     oracle, demand, catalog, params = built.oracle, built.demand, built.catalog, built.params
 
-    opt = sc.optimizer
-    opt_config = OptimizerConfig(
-        max_iterations=int(opt["max_iterations"]), neighbor_limit=int(opt["neighbor_limit"]),
-        improvement_tol=float(opt["improvement_tol"]),
-        starfront_thresholds=tuple(opt["starfront_thresholds"]) if opt["starfront_thresholds"] else None,
-        pch_intra_period_s=float(opt["pch_intra_period_s"]),
-        pch_inter_period_s=float(opt["pch_inter_period_s"]) if opt["pch_inter_period_s"] else None)
-
     delivery_oracle = None
-    if sc.routing["policies"]:
+    if policies:
         # the planning snapshots cover the demand horizon; reuse them
         delivery_oracle = build_distance_oracle(built.snapshots[:demand.slot_count], "ideal",
                                                 need_paths=True)
 
     nodes = built.network.nodes
     metadata: dict[str, Any] = {
-        "resolved_config": sc.resolved(),
+        "resolved_config": asdict(sc),
         "c_qmin": params.c_qmin,
         "latency_source": built.network.latency_sampler.source,
         "node_counts": {"satellites": int(nodes.n_sats),
@@ -391,16 +388,14 @@ def run_scenario(config, out_dir, *, algorithms=None, metric=None, seed=None) ->
         res = results[name]
         sched = res.schedule
         sched.validate(oracle)
+        replicas = sched.mean_replica_count(oracle)
         rows = []
-        agg = None
+        agg = CostBreakdown(0.0, 0.0, 0.0)
         for c in sorted(sched.contents):
             one = ReplicaSchedule([c], sched.slot_count, {c: sched.sets[c]})
             br = total_cost(one, demand.only(c), catalog, oracle, params)
-            agg = br if agg is None else agg + br
+            agg = agg + br
             rows.append((name, c, sc.metric, br.query, br.replication, br.storage, br.total))
-        if agg is None:
-            from .costmodel import CostBreakdown
-            agg = CostBreakdown(0.0, 0.0, 0.0)
         rows.append((name, "ALL", sc.metric, agg.query, agg.replication, agg.storage, agg.total))
         _write_csv(out / f"{name}_breakdown.csv",
                    ["algorithm", "content", "metric", "query", "replication", "storage", "total"],
@@ -411,21 +406,14 @@ def run_scenario(config, out_dir, *, algorithms=None, metric=None, seed=None) ->
                    ["algorithm", "iterations", "dp_relaxations", "orbit_relaxations",
                     "mean_replica_count", "runtime_seconds"],
                    [(name, res.stats.iterations, res.stats.relaxations,
-                     res.stats.orbit_relaxations, sched.mean_replica_count(oracle),
-                     res.stats.wall_s)])
+                     res.stats.orbit_relaxations, replicas, res.stats.wall_s)])
         if len(sc.shells) > 1:
             _write_csv(out / f"{name}_usage.csv", ["algorithm", "shell", "usage_ratio"],
                        [(name, shell, ratio) for shell, ratio in
                         _shell_usage(sched, oracle, sc.shells)])
         if delivery_oracle is not None:
             drows, lrows = [], []
-            for pol_name in sc.routing["policies"]:
-                policy = RoutingPolicy(kind=pol_name, fanout=int(sc.routing["fanout"]),
-                                       weights=tuple(sc.routing["weights"]))
-                links = LinkModel(terrestrial_gbps=float(sc.routing["terrestrial_gbps"]),
-                                  satellite_gbps=float(sc.routing["satellite_gbps"]),
-                                  server_capacity_mbps=sc.routing["server_capacity_mbps"])
-                qoe = QoEModel(budget_s=float(sc.routing["qoe_budget_s"]))
+            for policy in policies:
                 rep = simulate_delivery(sched, demand, policy, links, qoe,
                                         delivery_oracle, catalog)
                 drows.extend((t, pol, q, rep.traffic_gb) for t, pol, q in rep.rows())
@@ -442,7 +430,7 @@ def run_scenario(config, out_dir, *, algorithms=None, metric=None, seed=None) ->
             "dp_relaxations": res.stats.relaxations,
             "orbit_relaxations": res.stats.orbit_relaxations,
             "runtime_seconds": res.stats.wall_s,
-            "mean_replica_count": sched.mean_replica_count(oracle),
+            "mean_replica_count": replicas,
             "warnings": res.stats.warnings,
             "disconnected_user_slots": len(flagged),
         }

@@ -9,8 +9,7 @@ import pytest
 from helpers import motion_instance, schedule_cost_ref
 from satcdn.cli import main
 from satcdn.costmodel import ReplicaSchedule, query_cost
-from satcdn.scenario import (ConfigError, build_scenario, load_config, restrict_candidates,
-                             run_scenario)
+from satcdn.scenario import ConfigError, build_scenario, load_config, run_scenario
 
 
 def minimal_config(**over):
@@ -63,6 +62,10 @@ class TestConfigValidation:
     def test_unknown_field_rejected(self):
         with pytest.raises(ConfigError, match="frobnicate"):
             load_config({**minimal_config(), "frobnicate": 1})
+        with pytest.raises(ConfigError, match=r"optimizer\.max_iteration\b"):
+            load_config(minimal_config(optimizer={"max_iteration": 1}))
+        with pytest.raises(ConfigError, match=r"routing\.policy\b"):
+            load_config(minimal_config(routing={"policy": ["closest"]}))
 
     def test_field_precise_messages(self):
         with pytest.raises(ConfigError, match="users.mode"):
@@ -75,12 +78,8 @@ class TestConfigValidation:
             load_config(minimal_config(
                 shells=[{"name": "x", "orbits": 1, "sats_per_orbit": 1,
                          "altitude_km": 550.0, "gamma": 0.5}], beta=1.0))
-
-    def test_restrict_candidates(self):
-        sc = load_config(minimal_config())
-        assert restrict_candidates(sc, "gateways_only").candidates == "gateways_only"
-        with pytest.raises(ConfigError):
-            restrict_candidates(sc, "none_of_them")
+        with pytest.raises(ConfigError, match="candidates"):
+            load_config(minimal_config(candidates="none_of_them"))
 
 
 class TestRunScenario:
@@ -382,3 +381,24 @@ class TestCLICommands:
         rc = main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "o")])
         assert rc == 2
         assert "metric" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("field,over", [
+        ("routing", {"routing": {"policies": ["closest"], "weights": [0.75, 0.25]}}),
+        ("routing", {"routing": {"policies": ["closest"], "qoe_budget_s": 0}}),
+        ("optimizer.max_iteration", {"optimizer": {"max_iteration": 1}}),
+        ("optimizer: max_iterations", {"optimizer": {"max_iterations": 0}}),
+        ("shells[0]", {"shells": [{"name": "geo", "orbits": 0, "sats_per_orbit": 1,
+                                   "altitude_km": 35786.0, "gamma": 10.0}]}),
+    ], ids=["routing_weights", "qoe_budget_zero", "optimizer_typo", "optimizer_value",
+            "orbits_zero"])
+    def test_bad_settings_exit_code_before_any_solver(self, tmp_path, capsys, monkeypatch,
+                                                      field, over):
+        import satcdn.scenario as sc_mod
+
+        called = []
+        monkeypatch.setitem(sc_mod.SOLVERS, "no_replica", lambda *a, **k: called.append(a))
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(minimal_config(**over)))
+        rc = main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "o")])
+        assert rc == 2 and not called
+        assert capsys.readouterr().err.startswith(f"config error: {field}")

@@ -178,6 +178,17 @@ class TestEdgeCases:
         assert all(res.schedule.nodes("c0", t) == origins for t in (1, 2))
 
     @pytest.mark.parametrize("name", sorted(SOLVERS))
+    def test_no_demand_stays_origin(self, name):
+        # no demanding user at all, and users whose every slot is zero
+        oracle, demand, catalog, params = motion_instance(13, 2, 6, 3, n_gateways=1,
+                                                          orbit_rows=2)
+        origins = tuple(int(i) for i in oracle.origins_idx)
+        for quiet in (DemandMatrix([], ["c0"], np.zeros((0, 1, 3))),
+                      DemandMatrix(list(demand.users), ["c0"], np.zeros((2, 1, 3)))):
+            res = SOLVERS[name](quiet, oracle, params, catalog=catalog)
+            assert res.schedule.sets["c0"] == [origins] * 3
+
+    @pytest.mark.parametrize("name", sorted(SOLVERS))
     def test_unknown_demand_user_raises(self, name):
         oracle, demand, catalog, params = motion_instance(12, 2, 3, 2)
         bad = DemandMatrix(["user/ghost", "user/u1"], ["c0"], demand.values)
