@@ -108,8 +108,12 @@ class DistanceOracle:
         return self._slots[t - 1]
 
     def _solve(self, slot: _Slot, sources: np.ndarray):
-        """Distance (and predecessor) rows of ``sources``: one Dijkstra call."""
-        res = dijkstra(slot.graph, directed=False, indices=sources,
+        """Distance (and predecessor) rows of ``sources``: one Dijkstra call.
+
+        The slot graph stores both directions of every edge, so it is searched
+        as a directed graph: each edge is scanned once per direction.
+        """
+        res = dijkstra(slot.graph, directed=True, indices=sources,
                        unweighted=(self.metric == "hop"), return_predecessors=self.has_paths)
         dist, pred = res if self.has_paths else (res, None)
         if pred is not None:
@@ -151,7 +155,10 @@ class DistanceOracle:
         if slot.full is None:
             n = self.n_nodes
             check_fits(n, 1, self.dtype.itemsize, self.has_paths)
-            slot.full, slot.pred = self._solve(slot, np.arange(n))
+            if self.metric == "hop" and not self.has_paths:
+                slot.full = _hop_matrix(slot.graph, self.dtype)
+            else:
+                slot.full, slot.pred = self._solve(slot, np.arange(n))
             slot.graph = None
             slot.rows.clear()
             slot.pred_rows.clear()
@@ -185,6 +192,53 @@ class DistanceOracle:
         return cls([np.asarray(m, dtype=float) for m in matrices], ids, kind, **kw)
 
 
+def _unpack(words: np.ndarray, n: int) -> np.ndarray:
+    """(rows, n) uint8 0/1 array of the first ``n`` bits of each bitset row."""
+    return np.unpackbits(words.view(np.uint8), axis=1, count=n, bitorder="little")
+
+
+def _hop_matrix(graph, dtype) -> np.ndarray:
+    """All-pairs hop counts of a symmetric CSR graph by one breadth-first
+    search from every source at once.
+
+    Row ``v`` of ``seen`` is a bitset (little-endian ``uint64`` words) of the
+    sources that have reached node ``v``; bit ``s`` lives in word ``s // 64``
+    at position ``s % 64``. Each level ORs the neighbours' frontier bitsets
+    (nodes of degree 0 are skipped: ``reduceat`` would copy a neighbour's row
+    into an empty segment) and keeps the bits not seen before. The level
+    number of each new bit is recorded in binary across ``planes``, plane
+    ``k`` holding bit ``k``, and the planes are unpacked once at the end,
+    most significant first, doubling the sum before each. Distances are
+    symmetric, so entry ``(v, s)`` is also the distance from ``s`` to ``v``.
+    The diagonal is 0 and unreached pairs are +inf, as with Dijkstra.
+    """
+    n = graph.shape[0]
+    nz = np.flatnonzero(np.diff(graph.indptr))
+    node = np.arange(n)
+    seen = np.zeros((n, (n + 63) // 64), dtype="<u8")
+    seen[node, node >> 6] = np.left_shift(np.uint64(1), (node & 63).astype(np.uint64))
+    frontier, planes, level = seen, [], 0
+    while True:
+        new = np.bitwise_or.reduceat(frontier[graph.indices], graph.indptr[nz], axis=0) & ~seen[nz]
+        if not new.any():
+            break
+        level += 1
+        seen[nz] |= new
+        frontier = np.zeros_like(seen)
+        frontier[nz] = new
+        for k in range(level.bit_length()):
+            if k == len(planes):
+                planes.append(np.zeros_like(seen))
+            if level >> k & 1:
+                planes[k][nz] |= new
+    out = np.zeros((n, n), dtype=dtype)
+    for plane in reversed(planes):
+        out *= 2
+        out += _unpack(plane, n)
+    out[_unpack(seen, n) == 0] = np.inf
+    return out
+
+
 def available_memory_bytes() -> int | None:
     """Physical memory still available to this process, or None if unknown.
 
@@ -209,7 +263,8 @@ def check_fits(n: int, slots: int, itemsize: int, paths: bool) -> None:
     (plus int32 predecessors when ``paths``) that would not fit in memory.
 
     The estimate adds one slot's float64 Dijkstra output, which exists while
-    it is cast to the stored dtype.
+    it is cast to the stored dtype. The hop breadth-first search allocates no
+    such output, so for it the estimate is an upper bound.
     """
     pred = 4 if paths else 0
     need = n * n * (slots * (itemsize + pred) + 8 + pred)
@@ -224,12 +279,14 @@ def build_distance_oracle(snapshots, metric: str, *, need_paths: bool = False,
                           dtype=None) -> DistanceOracle:
     """Shortest paths per slot over snapshot graphs.
 
-    Hop metric uses unweighted (BFS-style) distances. Large networks default to
-    float32 storage; small ones keep float64. Without ``need_paths`` the full
-    per-slot matrices are built up front (the placement solvers read whole
-    blocks). With ``need_paths`` the oracle keeps the slot graphs and computes
-    distance and predecessor rows per source on demand: delivery only routes
-    from user sources.
+    Large networks default to float32 storage; small ones keep float64.
+    Without ``need_paths`` the full per-slot matrices are built up front (the
+    placement solvers read whole blocks): hop counts by one all-sources
+    breadth-first search per slot, ``ideal`` and ``sampled`` latencies by
+    Dijkstra from every source. With ``need_paths`` the oracle keeps the slot
+    graphs and computes distance and predecessor rows per source on demand
+    with Dijkstra (unweighted for ``hop``): delivery only routes from user
+    sources.
     """
     if metric not in METRICS:
         raise ValueError(f"metric must be one of {METRICS}")

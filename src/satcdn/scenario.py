@@ -101,6 +101,8 @@ def load_config(source) -> Scenario:
             merged[k] = v
         _expect(merged["gamma"] >= sc.beta, path + ".gamma", "must be >= beta")
         sc.shells[i] = merged
+    _expect(len({str(shell["name"]) for shell in sc.shells}) == len(sc.shells), "shells",
+            "shell names must be unique")
     _expect(len(sc.origins) >= 1, "origins", "at least one origin node is required")
     for i, org in enumerate(sc.origins):
         for k in ("name", "lat_deg", "lon_deg"):
@@ -182,8 +184,15 @@ def _build_gateways(sc: Scenario) -> list[cst.GroundNode]:
     if "synthetic" in sc.gateways:
         syn = sc.gateways["synthetic"]
         return dm.random_ground_sites(int(syn["count"]), syn["bbox"], int(syn["seed"]))
-    return [cst.GroundNode(f"gw/{g['name']}", "gateway", float(g["lat_deg"]), float(g["lon_deg"]))
-            for g in sc.gateways.get("list", [])]
+    return [_ground_node(f"gateways.list[{i}]", f"gw/{g['name']}", "gateway", g)
+            for i, g in enumerate(sc.gateways.get("list", []))]
+
+
+def _ground_node(path: str, node_id: str, kind: str, entry: dict) -> cst.GroundNode:
+    try:
+        return cst.GroundNode(node_id, kind, float(entry["lat_deg"]), float(entry["lon_deg"]))
+    except ValueError as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
 
 
 def _build_users_demand(sc: Scenario):
@@ -247,15 +256,18 @@ def build_network(sc: Scenario) -> tuple[cst.Network, dm.ContentCatalog, dm.Dema
             raise ConfigError(f"shells[{i}]: {exc}") from exc
 
     gateways = _build_gateways(sc)
-    origins = [cst.GroundNode(f"origin/{o['name']}", "origin", float(o["lat_deg"]),
-                              float(o["lon_deg"])) for o in sc.origins]
+    origins = [_ground_node(f"origins[{i}]", f"origin/{o['name']}", "origin", o)
+               for i, o in enumerate(sc.origins)]
     users, catalog, demand = _build_users_demand(sc)
 
     if sc.latency_samples_file:
         sampler = cst.LatencySampler.from_file(sc.latency_samples_file)
     else:
         ln = sc.lognormal_latency
-        sampler = cst.LatencySampler.lognormal(float(ln["median_ms"]), float(ln["sigma"]))
+        try:
+            sampler = cst.LatencySampler.lognormal(float(ln["median_ms"]), float(ln["sigma"]))
+        except ValueError as exc:
+            raise ConfigError(f"lognormal_latency: {exc}") from exc
 
     network = cst.Network(shells, gateways + origins + users,
                           slot_seconds=sc.slot_seconds, latency_sampler=sampler, seed=sc.seed)

@@ -325,3 +325,32 @@ def test_criterion_9_determinism(tmp_path):
         for name in names:
             assert masked_bytes(tmp_path / "a" / name) == \
                 masked_bytes(tmp_path / "b" / name), name
+
+
+def test_paper_scale_hop_oracle_equals_dijkstra(starlink_env):
+    """The shared 48-slot hop oracle (float32, n=1655) equals undirected
+    Dijkstra bit for bit on its first and last slots, whose longest shortest
+    paths take 34 hops."""
+    from test_costmodel import full_apsp
+    env = starlink_env
+    for t in (1, 48):
+        snap = env["net"].snapshot(t)
+        want = full_apsp(snap, "hop")[0].astype(np.float32)
+        got = env["oracle"].matrix(t)
+        assert got.tobytes() == want.tobytes()
+        assert got.max() == 34.0
+
+
+def test_paper_scale_ideal_rows_equal_undirected_dijkstra(starlink_env):
+    """Path-oracle rows and predecessors on one paper-scale ideal slot equal
+    an undirected Dijkstra over every source."""
+    from test_costmodel import full_apsp
+    snap = starlink_env["net"].snapshot(1)
+    dist, pred = full_apsp(snap, "ideal")
+    lazy = build_distance_oracle([snap], "ideal", need_paths=True)
+    want = dist.astype(lazy.dtype)
+    for u in lazy.users_idx:
+        assert lazy.row(1, u).tobytes() == want[u].tobytes()
+        assert lazy.pred_row(1, u).tobytes() == pred[u].astype(np.int32).tobytes()
+    assert lazy.matrix(1).tobytes() == want.tobytes()
+    assert np.array_equal(lazy.predecessors(1), pred)

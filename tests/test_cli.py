@@ -389,8 +389,16 @@ class TestCLICommands:
         ("optimizer: max_iterations", {"optimizer": {"max_iterations": 0}}),
         ("shells[0]", {"shells": [{"name": "geo", "orbits": 0, "sats_per_orbit": 1,
                                    "altitude_km": 35786.0, "gamma": 10.0}]}),
+        ("origins[0]: latitude", {"origins": [{"name": "main", "lat_deg": 200.0,
+                                               "lon_deg": -75.0}]}),
+        ("shells: shell names must be unique",
+         {"shells": 2 * minimal_config()["shells"]}),
+        ("lognormal_latency: ", {"lognormal_latency": {"median_ms": 40.0, "sigma": 0}}),
+        ("gateways.list[0]: latitude", {"gateways": {"list": [{"name": "g", "lat_deg": -91.0,
+                                                               "lon_deg": 0.0}]}}),
     ], ids=["routing_weights", "qoe_budget_zero", "optimizer_typo", "optimizer_value",
-            "orbits_zero"])
+            "orbits_zero", "origin_latitude", "duplicate_shell_names", "lognormal_sigma_zero",
+            "gateway_latitude"])
     def test_bad_settings_exit_code_before_any_solver(self, tmp_path, capsys, monkeypatch,
                                                       field, over):
         import satcdn.scenario as sc_mod

@@ -102,6 +102,17 @@ def split_network():
     return Network([viasat(longitudes_deg=(0.0, 180.0))], ground)
 
 
+def isolated_network():
+    """A GEO satellite at 0 deg with the ground nodes in its view, plus
+    user/z on the far side of the Earth, which no satellite sees. user/z is
+    not the last node, so a degree-0 node sits between connected ones."""
+    ground = [GroundNode("gw/g", "gateway", 5.0, -5.0),
+              GroundNode("origin/o", "origin", 10.0, 5.0),
+              GroundNode("user/z", "user_region", 0.0, 180.0),
+              GroundNode("user/a", "user_region", 0.0, 0.0)]
+    return Network([viasat(longitudes_deg=(0.0,))], ground)
+
+
 def full_apsp(snap, metric):
     """Distances and predecessors of every source in one call, independent of
     the oracle's per-row routine."""
@@ -110,9 +121,9 @@ def full_apsp(snap, metric):
 
 
 class TestLazyRows:
-    @pytest.mark.parametrize("metric", ["hop", "ideal"])
+    @pytest.mark.parametrize("metric", ["hop", "ideal", "sampled"])
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
-    @pytest.mark.parametrize("make_net", [leo_network, split_network])
+    @pytest.mark.parametrize("make_net", [leo_network, split_network, isolated_network])
     def test_rows_equal_full_apsp_bit_for_bit(self, metric, dtype, make_net):
         snaps = make_net().snapshots(2)
         lazy = build_distance_oracle(snaps, metric, need_paths=True, dtype=dtype)
@@ -157,6 +168,41 @@ class TestLazyRows:
             eager.predecessors(1)
 
 
+class TestHopBFS:
+    def test_isolated_user_stays_inf(self):
+        snap = isolated_network().snapshot(1)
+        D = build_distance_oracle([snap], "hop").matrix(1)
+        z = snap.nodes.ids.index("user/z")
+        assert snap.degrees()[z] == 0
+        assert D[z, z] == 0 and np.isinf(np.delete(D[z], z)).all()
+        assert np.isinf(np.delete(D[:, z], z)).all()
+        a, o = snap.nodes.ids.index("user/a"), snap.nodes.ids.index("origin/o")
+        assert D[a, o] == D[o, a] == 2.0
+
+    def test_only_the_eager_hop_oracle_skips_dijkstra(self, monkeypatch):
+        calls = {"bfs": 0, "dijkstra": 0}
+        bfs, dij = costmodel._hop_matrix, costmodel.dijkstra
+
+        def count(name, fn):
+            def wrapped(*a, **k):
+                calls[name] += 1
+                return fn(*a, **k)
+            return wrapped
+
+        monkeypatch.setattr(costmodel, "_hop_matrix", count("bfs", bfs))
+        monkeypatch.setattr(costmodel, "dijkstra", count("dijkstra", dij))
+        snaps = leo_network().snapshots(2)
+        build_distance_oracle(snaps, "hop")
+        assert calls == {"bfs": 2, "dijkstra": 0}
+        for metric in ("ideal", "sampled"):
+            build_distance_oracle(snaps, metric)
+        assert calls == {"bfs": 2, "dijkstra": 4}
+        lazy = build_distance_oracle(snaps, "hop", need_paths=True)
+        lazy.matrix(1)
+        lazy.row(2, lazy.users_idx[0])
+        assert calls == {"bfs": 2, "dijkstra": 6}
+
+
 class TestMemoryGuard:
     def test_eager_oracle_fails_before_building(self, monkeypatch):
         monkeypatch.setattr(costmodel, "available_memory_bytes", lambda: 10_000)
@@ -164,6 +210,15 @@ class TestMemoryGuard:
         n = snaps[0].n_nodes
         with pytest.raises(MemoryError, match=rf"n={n} nodes over 3 slot"):
             build_distance_oracle(snaps, "hop")
+
+    def test_hop_oracle_fails_before_the_bfs_runs(self, monkeypatch):
+        def never(*_a, **_k):
+            raise AssertionError("the hop BFS ran before the memory check")
+
+        monkeypatch.setattr(costmodel, "_hop_matrix", never)
+        monkeypatch.setattr(costmodel, "available_memory_bytes", lambda: 10_000)
+        with pytest.raises(MemoryError, match="2 slot"):
+            build_distance_oracle(leo_network().snapshots(2), "hop")
 
     def test_lazy_oracle_serves_rows_but_refuses_full_matrix(self, monkeypatch):
         monkeypatch.setattr(costmodel, "available_memory_bytes", lambda: 10_000)
