@@ -460,22 +460,21 @@ class CostBreakdown:
 def _nearest(schedule: ReplicaSchedule, demand, oracle: DistanceOracle):
     """Yield (content, slot, per-user demand, per-user distance to the nearest
     replica) for every (content, slot) with some positive demand."""
-    users = np.array([oracle.index[u] for u in demand.users], dtype=np.int64)
+    rows = np.array([oracle.index[u] for u in demand.users], dtype=np.int64)[:, None]
+    slots = min(demand.slot_count, schedule.slot_count)
     for ci, c in enumerate(demand.contents):
-        for t in range(1, min(demand.slot_count, schedule.slot_count) + 1):
-            dem = demand.values[:, ci, t - 1]
-            if not dem.any():
-                continue
-            block = oracle.matrix(t)[np.ix_(users, np.asarray(schedule.nodes(c, t)))]
-            yield c, t, dem, np.asarray(block, dtype=float).min(axis=1)
+        values = demand.values[:, ci, :slots]
+        for t in (np.flatnonzero(values.any(axis=0)) + 1).tolist():
+            block = oracle.matrix(t)[rows, np.asarray(schedule.nodes(c, t), dtype=np.int64)]
+            yield c, t, values[:, t - 1], block.min(axis=1)
 
 
 def query_cost(schedule: ReplicaSchedule, demand, oracle: DistanceOracle) -> float:
     """Demand-weighted distance from each user to its closest replica, summed
     over contents and slots. +inf when a demanding user is fully disconnected."""
     total = 0.0
-    for _c, _t, dem, nn in _nearest(schedule, demand, oracle):
-        with np.errstate(invalid="ignore"):  # zero-demand users are free even at +inf
+    with np.errstate(invalid="ignore"):  # zero-demand users are free even at +inf
+        for _c, _t, dem, nn in _nearest(schedule, demand, oracle):
             total += float(np.where(dem > 0, dem * nn, 0.0).sum())
     return total
 
@@ -483,13 +482,13 @@ def query_cost(schedule: ReplicaSchedule, demand, oracle: DistanceOracle) -> flo
 def replication_cost(schedule: ReplicaSchedule, oracle: DistanceOracle, alpha: float) -> float:
     """alpha-weighted distance from each slot-t replica to its nearest slot-(t-1)
     replica; the slot-0 replica set is the origin set."""
-    origins = tuple(int(i) for i in oracle.origins_idx)
+    origins = np.asarray(oracle.origins_idx, dtype=np.int64)
     total = 0.0
     for c in schedule.contents:
         prev = origins
         for t in range(1, schedule.slot_count + 1):
-            cur = schedule.nodes(c, t)
-            block = np.asarray(oracle.matrix(t)[np.ix_(cur, prev)], dtype=float)
+            cur = np.asarray(schedule.nodes(c, t), dtype=np.int64)
+            block = np.asarray(oracle.matrix(t)[cur[:, None], prev], dtype=float)
             total += alpha * float(block.min(axis=1).sum())
             prev = cur
     return total

@@ -29,11 +29,10 @@ def solve_no_replica(demand: DemandMatrix, oracle: DistanceOracle, params: CostP
                              lambda c, prob, stats: [prob.s0] * prob.T)
 
 
-def _opening_costs(prob: ContentProblem, view, prev_set) -> np.ndarray:
+def _opening_costs(prob: ContentProblem, B, prev_set) -> np.ndarray:
     """Per-candidate opening cost at this slot: storage plus alpha-scaled
     distance to the nearest replica of the previous slot."""
-    prev_arr = np.asarray(prev_set, dtype=np.int64)
-    d_prev = view.cols(prev_arr).min(axis=1)
+    d_prev = B[:, np.asarray(prev_set, dtype=np.int64)].min(axis=1)
     open_cost = np.full(prob.R, np.inf)
     open_cost[prob.cand_pos] = (prob.rate[prob.cand_pos]
                                 + prob.alpha * d_prev[prob.cand_pos].astype(np.float64))
@@ -44,24 +43,23 @@ def _slot_by_slot(slot_rule):
     """Per-content rule that solves the slots in order, charging each slot's
     opening costs against the previous slot's set (the origins before slot 1).
 
-    ``slot_rule(prob, view, du, wz, prev)`` gets the slot's distance view,
-    user block and demand weights and returns the slot's replica set.
+    ``slot_rule(prob, B, du, wz, prev)`` gets the slot's R x R block, user
+    block and demand weights and returns the slot's replica set.
     """
 
     def rule(c, prob, stats):
         prev = prob.s0
         slots = []
         for t in range(1, prob.T + 1):
-            view = prob.view(t)
-            prev = slot_rule(prob, view, view.users(), prob.weights(t), prev)
+            prev = slot_rule(prob, prob.block(t), prob.user_block(t), prob.weights(t), prev)
             slots.append(prev)
         return slots
 
     return rule
 
 
-def _naive_greedy_slot(prob, view, du, wz, prev):
-    open_cost = _opening_costs(prob, view, prev)
+def _naive_greedy_slot(prob, B, du, wz, prev):
+    open_cost = _opening_costs(prob, B, prev)
     chosen = list(prob.s0)
     d1u = du[:, np.asarray(chosen)].min(axis=1)
     while True:
@@ -89,11 +87,11 @@ def solve_naive_greedy(demand: DemandMatrix, oracle: DistanceOracle, params: Cos
                              _slot_by_slot(_naive_greedy_slot))
 
 
-def _jms_greedy_slot(prob, view, du, wz, prev):
+def _jms_greedy_slot(prob, B, du, wz, prev):
     clients = np.flatnonzero(wz > 0)
     facilities = np.concatenate([np.asarray(prob.s0), prob.cand_pos])
     f_open = np.concatenate([np.zeros(len(prob.s0)),
-                             _opening_costs(prob, view, prev)[prob.cand_pos]])
+                             _opening_costs(prob, B, prev)[prob.cand_pos]])
     Draw = du[np.ix_(clients, facilities)].astype(np.float64)
     D = Draw * wz[clients][:, None]
     # D[j, i]: demand-weighted connection cost of client j to facility i;
@@ -139,8 +137,8 @@ def solve_jms_greedy(demand: DemandMatrix, oracle: DistanceOracle, params: CostP
                              _slot_by_slot(_jms_greedy_slot))
 
 
-def _local_search_slot(prob, view, du, wz, prev):
-    open_cost = _opening_costs(prob, view, prev)
+def _local_search_slot(prob, B, du, wz, prev):
+    open_cost = _opening_costs(prob, B, prev)
     chosen = set(prob.s0)
     while True:
         ch = np.asarray(sorted(chosen), dtype=np.int64)
@@ -148,7 +146,7 @@ def _local_search_slot(prob, view, du, wz, prev):
         in_set = np.zeros(prob.R, dtype=bool)
         in_set[ch] = True
         cand = prob.cand_pos[~in_set[prob.cand_pos]]
-        d1u, d2u, a1u = _two_smallest(du[:, ch], ch)
+        d1u, d2u, a1u = _two_smallest(du, ch)
         qc_cur = float((wz * d1u).sum())
 
         best_delta, best_op = -_TOL, None
@@ -198,8 +196,8 @@ def _starfront_sets(prob: ContentProblem, theta: float):
     slots = []
     flagged = 0
     for t in range(1, prob.T + 1):
-        view = prob.view(t)
-        du = view.users()
+        B = prob.block(t)
+        du = prob.user_block(t)
         wz = prob.weights(t)
         cur = set(prob.s0) | placed
         for uj in np.flatnonzero(wz > 0):
@@ -211,7 +209,7 @@ def _starfront_sets(prob: ContentProblem, theta: float):
             if qual.size == 0:
                 flagged += 1
                 continue
-            d_src = view.block(qual, cur_arr).min(axis=1).astype(np.float64)
+            d_src = B[qual[:, None], cur_arr].min(axis=1).astype(np.float64)
             remaining = prob.T - t + 1
             score = prob.alpha * d_src + remaining * prob.rate[qual]
             w = int(qual[np.argmin(score)])

@@ -4,14 +4,24 @@ problem views, move sets, and the slot-by-slot DP over nearby replica sets.
 The DP state space per slot is built from the *current* replica set by one
 addition, one deletion, one replacement, or no change. Transition costs are
 replication costs between the chosen variants of consecutive slots; query and
-storage costs attach to each variant. Disconnected distances are replaced by a
-large finite sentinel inside the DP so that argmin arithmetic stays NaN-free;
-reported costs always come from a clean re-evaluation against the oracle.
+storage costs attach to each variant.
+
+Solvers read a slot's distances among the R nodes (origins plus candidates)
+from the oracle matrix in place, with no per-slot copy or gather of the R x R
+block. Inside the DP, disconnected distances read as a large finite sentinel
+(``BIG``) so that argmin arithmetic stays NaN-free; reported costs always come
+from a clean re-evaluation against the oracle. On the default node layout the
+R nodes are one contiguous run, so their block is a view of the oracle matrix:
+read as is when it already has the DP dtype and no +inf (decided once per
+oracle and slot, and shared by every content, iteration and solver), else
+through a wrapper that sanitizes each read. Only R nodes that are not one run
+(a restricted candidate set) make a sanitized copy of the block per use.
 """
 
 from __future__ import annotations
 
 import time
+import weakref
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -21,6 +31,7 @@ from ..costmodel import CostBreakdown, CostParams, DistanceOracle, ReplicaSchedu
 from ..demand import DemandMatrix
 
 BIG = 1e12  # finite stand-in for +inf inside DP arithmetic
+_CHUNK = 1 << 16  # elements per row chunk of the add-after-add minimum in dp_pass
 
 KEEP, ADD, DEL, REP = 0, 1, 2, 3
 
@@ -71,6 +82,7 @@ class MoveSet:
     """All nearby-set variants of one slot's base set, KEEP always first.
 
     Move index layout: 0 = keep, then adds, then deletions, then replacements.
+    ``adds`` are ascending R-positions.
     """
 
     adds: np.ndarray
@@ -120,11 +132,103 @@ def _as_index(idx: np.ndarray):
     return idx
 
 
-def _take2(mat: np.ndarray, rows, cols) -> np.ndarray:
-    """Sub-block gather; rows/cols may be slices (fast path) or index arrays."""
-    if isinstance(rows, np.ndarray) and isinstance(cols, np.ndarray):
-        return mat[rows[:, None], cols[None, :]]
-    return mat[rows, cols]
+# Per-oracle state shared by every ContentProblem on that oracle: the node
+# layout (key "layout") and, per slot, row index, column index and dtype,
+# whether the sanitized block can be read in place. Entries go when the
+# oracle does.
+_SHARED: "weakref.WeakKeyDictionary[DistanceOracle, dict]" = weakref.WeakKeyDictionary()
+
+
+def _key(idx) -> tuple | bytes:
+    return (idx.start, idx.stop) if isinstance(idx, slice) else idx.tobytes()
+
+
+def _in_place(shared: dict, D: np.ndarray, t: int, rows, cols, dtype) -> bool:
+    """Whether slot ``t``'s ``D[rows][:, cols]`` is its own sanitized block:
+    both indexes (from ``_as_index``) are slices and the block already has
+    ``dtype`` and only finite entries. Decided once per oracle (``shared``),
+    slot, index pair and dtype."""
+    key = (t, _key(rows), _key(cols), dtype)
+    ok = shared.get(key)
+    if ok is None:
+        ok = shared[key] = bool(isinstance(rows, slice) and isinstance(cols, slice)
+                                and D.dtype == dtype and np.isfinite(D[rows, cols]).all())
+    return ok
+
+
+def _sanitized(block: np.ndarray, dtype, out: np.ndarray | None = None) -> np.ndarray:
+    """``block`` in ``dtype`` with every non-finite entry replaced by ``BIG``,
+    written into ``out`` when given."""
+    if out is None:
+        out = np.array(block, dtype=dtype)
+    else:
+        np.copyto(out, block)
+    out[~np.isfinite(out)] = BIG
+    return out
+
+
+class _SanitizedReads:
+    """A slot block read through a view of the oracle matrix that holds +inf
+    or another dtype: each read returns a sanitized copy (see ``_sanitized``)
+    of just the entries asked for."""
+
+    __slots__ = ("raw", "dtype")
+
+    def __init__(self, raw: np.ndarray, dtype):
+        self.raw, self.dtype = raw, np.dtype(dtype)
+
+    def __getitem__(self, idx) -> np.ndarray:
+        return _sanitized(self.raw[idx], self.dtype)
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a = a.view()
+    a.flags.writeable = False
+    return a
+
+
+def _layout(oracle: DistanceOracle) -> dict:
+    """The R-position layout of ``oracle``'s origins and candidates, which
+    every content shares; see ``ContentProblem``."""
+    origins = np.sort(np.asarray(oracle.origins_idx, dtype=np.int64))
+    cands = np.sort(np.asarray(oracle.candidates_idx, dtype=np.int64))
+    if origins.size == 0:
+        raise ValueError("at least one origin node is required")
+    if np.isin(origins, cands).any():
+        raise ValueError("origin nodes cannot also be replica candidates")
+    r_nodes = np.sort(np.concatenate([origins, cands]))
+    r_nodes = r_nodes[np.concatenate([[True], r_nodes[1:] != r_nodes[:-1]])]
+    R = r_nodes.size
+    origin_pos = np.searchsorted(r_nodes, origins)
+    cand_pos = np.searchsorted(r_nodes, cands)
+    # Orbit labels per candidate position; ground candidates share one
+    # pseudo-orbit so gateways participate in the orbit DP.
+    orbit_of = oracle.orbit_key[r_nodes].astype(np.int64)
+    ground = cand_pos[orbit_of[cand_pos] < 0]
+    if ground.size:
+        orbit_of[ground] = orbit_of.max(initial=-1) + 1
+    # Candidates grouped by orbit (orbit_ids ascending), id-ascending within
+    # each: orbit o's group is orbit_cands[orbit_start[o]:][:orbit_size[o]].
+    # orbit_slot maps an R-position to its index in orbit_cands (C for the
+    # origins).
+    C = cand_pos.size
+    orbit_cands = cand_pos[np.argsort(orbit_of[cand_pos], kind="stable")]
+    keys_sorted = orbit_of[orbit_cands]
+    orbit_start = np.flatnonzero(np.concatenate([[True], keys_sorted[1:] != keys_sorted[:-1]])) \
+        if C else np.empty(0, dtype=np.int64)
+    orbit_size = np.diff(np.append(orbit_start, C))
+    orbit_ids = keys_sorted[orbit_start]
+    orbit_slot = np.full(R, C, dtype=np.int64)
+    orbit_slot[orbit_cands] = np.arange(C)
+    return dict(
+        r_nodes=r_nodes, R=R, cand_pos=cand_pos,
+        origin_set=frozenset(origin_pos.tolist()), s0=tuple(origin_pos.tolist()),
+        dp_dtype=np.float64 if R <= 768 else np.float32, orbit_cands=orbit_cands,
+        orbit_start=orbit_start, orbit_size=orbit_size, orbit_ids=orbit_ids,
+        orbit_slot=orbit_slot,
+        orbit_members={o: orbit_cands[a:a + n] for o, a, n in zip(
+            orbit_ids.tolist(), orbit_start.tolist(), orbit_size.tolist())},
+        _r_index=_as_index(r_nodes), _orbit_cols=_as_index(orbit_cands))
 
 
 class ContentProblem:
@@ -132,129 +236,112 @@ class ContentProblem:
 
     Works in "R-position" space (origins + candidates sorted by global node
     index) so that every set is a tuple of small ints and ties break toward
-    the lowest node id.
+    the lowest node id. The layout attributes (``r_nodes``, ``cand_pos``,
+    ``orbit_members``, ...) are shared by every problem on the same oracle
+    and must not be modified.
     """
 
     def __init__(self, oracle: DistanceOracle, users_global: np.ndarray, dem: np.ndarray,
                  size_c: float, params: CostParams):
-        origins = np.sort(np.asarray(oracle.origins_idx, dtype=np.int64))
-        cands = np.sort(np.asarray(oracle.candidates_idx, dtype=np.int64))
-        if origins.size == 0:
-            raise ValueError("at least one origin node is required")
-        if np.intersect1d(origins, cands).size:
-            raise ValueError("origin nodes cannot also be replica candidates")
+        self._shared = _SHARED.setdefault(oracle, {})
+        if "layout" not in self._shared:
+            self._shared["layout"] = _layout(oracle)
+        self.__dict__.update(self._shared["layout"])
         self.oracle = oracle
         self.params = params
         self.alpha = float(params.alpha)
-        self.r_nodes = np.unique(np.concatenate([origins, cands]))
-        self.origin_pos = np.searchsorted(self.r_nodes, origins)
-        self.cand_pos = np.searchsorted(self.r_nodes, cands)
-        self.origin_set = frozenset(int(p) for p in self.origin_pos)
-        self.s0 = tuple(int(p) for p in self.origin_pos)
         self.users = np.asarray(users_global, dtype=np.int64)
         self.dem = np.asarray(dem, dtype=float)
         self.T = self.dem.shape[1]
-        self.R = self.r_nodes.size
         self.size_c = float(size_c)
         self.rate = params.storage_rate(oracle)[self.r_nodes] * self.size_c
-        self.dp_dtype = np.float64 if self.R <= 768 else np.float32
-        # Orbit labels per candidate position; ground candidates share one
-        # pseudo-orbit so gateways participate in the orbit DP.
-        keys = oracle.orbit_key[self.r_nodes].astype(np.int64)
-        pseudo = (keys.max(initial=-1) + 1) if np.any(keys[self.cand_pos] < 0) else None
-        self.orbit_of = keys.copy()
-        if pseudo is not None:
-            ground_cand = self.cand_pos[keys[self.cand_pos] < 0]
-            self.orbit_of[ground_cand] = pseudo
-        if self.cand_pos.size:
-            order = np.lexsort((self.cand_pos, self.orbit_of[self.cand_pos]))
-            self.cand_by_orbit = self.cand_pos[order]  # grouped, id-ascending
-            keys_sorted = self.orbit_of[self.cand_by_orbit]
-            starts = np.flatnonzero(np.concatenate(
-                [[True], keys_sorted[1:] != keys_sorted[:-1]]))
-            self.orbit_group_start = starts
-            self.orbit_ids = keys_sorted[starts]
-            self.orbit_members = dict(zip((int(o) for o in self.orbit_ids),
-                                          np.split(self.cand_by_orbit, starts[1:])))
-        else:
-            self.cand_by_orbit = np.empty(0, dtype=np.int64)
-            self.orbit_group_start = np.empty(0, dtype=np.int64)
-            self.orbit_ids = np.empty(0, dtype=np.int64)
-            self.orbit_members = {}
-        self._du_cache: dict[int, np.ndarray] = {}
-        self._r_index = _as_index(self.r_nodes)
+        self._weights = np.ascontiguousarray(self.dem.T, dtype=self.dp_dtype)  # (T, U)
         self._u_index = _as_index(self.users)
-        self._cand_cols = _as_index(self.cand_pos)
+        # Row-chunk buffers of dp_pass, reused across slots and passes.
+        self._buf = np.empty(max(_CHUNK, self.R), dtype=self.dp_dtype)
+        self._buf64 = np.empty(self._buf.size)
+        # Per slot: the R x R blocks read in place, the user blocks, their
+        # demand-weighted copies and the latest base_costs; the buffer of
+        # R x R copies.
+        self._blocks: list[np.ndarray | None] = [None] * self.T
+        self._user_blocks: list[np.ndarray | None] = [None] * self.T
+        self._weighted: list[np.ndarray | None] = [None] * self.T
+        self._scratch: np.ndarray | None = None
+        self._base_costs: dict[int, tuple] = {}
 
-    def view(self, t: int) -> "SlotView":
-        return SlotView(self, t)
+    def block(self, t: int) -> np.ndarray:
+        """(R x R) sanitized distances among the R nodes at slot ``t``, read-only.
+
+        Row and column order are R-positions; entry [v, a] is the distance
+        from R-node v to R-node a. It is a view of the oracle matrix when that
+        block can be read in place (see ``_in_place``). When the R nodes are
+        one run but the block holds +inf or another dtype, it is read through
+        that view, sanitizing each read. Otherwise every call writes a
+        sanitized copy into one buffer of this problem, so the block is valid
+        only until the next call.
+        """
+        B = self._blocks[t - 1]
+        if B is None:
+            D, r = self.oracle.matrix(t), self._r_index
+            if _in_place(self._shared, D, t, r, r, self.dp_dtype):
+                B = _read_only(D[r, r])
+            elif isinstance(r, slice):
+                B = _SanitizedReads(D[r, r], self.dp_dtype)
+            else:
+                if self._scratch is None:
+                    self._scratch = np.empty((self.R, self.R), dtype=self.dp_dtype)
+                return _read_only(_sanitized(D[r][:, r], self.dp_dtype, out=self._scratch))
+            self._blocks[t - 1] = B
+        return B
 
     def user_block(self, t: int) -> np.ndarray:
-        """(U x R) sanitized user-to-candidate distances, cached per slot."""
-        du = self._du_cache.get(t)
+        """(U x R) sanitized user-to-R-node distances at slot ``t``, read-only:
+        a view of the oracle matrix when it can be read in place, else a copy
+        kept for this problem."""
+        du = self._user_blocks[t - 1]
         if du is None:
-            du = np.array(_take2(self.oracle.matrix(t), self._u_index, self._r_index),
-                          dtype=self.dp_dtype)
-            du[~np.isfinite(du)] = BIG
-            self._du_cache[t] = du
+            D, u, r = self.oracle.matrix(t), self._u_index, self._r_index
+            du = D[u, r] if _in_place(self._shared, D, t, u, r, self.dp_dtype) \
+                else _sanitized(D[u][:, r], self.dp_dtype)
+            du = self._user_blocks[t - 1] = _read_only(du)
         return du
 
+    def weighted_user_block(self, t: int) -> np.ndarray:
+        """``user_block(t)`` scaled by each user's demand weight at ``t``.
+
+        As weights are nonnegative, ``w * min(a, b) == min(w * a, w * b)``
+        exactly, so demand-weighted nearest distances can be taken from it.
+        """
+        wd = self._weighted[t - 1]
+        if wd is None:
+            wd = self._weighted[t - 1] = self.weights(t)[:, None] * self.user_block(t)
+        return wd
+
+    def base_costs(self, t: int, base: tuple[int, ...]):
+        """Costs of replica set ``base`` (R-positions) at slot ``t``.
+
+        Returns the query cost (the demand-weighted distance from each user
+        to its nearest member, summed), the storage cost, and per candidate
+        in ``orbit_cands`` order the query cost with that candidate added.
+        The orbit DP and the DP pass of one MTOLS iteration share them: the
+        latest set of each slot is kept.
+        """
+        kept = self._base_costs.get(t)
+        if kept is not None and kept[0] == base:
+            return kept[1]
+        base_arr = np.asarray(base, dtype=np.int64)
+        wd = self.weighted_user_block(t)
+        wu1 = wd[:, base_arr].min(axis=1)
+        costs = (float(wu1.sum()), float(self.rate[base_arr].sum()),
+                 np.minimum(wu1[:, None], wd[:, self._orbit_cols]).sum(axis=0))
+        self._base_costs[t] = (base, costs)
+        return costs
+
     def weights(self, t: int) -> np.ndarray:
-        return np.asarray(self.dem[:, t - 1], dtype=self.dp_dtype)
+        return self._weights[t - 1]
 
     def to_global(self, sets: Sequence[tuple[int, ...]]) -> list[tuple[int, ...]]:
         return [tuple(int(self.r_nodes[p]) for p in st) for st in sets]
-
-
-class SlotView:
-    """Lazy sanitized access to one slot's distances in R-position space.
-
-    Small column/row gathers stay cheap; the full R x R block is materialized
-    only on demand (the full-move-space DP needs it, orbit-restricted passes
-    never do).
-    """
-
-    __slots__ = ("prob", "t", "_D", "_full")
-
-    def __init__(self, prob: ContentProblem, t: int):
-        self.prob = prob
-        self.t = t
-        self._D = prob.oracle.matrix(t)
-        self._full: np.ndarray | None = None
-
-    def _sanitize(self, block) -> np.ndarray:
-        out = np.array(block, dtype=self.prob.dp_dtype)
-        bad = ~np.isfinite(out)
-        if bad.any():
-            out[bad] = BIG
-        return out
-
-    def cols(self, positions: np.ndarray) -> np.ndarray:
-        """(R, len(positions)) distances from every R-node to the given ones."""
-        if self._full is not None:
-            return self._full[:, positions]
-        g = self.prob.r_nodes
-        return self._sanitize(_take2(self._D, self.prob._r_index,
-                                     g[np.asarray(positions, dtype=np.int64)]))
-
-    def block(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-        rows = np.asarray(rows, dtype=np.int64)
-        cols = np.asarray(cols, dtype=np.int64)
-        if self._full is None and rows.size * cols.size >= self.prob.R ** 2 // 2:
-            self.full()
-        if self._full is not None:
-            return _take2(self._full, _as_index(rows), _as_index(cols))
-        g = self.prob.r_nodes
-        return self._sanitize(_take2(self._D, g[rows], g[cols]))
-
-    def full(self) -> np.ndarray:
-        if self._full is None:
-            self._full = self._sanitize(_take2(self._D, self.prob._r_index,
-                                               self.prob._r_index))
-        return self._full
-
-    def users(self) -> np.ndarray:
-        return self.prob.user_block(self.t)
 
 
 Rule = Callable[[str, ContentProblem, PlacementStats], list[tuple[int, ...]]]
@@ -293,33 +380,87 @@ def evaluate_content(problem: ContentProblem, content: str, users: list[str],
     return total_cost(sched, dem, catalog, problem.oracle, problem.params)
 
 
-def _two_smallest(sub: np.ndarray, members: np.ndarray):
-    """Per-row nearest and second-nearest distances to ``members`` plus the
-    nearest member's R-position (first occurrence, i.e. lowest id)."""
+def _two_smallest(mat: np.ndarray, members: np.ndarray, rows=slice(None), second=True):
+    """Per-row nearest and second-nearest entries of ``mat[rows]`` over the
+    ``members`` columns (the second is ``BIG`` for one member) plus the
+    nearest member (first occurrence, i.e. lowest id). Without ``second``
+    only the nearest entries are computed and the other two are None.
+
+    The second-nearest fold runs over the member columns in order, so its
+    values are those a per-row sort would give.
+    """
+    if not second:
+        block = mat[rows, members] if isinstance(rows, slice) else mat[rows[:, None], members]
+        return block.min(axis=1), None, None
+    c0 = mat[rows, members[0]]
     if members.size == 1:
-        d1 = sub[:, 0].copy()
-        d2 = np.full(sub.shape[0], BIG, dtype=sub.dtype)
-        a1 = np.full(sub.shape[0], members[0], dtype=np.int64)
-        return d1, d2, a1
-    part = np.partition(sub, 1, axis=1)
-    a1 = members[np.argmin(sub, axis=1)]
-    return part[:, 0].copy(), part[:, 1].copy(), a1
+        return (np.array(c0), np.full(c0.shape, BIG, dtype=mat.dtype),
+                np.full(c0.shape, members[0], dtype=np.int64))
+    c1 = mat[rows, members[1]]
+    d1, d2 = np.minimum(c0, c1), np.maximum(c0, c1)
+    a1 = np.where(c1 < c0, members[1], members[0])
+    for m in members[2:]:
+        c = mat[rows, m]
+        np.minimum(d2, np.maximum(d1, c), out=d2)
+        np.copyto(a1, m, where=c < d1)
+        np.minimum(d1, c, out=d1)
+    return d1, d2, a1
+
+
+def _min_over_adds(B: np.ndarray, W: np.ndarray, pa: np.ndarray, w1: np.ndarray,
+                   g_adds: np.ndarray, alpha: float, buf: np.ndarray, buf64: np.ndarray):
+    """For each target ``W[i]``: the least ``g_adds[j] + alpha * min(w1[i],
+    B[W[i], pa[j]])`` over the previous additions ``pa`` (ascending) and the
+    first ``j`` attaining it.
+
+    A (W x pa) block of at most ``buf.size`` entries is gathered. A larger one
+    is read in place: the contiguous block spanning ``W``'s rows and ``pa``'s
+    columns, in row chunks written into the flat buffers ``buf`` (``B``'s
+    dtype) and ``buf64`` of at least one row of ``B`` each, where a column
+    between the ``pa`` positions gets an infinite ``g`` and never wins.
+    """
+    if W.size * pa.size <= buf.size:
+        M = g_adds[None, :] + alpha * np.minimum(w1[:, None], B[W[:, None], pa])
+        j = M.argmin(axis=1)
+        return M[np.arange(W.size), j], j
+    r0, c0 = int(W.min()), int(pa[0])
+    sub = B[r0:int(W.max()) + 1, c0:int(pa[-1]) + 1]
+    nr, nc = sub.shape
+    g = np.full(nc, np.inf)
+    g[pa - c0] = g_adds
+    d1 = np.zeros(nr, dtype=B.dtype)
+    d1[W - r0] = w1
+    vals, cols = [], []
+    step = buf.size // nc
+    for lo in range(0, nr, step):
+        k = min(step, nr - lo)
+        tmp = buf[:k * nc].reshape(k, nc)
+        M = buf64[:k * nc].reshape(k, nc)
+        np.minimum(d1[lo:lo + k, None], sub[lo:lo + k], out=tmp)
+        np.multiply(alpha, tmp, out=tmp)
+        np.add(g, tmp, out=M)
+        am = M.argmin(axis=1)
+        cols.append(am)
+        vals.append(M[np.arange(k), am])
+    sel = W - r0
+    return np.concatenate(vals)[sel], np.searchsorted(pa, c0 + np.concatenate(cols)[sel])
 
 
 def _fold(best, ptr, vals, ptrs):
     mask = vals < best
     np.copyto(best, vals, where=mask)
-    np.copyto(ptr, ptrs if isinstance(ptrs, np.ndarray) else np.full(vals.shape, ptrs), where=mask)
+    np.copyto(ptr, ptrs, where=mask)
 
 
 def dp_pass(problem: ContentProblem, sets: list[tuple[int, ...]],
-            gen_moves: Callable[[int, tuple[int, ...], "SlotView"], MoveSet],
+            gen_moves: Callable[[int, tuple[int, ...], np.ndarray], MoveSet],
             stats: PlacementStats) -> tuple[list[tuple[int, ...]], float]:
     """One full DP sweep over slots 1..T.
 
     Returns the best nearby-set sequence (ties keep the current sets) and its
-    DP objective. ``gen_moves(t, base, view)`` defines the per-slot move space;
-    the pass's transition count is added to ``stats.relaxations``.
+    DP objective. ``gen_moves(t, base, block)`` defines the per-slot move
+    space, given the slot's ``problem.block(t)``; the pass's transition count
+    is added to ``stats.relaxations``.
     """
     T = problem.T
     alpha = problem.alpha
@@ -331,21 +472,20 @@ def dp_pass(problem: ContentProblem, sets: list[tuple[int, ...]],
     trail: list[tuple[MoveSet, np.ndarray]] = []
 
     for t in range(1, T + 1):
-        view = problem.view(t)
-        du = view.users()
+        B = problem.block(t)
         base = sets[t - 1]
         base_arr = np.asarray(base, dtype=np.int64)
-        mv = gen_moves(t, base, view)
+        mv = gen_moves(t, base, B)
 
-        # Nearest / second-nearest of every R-node to the previous base set.
         prev_arr = np.asarray(prev_base, dtype=np.int64)
-        d1p, d2p, a1p = _two_smallest(view.cols(prev_arr), prev_arr)
 
         # g[b] = f(t-1, b) + alpha * sum_{v in base} nnd_b(v) for each previous
         # variant b; group-structured so it never materializes n_prev x R.
         pa, pd = prev_moves.adds, prev_moves.dels
         pro, pri = prev_moves.rep_out, prev_moves.rep_in
-        b1, b2, ba1 = d1p[base_arr], d2p[base_arr], a1p[base_arr]
+        # Second-nearest distances matter only where a variant drops a member.
+        prev_drops = bool(pd.size or pro.size)
+        b1, b2, ba1 = _two_smallest(B, prev_arr, base_arr, second=prev_drops)
         base_keep = float(b1.sum())
         g_keep = prev_f[0] + alpha * base_keep
 
@@ -353,43 +493,38 @@ def dp_pass(problem: ContentProblem, sets: list[tuple[int, ...]],
             # nnd after deleting each x: second-nearest where x was the nearest
             return np.where(args[None, :] == xs[:, None], vals2[None, :], vals1[None, :])
 
-        g_adds = g_dels = g_reps = None
-        if pa.size:
-            m = np.minimum(b1[None, :], view.block(pa, base_arr))
-            g_adds = prev_f[1:1 + pa.size] + alpha * m.sum(axis=1)
         off_d = 1 + pa.size
-        if pd.size:
-            m = dmod_rows(pd, b1, b2, ba1)
-            g_dels = prev_f[off_d:off_d + pd.size] + alpha * m.sum(axis=1)
         off_r = off_d + pd.size
+        g_concat = np.empty(prev_moves.n_moves)  # in move order
+        g_concat[0] = g_keep
+        g_adds, g_dels, g_reps = g_concat[1:off_d], g_concat[off_d:off_r], g_concat[off_r:]
+        if pa.size:
+            m = np.minimum(b1[None, :], B[pa[:, None], base_arr])
+            np.add(prev_f[1:off_d], alpha * m.sum(axis=1), out=g_adds)
+        if pd.size:
+            np.add(prev_f[off_d:off_r], alpha * dmod_rows(pd, b1, b2, ba1).sum(axis=1),
+                   out=g_dels)
         if pro.size:
-            m = np.minimum(dmod_rows(pro, b1, b2, ba1), view.block(pri, base_arr))
-            g_reps = prev_f[off_r:off_r + pro.size] + alpha * m.sum(axis=1)
-
-        g_concat = np.concatenate([np.array([g_keep]),
-                                   g_adds if g_adds is not None else [],
-                                   g_dels if g_dels is not None else [],
-                                   g_reps if g_reps is not None else []])
-        g_best = float(g_concat.min())
+            m = np.minimum(dmod_rows(pro, b1, b2, ba1), B[pri[:, None], base_arr])
+            np.add(prev_f[off_r:], alpha * m.sum(axis=1), out=g_reps)
         g_best_ptr = int(g_concat.argmin())
+        g_best = float(g_concat[g_best_ptr])
 
         def trans_nnd(targets: np.ndarray) -> np.ndarray:
             """nnd_b(x) for every previous variant b (rows) and target x (cols)."""
-            rows = [d1p[targets][None, :]]
+            x1, x2, xa1 = _two_smallest(B, prev_arr, targets, second=prev_drops)
+            rows = [x1[None, :]]
             if pa.size:
-                rows.append(np.minimum(d1p[targets][None, :], view.block(targets, pa).T))
+                rows.append(np.minimum(x1[None, :], B[targets[:, None], pa].T))
             if pd.size:
-                rows.append(dmod_rows(pd, d1p[targets], d2p[targets], a1p[targets]))
+                rows.append(dmod_rows(pd, x1, x2, xa1))
             if pro.size:
-                rows.append(np.minimum(dmod_rows(pro, d1p[targets], d2p[targets], a1p[targets]),
-                                       view.block(targets, pri).T))
+                rows.append(np.minimum(dmod_rows(pro, x1, x2, xa1),
+                                       B[targets[:, None], pri].T))
             return np.vstack(rows)
 
         # Query and storage of the base set at t.
-        wz = problem.weights(t)
-        u1, u2, ua1 = _two_smallest(du[:, base_arr], base_arr)
-        qc_keep = float((wz * u1).sum())
-        sc_keep = float(rate[base_arr].sum())
+        qc_keep, sc_keep, qc_with = problem.base_costs(t, base)
 
         n_cur = mv.n_moves
         f_cur = np.empty(n_cur, dtype=np.float64)
@@ -402,23 +537,23 @@ def dp_pass(problem: ContentProblem, sets: list[tuple[int, ...]],
         # --- ADD moves (vectorized over the add targets W)
         if mv.adds.size:
             W = mv.adds
-            best = g_keep + alpha * d1p[W].astype(np.float64)
+            w1, w2, wa1 = _two_smallest(B, prev_arr, W, second=prev_drops)
+            best = g_keep + np.multiply(alpha, w1, dtype=np.float64)
             ptr = np.zeros(W.size, dtype=np.int64)
             if pa.size:
-                M = g_adds[None, :] + alpha * np.minimum(d1p[W][:, None], view.block(W, pa))
-                am = np.argmin(M, axis=1)
-                _fold(best, ptr, np.take_along_axis(M, am[:, None], axis=1)[:, 0], 1 + am)
+                vals, j = _min_over_adds(B, W, pa, w1, g_adds, alpha, problem._buf,
+                                         problem._buf64)
+                _fold(best, ptr, vals, 1 + j)
             if pd.size:
-                M = g_dels[None, :] + alpha * dmod_rows(pd, d1p[W], d2p[W], a1p[W]).T
+                M = g_dels[None, :] + alpha * dmod_rows(pd, w1, w2, wa1).T
                 am = np.argmin(M, axis=1)
-                _fold(best, ptr, np.take_along_axis(M, am[:, None], axis=1)[:, 0], off_d + am)
+                _fold(best, ptr, M[np.arange(W.size), am], off_d + am)
             if pro.size:
                 M = g_reps[None, :] + alpha * np.minimum(
-                    dmod_rows(pro, d1p[W], d2p[W], a1p[W]),
-                    view.block(W, pri).T).T
+                    dmod_rows(pro, w1, w2, wa1), B[W[:, None], pri].T).T
                 am = np.argmin(M, axis=1)
-                _fold(best, ptr, np.take_along_axis(M, am[:, None], axis=1)[:, 0], off_r + am)
-            qc_add = ((wz[:, None] * np.minimum(u1[:, None], du[:, W])).sum(axis=0))
+                _fold(best, ptr, M[np.arange(W.size), am], off_r + am)
+            qc_add = qc_with[problem.orbit_slot[W]]
             lo = 1
             f_cur[lo:lo + W.size] = best + qc_add + sc_keep + rate[W]
             bp_cur[lo:lo + W.size] = ptr
@@ -429,6 +564,8 @@ def dp_pass(problem: ContentProblem, sets: list[tuple[int, ...]],
         if small.size:
             nnd_small = trans_nnd(small)  # (n_prev, n_small)
             col = {int(x): i for i, x in enumerate(small)}
+            du, wz = problem.user_block(t), problem.weights(t)
+            u1, u2, ua1 = _two_smallest(du, base_arr)
 
             def qc_without(z: int) -> np.ndarray:
                 return np.where(ua1 == z, u2, u1)

@@ -20,7 +20,7 @@ def _mtls_movegen(problem: ContentProblem, k: int):
     deletion, and replacements restricted to the k nearest eligible candidates
     of the replaced node in the slot's graph."""
 
-    def gen(t: int, base: tuple[int, ...], view) -> MoveSet:
+    def gen(t: int, base: tuple[int, ...], B: np.ndarray) -> MoveSet:
         base_arr = np.asarray(base, dtype=np.int64)
         in_base = np.zeros(problem.R, dtype=bool)
         in_base[base_arr] = True
@@ -29,7 +29,7 @@ def _mtls_movegen(problem: ContentProblem, k: int):
         rep_out: list[int] = []
         rep_in: list[int] = []
         if adds.size and members.size:
-            dist = view.block(members, adds)
+            dist = B[members[:, None], adds]
             for zi, z in enumerate(members):
                 order = np.lexsort((adds, dist[zi]))
                 for w in adds[order[:k]]:
@@ -60,66 +60,57 @@ def _orbit_dp(problem: ContentProblem, sets: list[tuple[int, ...]],
 
     alpha = problem.alpha
     rate = problem.rate
-    g_prev: np.ndarray | None = None
-    prev_v: np.ndarray | None = None
-    prev_base = problem.s0
-    v_trail: list[np.ndarray] = []
-    bp_trail: list[np.ndarray] = []
+    C = problem.cand_pos.size
+    # The origins, then each slot's replica set, padded by repeating a member,
+    # which changes no minimum: row t holds slot t's set, row t - 1 the
+    # previous slot's.
+    K = max(map(len, sets))
+    padded = np.array([s + s[:1] * (K - len(s)) for s in [problem.s0] + list(sets)])
 
+    # Each orbit's satellite per slot, which the DP does not change: the
+    # member with the least marginal query cost on top of the slot's replica
+    # set among those not deployed yet, the lowest id on ties. mqc columns
+    # follow orbit_cands; column C stands for the origins.
+    mqc = np.empty((T, C + 1))
+    qc_base, sc_base = np.empty(T), np.empty(T)
     for t in range(1, T + 1):
-        view = problem.view(t)
-        du = view.users()
-        base_arr = np.asarray(sets[t - 1], dtype=np.int64)
-        in_base = np.zeros(problem.R, dtype=bool)
-        in_base[base_arr] = True
-        wz = problem.weights(t)
+        qc_base[t - 1], sc_base[t - 1], mqc[t - 1, :C] = problem.base_costs(t, sets[t - 1])
+    mqc[np.arange(T)[:, None], problem.orbit_slot[padded[1:]]] = np.inf
+    starts = problem.orbit_start
+    best = np.minimum.reduceat(mqc[:, :C], starts, axis=1)
+    hit = mqc[:, :C] == np.repeat(best, problem.orbit_size, axis=1)
+    first = C - np.maximum.reduceat(np.where(hit, C - np.arange(C), 0), starts, axis=1)
+    have = np.isfinite(best)
+    v_sel = np.where(have, problem.orbit_cands[first], -1)
+    # Query plus storage cost of each orbit's choice.
+    own = np.where(have, best + (sc_base[:, None] + rate[v_sel]), (qc_base + sc_base)[:, None])
 
-        u1 = du[:, base_arr].min(axis=1)
-        qc_base = float((wz * u1).sum())
-        mqc = (wz[:, None] * np.minimum(u1[:, None], du[:, problem._cand_cols])).sum(axis=0)
-        sc_base = float(rate[base_arr].sum())
+    # Replication of each choice from the previous slot's replicas, and
+    # z[t - 2][c, p] of choice c at slot t from the previous slot's replicas
+    # or from the satellite p chosen at slot t - 1. A slot's orbit without a
+    # member costs nothing, as distances are nonnegative.
+    rep_d = np.empty((T, K, nO), dtype=problem.dp_dtype)
+    z = np.empty((T - 1, nO, nO))
+    for t in range(1, T + 1):
+        B = problem.block(t)
+        rep_d[t - 1] = B[v_sel[t - 1][:, None], padded[t - 1]].T
+        if t > 1:
+            np.multiply(alpha, B[v_sel[t - 1][:, None], v_sel[t - 2]], out=z[t - 2],
+                        dtype=np.float64)
+    rep = np.where(have, np.multiply(alpha, rep_d.min(axis=1), dtype=np.float64), 0.0)
+    if not have.all():
+        np.copyto(z, np.inf, where=~have[:-1, None, :])
+    np.minimum(z, rep[1:, :, None], out=z)
 
-        # Best eligible (not already deployed) satellite per orbit: candidates
-        # are pre-grouped by orbit and id-ascending, so a grouped min with
-        # first-hit recovery breaks ties toward the lowest node id.
-        grouped = np.full(problem.R, np.inf)
-        grouped[problem.cand_pos] = np.asarray(mqc, dtype=np.float64)
-        grouped = grouped[problem.cand_by_orbit]
-        grouped[in_base[problem.cand_by_orbit]] = np.inf
-        starts = problem.orbit_group_start
-        gmin = np.minimum.reduceat(grouped, starts)
-        sizes = np.diff(np.append(starts, grouped.size))
-        hit_idx = np.flatnonzero(grouped == np.repeat(gmin, sizes))
-        first = hit_idx[np.searchsorted(hit_idx, starts)]
-        have_min = np.isfinite(gmin)
-        v_sel = np.where(have_min, problem.cand_by_orbit[first], -1)
-        qc_o = np.where(have_min, grouped[first], qc_base)
-        sc_o = np.where(have_min, sc_base + rate[problem.cand_by_orbit[first]], sc_base)
-
-        d1p = view.cols(np.asarray(prev_base, dtype=np.int64)).min(axis=1)
-        have = v_sel >= 0
-        if g_prev is None:
-            g_new = qc_o + sc_o
-            g_new[have] += alpha * d1p[v_sel[have]].astype(np.float64)
-            bp = np.full(nO, -1, dtype=np.int64)
-            stats.orbit_relaxations += nO
-        else:
-            rc = np.zeros((nO, nO))  # rows: previous orbit, cols: current orbit
-            rc[:, have] = alpha * d1p[v_sel[have]].astype(np.float64)[None, :]
-            prev_have = prev_v >= 0 if prev_v is not None else np.zeros(nO, dtype=bool)
-            if np.any(prev_have) and np.any(have):
-                cross = alpha * np.asarray(view.block(v_sel[have], prev_v[prev_have]),
-                                           dtype=np.float64).T
-                block = rc[np.ix_(prev_have, have)]
-                rc[np.ix_(prev_have, have)] = np.minimum(block, cross)
-            tot = g_prev[:, None] + rc
-            bp = np.argmin(tot, axis=0)
-            g_new = qc_o + sc_o + np.take_along_axis(tot, bp[None, :], axis=0)[0]
-            stats.orbit_relaxations += nO * nO
-
-        v_trail.append(v_sel)
+    rows = np.arange(nO)
+    g_prev = own[0] + rep[0]
+    bp_trail = [np.full(nO, -1, dtype=np.int64)]
+    for t in range(2, T + 1):
+        tot = np.add(z[t - 2], g_prev, out=z[t - 2])
+        bp = tot.argmin(axis=1)
+        g_prev = own[t - 1] + tot[rows, bp]
         bp_trail.append(bp)
-        g_prev, prev_v, prev_base = g_new, v_sel, sets[t - 1]
+    stats.orbit_relaxations += nO + (T - 1) * nO * nO
 
     seq = [-1] * T
     sel = int(np.argmin(g_prev))
@@ -136,16 +127,17 @@ def _mtols_movegen(problem: ContentProblem, orbit_seq: Sequence[int]):
     """Additions only, restricted to the slot's chosen orbit (no deletions or
     replacements); a pseudo-orbit carries the ground candidates."""
 
-    def gen(t: int, base: tuple[int, ...], view) -> MoveSet:
+    e = np.empty(0, dtype=np.int64)
+
+    def gen(t: int, base: tuple[int, ...], B: np.ndarray) -> MoveSet:
         o = orbit_seq[t - 1]
         if o < 0:
             return MoveSet.keep_only()
-        members = problem.orbit_members[int(o)]
+        members = problem.orbit_members[o]
         in_base = np.zeros(problem.R, dtype=bool)
         in_base[np.asarray(base, dtype=np.int64)] = True
         adds = members[~in_base[members]]
-        e = np.empty(0, dtype=np.int64)
-        return MoveSet(adds=adds, dels=e, rep_out=e.copy(), rep_in=e.copy())
+        return MoveSet(adds=adds, dels=e, rep_out=e, rep_in=e)
 
     return gen
 

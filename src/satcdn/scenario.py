@@ -175,11 +175,13 @@ def _build_gateways(sc: Scenario) -> list[cst.GroundNode]:
             header = next(reader, None)
             _expect(header is not None and [h.strip() for h in header] == ["name", "lat_deg", "lon_deg"],
                     "gateways.file", "expected header 'name,lat_deg,lon_deg'")
-            for row in reader:
+            for line, row in enumerate(reader, start=2):
                 if not row:
                     continue
-                nodes.append(cst.GroundNode(f"gw/{row[0].strip()}", "gateway",
-                                            float(row[1]), float(row[2])))
+                path = f"gateways.file line {line}"
+                _expect(len(row) >= 3, path, "expected fields name,lat_deg,lon_deg")
+                nodes.append(_ground_node(path, f"gw/{row[0].strip()}", "gateway",
+                                          {"lat_deg": row[1], "lon_deg": row[2]}))
         return nodes
     if "synthetic" in sc.gateways:
         syn = sc.gateways["synthetic"]
@@ -193,6 +195,14 @@ def _ground_node(path: str, node_id: str, kind: str, entry: dict) -> cst.GroundN
         return cst.GroundNode(node_id, kind, float(entry["lat_deg"]), float(entry["lon_deg"]))
     except ValueError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
+
+
+def _expect_unique(path: str, nodes: list[cst.GroundNode]) -> None:
+    seen = set()
+    for node in nodes:
+        _expect(node.node_id not in seen, path,
+                f"duplicate name {node.node_id.split('/', 1)[1]!r}")
+        seen.add(node.node_id)
 
 
 def _build_users_demand(sc: Scenario):
@@ -259,6 +269,9 @@ def build_network(sc: Scenario) -> tuple[cst.Network, dm.ContentCatalog, dm.Dema
     origins = [_ground_node(f"origins[{i}]", f"origin/{o['name']}", "origin", o)
                for i, o in enumerate(sc.origins)]
     users, catalog, demand = _build_users_demand(sc)
+    for path, nodes in ((f"gateways.{next(iter(sc.gateways))}", gateways),
+                        ("origins", origins), ("users", users)):
+        _expect_unique(path, nodes)
 
     if sc.latency_samples_file:
         sampler = cst.LatencySampler.from_file(sc.latency_samples_file)

@@ -396,17 +396,34 @@ class TestCLICommands:
         ("lognormal_latency: ", {"lognormal_latency": {"median_ms": 40.0, "sigma": 0}}),
         ("gateways.list[0]: latitude", {"gateways": {"list": [{"name": "g", "lat_deg": -91.0,
                                                                "lon_deg": 0.0}]}}),
+        ("origins: duplicate name 'main'",
+         {"origins": 2 * [{"name": "main", "lat_deg": 10.0, "lon_deg": -75.0}]}),
+        ("gateways.list: duplicate name 'g'",
+         {"gateways": {"list": 2 * [{"name": "g", "lat_deg": 0.0, "lon_deg": -75.0}]}}),
+        ("gateways.file: duplicate name 'g'",
+         {"gateways": {"file": "@gw.csv"},
+          "_files": {"gw.csv": "name,lat_deg,lon_deg\ng,0,-75\ng,1,-75\n"}}),
+        ("gateways.file line 3: latitude",
+         {"gateways": {"file": "@gw.csv"},
+          "_files": {"gw.csv": "name,lat_deg,lon_deg\ng,0,-75\nh,100,-75\n"}}),
+        ("gateways.file line 2: could not convert",
+         {"gateways": {"file": "@gw.csv"},
+          "_files": {"gw.csv": "name,lat_deg,lon_deg\ng,north,-75\n"}}),
     ], ids=["routing_weights", "qoe_budget_zero", "optimizer_typo", "optimizer_value",
             "orbits_zero", "origin_latitude", "duplicate_shell_names", "lognormal_sigma_zero",
-            "gateway_latitude"])
+            "gateway_latitude", "duplicate_origin_names", "duplicate_gateway_names",
+            "duplicate_gateway_file_names", "gateway_file_latitude", "gateway_file_not_a_number"])
     def test_bad_settings_exit_code_before_any_solver(self, tmp_path, capsys, monkeypatch,
                                                       field, over):
         import satcdn.scenario as sc_mod
 
         called = []
         monkeypatch.setitem(sc_mod.SOLVERS, "no_replica", lambda *a, **k: called.append(a))
+        over = dict(over)
+        for name, text in over.pop("_files", {}).items():  # "@name" is tmp_path / name
+            (tmp_path / name).write_text(text)
         cfg_path = tmp_path / "cfg.json"
-        cfg_path.write_text(json.dumps(minimal_config(**over)))
+        cfg_path.write_text(json.dumps(minimal_config(**over)).replace('"@', f'"{tmp_path}/'))
         rc = main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "o")])
         assert rc == 2 and not called
         assert capsys.readouterr().err.startswith(f"config error: {field}")
