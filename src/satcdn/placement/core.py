@@ -11,11 +11,12 @@ from the oracle matrix in place, with no per-slot copy or gather of the R x R
 block. Inside the DP, disconnected distances read as a large finite sentinel
 (``BIG``) so that argmin arithmetic stays NaN-free; reported costs always come
 from a clean re-evaluation against the oracle. On the default node layout the
-R nodes are one contiguous run, so their block is a view of the oracle matrix:
+R nodes are one contiguous run, so their block is a view of the oracle matrix,
 read as is when it already has the DP dtype and no +inf (decided once per
-oracle and slot, and shared by every content, iteration and solver), else
-through a wrapper that sanitizes each read. Only R nodes that are not one run
-(a restricted candidate set) make a sanitized copy of the block per use.
+oracle and slot, and shared by every content, iteration and solver). Otherwise
+(+inf, another dtype, or R nodes that are not one run) the block is read
+through a wrapper that maps each read to node indices and sanitizes just the
+entries asked for.
 """
 
 from __future__ import annotations
@@ -168,17 +169,29 @@ def _sanitized(block: np.ndarray, dtype, out: np.ndarray | None = None) -> np.nd
 
 
 class _SanitizedReads:
-    """A slot block read through a view of the oracle matrix that holds +inf
-    or another dtype: each read returns a sanitized copy (see ``_sanitized``)
-    of just the entries asked for."""
+    """A slot's R x R block read through the oracle matrix ``D`` when it cannot
+    be a view of it. ``r`` indexes the R nodes in ``D``: a slice when they are
+    one run, else their node indices. Each read ``[rows, cols]`` (R-positions)
+    returns a sanitized copy (see ``_sanitized``) of just the entries asked
+    for, shaped as the same read of an R x R array would be."""
 
-    __slots__ = ("raw", "dtype")
+    __slots__ = ("raw", "nodes", "dtype")
 
-    def __init__(self, raw: np.ndarray, dtype):
-        self.raw, self.dtype = raw, np.dtype(dtype)
+    def __init__(self, D: np.ndarray, r, dtype):
+        self.raw, self.nodes = (D[r, r], None) if isinstance(r, slice) else (D, r)
+        self.dtype = np.dtype(dtype)
 
     def __getitem__(self, idx) -> np.ndarray:
-        return _sanitized(self.raw[idx], self.dtype)
+        rows, cols = idx
+        if self.nodes is not None:
+            # A slice maps to an array, which must keep the slice's axis apart
+            # from the other index rather than broadcast against it.
+            rows, cols = self.nodes[rows], self.nodes[cols]
+            if isinstance(idx[0], slice):
+                rows = rows.reshape(rows.shape + (1,) * np.ndim(cols))
+            elif isinstance(idx[1], slice):
+                rows = np.expand_dims(rows, -1)
+        return _sanitized(self.raw[rows, cols], self.dtype)
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -208,27 +221,31 @@ def _layout(oracle: DistanceOracle) -> dict:
     if ground.size:
         orbit_of[ground] = orbit_of.max(initial=-1) + 1
     # Candidates grouped by orbit (orbit_ids ascending), id-ascending within
-    # each: orbit o's group is orbit_cands[orbit_start[o]:][:orbit_size[o]].
-    # orbit_slot maps an R-position to its index in orbit_cands (C for the
-    # origins).
+    # each: row o of orbit_grid holds orbit o's indexes in orbit_cands, padded
+    # with C. orbit_slot maps an R-position to its index in orbit_cands (C for
+    # the origins), and orbit_perm takes cand_pos order to orbit_cands order.
     C = cand_pos.size
-    orbit_cands = cand_pos[np.argsort(orbit_of[cand_pos], kind="stable")]
+    orbit_perm = np.argsort(orbit_of[cand_pos], kind="stable")
+    orbit_cands = cand_pos[orbit_perm]
     keys_sorted = orbit_of[orbit_cands]
     orbit_start = np.flatnonzero(np.concatenate([[True], keys_sorted[1:] != keys_sorted[:-1]])) \
         if C else np.empty(0, dtype=np.int64)
     orbit_size = np.diff(np.append(orbit_start, C))
     orbit_ids = keys_sorted[orbit_start]
+    orbit_grid = np.full((orbit_ids.size, orbit_size.max(initial=0)), C, dtype=np.int64)
+    orbit_grid[np.repeat(np.arange(orbit_ids.size), orbit_size),
+               np.arange(C) - np.repeat(orbit_start, orbit_size)] = np.arange(C)
     orbit_slot = np.full(R, C, dtype=np.int64)
     orbit_slot[orbit_cands] = np.arange(C)
     return dict(
-        r_nodes=r_nodes, R=R, cand_pos=cand_pos,
+        r_nodes=r_nodes, r_ids=r_nodes.tolist(), R=R, cand_pos=cand_pos,
         origin_set=frozenset(origin_pos.tolist()), s0=tuple(origin_pos.tolist()),
         dp_dtype=np.float64 if R <= 768 else np.float32, orbit_cands=orbit_cands,
-        orbit_start=orbit_start, orbit_size=orbit_size, orbit_ids=orbit_ids,
-        orbit_slot=orbit_slot,
+        orbit_grid=orbit_grid, orbit_ids=orbit_ids, orbit_slot=orbit_slot,
         orbit_members={o: orbit_cands[a:a + n] for o, a, n in zip(
             orbit_ids.tolist(), orbit_start.tolist(), orbit_size.tolist())},
-        _r_index=_as_index(r_nodes), _orbit_cols=_as_index(orbit_cands))
+        _r_index=_as_index(r_nodes), _cand_cols=_as_index(cand_pos),
+        _orbit_perm=_as_index(orbit_perm))
 
 
 class ContentProblem:
@@ -260,37 +277,28 @@ class ContentProblem:
         # Row-chunk buffers of dp_pass, reused across slots and passes.
         self._buf = np.empty(max(_CHUNK, self.R), dtype=self.dp_dtype)
         self._buf64 = np.empty(self._buf.size)
-        # Per slot: the R x R blocks read in place, the user blocks, their
-        # demand-weighted copies and the latest base_costs; the buffer of
-        # R x R copies.
-        self._blocks: list[np.ndarray | None] = [None] * self.T
+        # Per slot: the R x R blocks, the user blocks, their demand-weighted
+        # copies and the latest base_costs.
+        self._blocks: list[np.ndarray | _SanitizedReads | None] = [None] * self.T
         self._user_blocks: list[np.ndarray | None] = [None] * self.T
         self._weighted: list[np.ndarray | None] = [None] * self.T
-        self._scratch: np.ndarray | None = None
         self._base_costs: dict[int, tuple] = {}
+        # The orbit DP's latest choices and distances between them.
+        self._orbit_pairs: tuple[np.ndarray, np.ndarray] | None = None
 
     def block(self, t: int) -> np.ndarray:
         """(R x R) sanitized distances among the R nodes at slot ``t``, read-only.
 
         Row and column order are R-positions; entry [v, a] is the distance
         from R-node v to R-node a. It is a view of the oracle matrix when that
-        block can be read in place (see ``_in_place``). When the R nodes are
-        one run but the block holds +inf or another dtype, it is read through
-        that view, sanitizing each read. Otherwise every call writes a
-        sanitized copy into one buffer of this problem, so the block is valid
-        only until the next call.
+        block can be read in place (see ``_in_place``), else a
+        ``_SanitizedReads`` over the oracle matrix.
         """
         B = self._blocks[t - 1]
         if B is None:
             D, r = self.oracle.matrix(t), self._r_index
-            if _in_place(self._shared, D, t, r, r, self.dp_dtype):
-                B = _read_only(D[r, r])
-            elif isinstance(r, slice):
-                B = _SanitizedReads(D[r, r], self.dp_dtype)
-            else:
-                if self._scratch is None:
-                    self._scratch = np.empty((self.R, self.R), dtype=self.dp_dtype)
-                return _read_only(_sanitized(D[r][:, r], self.dp_dtype, out=self._scratch))
+            B = _read_only(D[r, r]) if _in_place(self._shared, D, t, r, r, self.dp_dtype) \
+                else _SanitizedReads(D, r, self.dp_dtype)
             self._blocks[t - 1] = B
         return B
 
@@ -318,30 +326,38 @@ class ContentProblem:
         return wd
 
     def base_costs(self, t: int, base: tuple[int, ...]):
-        """Costs of replica set ``base`` (R-positions) at slot ``t``.
-
-        Returns the query cost (the demand-weighted distance from each user
-        to its nearest member, summed), the storage cost, and per candidate
-        in ``orbit_cands`` order the query cost with that candidate added.
-        The orbit DP and the DP pass of one MTOLS iteration share them: the
-        latest set of each slot is kept.
+        """Costs of replica set ``base`` (R-positions) at slot ``t``: the query
+        cost (the demand-weighted distance from each user to its nearest
+        member, summed), the storage cost, and each user's demand-weighted
+        distance to its nearest member. The latest set of each slot is kept,
+        so the orbit DP and the DP pass of one MTOLS iteration share them.
         """
         kept = self._base_costs.get(t)
-        if kept is not None and kept[0] == base:
-            return kept[1]
-        base_arr = np.asarray(base, dtype=np.int64)
-        wd = self.weighted_user_block(t)
-        wu1 = wd[:, base_arr].min(axis=1)
-        costs = (float(wu1.sum()), float(self.rate[base_arr].sum()),
-                 np.minimum(wu1[:, None], wd[:, self._orbit_cols]).sum(axis=0))
-        self._base_costs[t] = (base, costs)
-        return costs
+        if kept is None or kept[0] != base:
+            base_arr = np.asarray(base, dtype=np.int64)
+            wu1 = self.weighted_user_block(t)[:, base_arr].min(axis=1)
+            kept = self._base_costs[t] = (base, float(wu1.sum()),
+                                          float(self.rate[base_arr].sum()), wu1)
+        return kept[1:]
+
+    def query_costs_with(self, t: int, base: tuple[int, ...], cols) -> np.ndarray:
+        """Query cost of ``base`` at slot ``t`` with each R-position of
+        ``cols`` (an index array or a slice) added: the column sums of the
+        (users x cols) block of weighted distances.
+
+        The sum order follows the block's layout, and the last bits with it:
+        an index-array gather is laid out column by column, so NumPy sums
+        each column pairwise; a sliced block is summed row by row.
+        """
+        wu1 = self.base_costs(t, base)[2]
+        return np.minimum(wu1[:, None], self.weighted_user_block(t)[:, cols]).sum(axis=0)
 
     def weights(self, t: int) -> np.ndarray:
         return self._weights[t - 1]
 
     def to_global(self, sets: Sequence[tuple[int, ...]]) -> list[tuple[int, ...]]:
-        return [tuple(int(self.r_nodes[p]) for p in st) for st in sets]
+        ids = self.r_ids
+        return [tuple([ids[p] for p in st]) for st in sets]
 
 
 Rule = Callable[[str, ContentProblem, PlacementStats], list[tuple[int, ...]]]
@@ -421,8 +437,7 @@ def _min_over_adds(B: np.ndarray, W: np.ndarray, pa: np.ndarray, w1: np.ndarray,
     """
     if W.size * pa.size <= buf.size:
         M = g_adds[None, :] + alpha * np.minimum(w1[:, None], B[W[:, None], pa])
-        j = M.argmin(axis=1)
-        return M[np.arange(W.size), j], j
+        return M.min(axis=1), M.argmin(axis=1)
     r0, c0 = int(W.min()), int(pa[0])
     sub = B[r0:int(W.max()) + 1, c0:int(pa[-1]) + 1]
     nr, nc = sub.shape
@@ -468,7 +483,7 @@ def dp_pass(problem: ContentProblem, sets: list[tuple[int, ...]],
 
     prev_moves = MoveSet.keep_only()
     prev_f = np.zeros(1, dtype=np.float64)
-    prev_base = problem.s0
+    prev_arr = np.asarray(problem.s0, dtype=np.int64)
     trail: list[tuple[MoveSet, np.ndarray]] = []
 
     for t in range(1, T + 1):
@@ -476,8 +491,6 @@ def dp_pass(problem: ContentProblem, sets: list[tuple[int, ...]],
         base = sets[t - 1]
         base_arr = np.asarray(base, dtype=np.int64)
         mv = gen_moves(t, base, B)
-
-        prev_arr = np.asarray(prev_base, dtype=np.int64)
 
         # g[b] = f(t-1, b) + alpha * sum_{v in base} nnd_b(v) for each previous
         # variant b; group-structured so it never materializes n_prev x R.
@@ -524,7 +537,7 @@ def dp_pass(problem: ContentProblem, sets: list[tuple[int, ...]],
             return np.vstack(rows)
 
         # Query and storage of the base set at t.
-        qc_keep, sc_keep, qc_with = problem.base_costs(t, base)
+        qc_keep, sc_keep, _ = problem.base_costs(t, base)
 
         n_cur = mv.n_moves
         f_cur = np.empty(n_cur, dtype=np.float64)
@@ -553,8 +566,8 @@ def dp_pass(problem: ContentProblem, sets: list[tuple[int, ...]],
                     dmod_rows(pro, w1, w2, wa1), B[W[:, None], pri].T).T
                 am = np.argmin(M, axis=1)
                 _fold(best, ptr, M[np.arange(W.size), am], off_r + am)
-            qc_add = qc_with[problem.orbit_slot[W]]
             lo = 1
+            qc_add = problem.query_costs_with(t, base, W)
             f_cur[lo:lo + W.size] = best + qc_add + sc_keep + rate[W]
             bp_cur[lo:lo + W.size] = ptr
 
@@ -587,7 +600,7 @@ def dp_pass(problem: ContentProblem, sets: list[tuple[int, ...]],
 
         stats.relaxations += prev_moves.n_moves * n_cur
         trail.append((mv, bp_cur))
-        prev_moves, prev_f, prev_base = mv, f_cur, base
+        prev_moves, prev_f, prev_arr = mv, f_cur, base_arr
 
     best_final = int(prev_f.argmin())
     f_best = float(prev_f[best_final])

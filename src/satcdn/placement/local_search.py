@@ -70,17 +70,19 @@ def _orbit_dp(problem: ContentProblem, sets: list[tuple[int, ...]],
     # Each orbit's satellite per slot, which the DP does not change: the
     # member with the least marginal query cost on top of the slot's replica
     # set among those not deployed yet, the lowest id on ties. mqc columns
-    # follow orbit_cands; column C stands for the origins.
+    # follow orbit_cands; column C stands for the origins, which every set
+    # holds, and pads the orbit grid.
     mqc = np.empty((T, C + 1))
     qc_base, sc_base = np.empty(T), np.empty(T)
     for t in range(1, T + 1):
-        qc_base[t - 1], sc_base[t - 1], mqc[t - 1, :C] = problem.base_costs(t, sets[t - 1])
+        qc_base[t - 1], sc_base[t - 1], _ = problem.base_costs(t, sets[t - 1])
+        mqc[t - 1, :C] = problem.query_costs_with(t, sets[t - 1], problem._cand_cols)[
+            problem._orbit_perm]
     mqc[np.arange(T)[:, None], problem.orbit_slot[padded[1:]]] = np.inf
-    starts = problem.orbit_start
-    best = np.minimum.reduceat(mqc[:, :C], starts, axis=1)
-    hit = mqc[:, :C] == np.repeat(best, problem.orbit_size, axis=1)
-    first = C - np.maximum.reduceat(np.where(hit, C - np.arange(C), 0), starts, axis=1)
+    by_orbit = mqc[:, problem.orbit_grid]
+    best = by_orbit.min(axis=2)
     have = np.isfinite(best)
+    first = problem.orbit_grid[np.arange(nO), by_orbit.argmin(axis=2)]
     v_sel = np.where(have, problem.orbit_cands[first], -1)
     # Query plus storage cost of each orbit's choice.
     own = np.where(have, best + (sc_base[:, None] + rate[v_sel]), (qc_base + sc_base)[:, None])
@@ -88,19 +90,33 @@ def _orbit_dp(problem: ContentProblem, sets: list[tuple[int, ...]],
     # Replication of each choice from the previous slot's replicas, and
     # z[t - 2][c, p] of choice c at slot t from the previous slot's replicas
     # or from the satellite p chosen at slot t - 1. A slot's orbit without a
-    # member costs nothing, as distances are nonnegative.
+    # member costs nothing, as distances are nonnegative. The alpha-scaled
+    # distances between consecutive choices are kept for the next iteration,
+    # which reads again only the rows and columns whose choice changed.
     rep_d = np.empty((T, K, nO), dtype=problem.dp_dtype)
-    z = np.empty((T - 1, nO, nO))
+    kept = problem._orbit_pairs
+    pair = np.empty((T - 1, nO, nO)) if kept is None else kept[1]
+    changed = None if kept is None else v_sel != kept[0]
     for t in range(1, T + 1):
         B = problem.block(t)
-        rep_d[t - 1] = B[v_sel[t - 1][:, None], padded[t - 1]].T
-        if t > 1:
-            np.multiply(alpha, B[v_sel[t - 1][:, None], v_sel[t - 2]], out=z[t - 2],
-                        dtype=np.float64)
+        cur = v_sel[t - 1]
+        rep_d[t - 1] = B[cur[:, None], padded[t - 1]].T
+        if t == 1:
+            continue
+        prv, dst = v_sel[t - 2], pair[t - 2]
+        if changed is None:
+            np.multiply(alpha, B[cur[:, None], prv], out=dst, dtype=np.float64)
+            continue
+        rows, cols = np.flatnonzero(changed[t - 1]), np.flatnonzero(changed[t - 2])
+        if rows.size:
+            dst[rows] = np.multiply(alpha, B[cur[rows][:, None], prv], dtype=np.float64)
+        if cols.size:
+            dst[:, cols] = np.multiply(alpha, B[cur[:, None], prv[cols]], dtype=np.float64)
+    problem._orbit_pairs = (v_sel, pair)
     rep = np.where(have, np.multiply(alpha, rep_d.min(axis=1), dtype=np.float64), 0.0)
+    z = np.minimum(pair, rep[1:, :, None])
     if not have.all():
-        np.copyto(z, np.inf, where=~have[:-1, None, :])
-    np.minimum(z, rep[1:, :, None], out=z)
+        np.copyto(z, rep[1:, :, None], where=~have[:-1, None, :])
 
     rows = np.arange(nO)
     g_prev = own[0] + rep[0]
@@ -133,10 +149,8 @@ def _mtols_movegen(problem: ContentProblem, orbit_seq: Sequence[int]):
         o = orbit_seq[t - 1]
         if o < 0:
             return MoveSet.keep_only()
-        members = problem.orbit_members[o]
-        in_base = np.zeros(problem.R, dtype=bool)
-        in_base[np.asarray(base, dtype=np.int64)] = True
-        adds = members[~in_base[members]]
+        adds = np.array([m for m in problem.orbit_members[o].tolist() if m not in base],
+                        dtype=np.int64)
         return MoveSet(adds=adds, dels=e, rep_out=e, rep_in=e)
 
     return gen
@@ -158,8 +172,10 @@ def _search_rule(users: list[str], catalog, config: OptimizerConfig, orbit_mode:
                 gen = _mtls_movegen(prob, config.neighbor_limit)
             new_sets, _f = dp_pass(prob, sets, gen, stats)
             stats.iterations += 1
-            new_total = evaluate_content(prob, c, users, new_sets, catalog).total
             old = hist[-1]
+            # An unchanged schedule costs what it did; only a new one is evaluated.
+            new_total = old if new_sets == sets else \
+                evaluate_content(prob, c, users, new_sets, catalog).total
             if new_total < old - config.improvement_tol * max(1.0, abs(old)):
                 sets, hist = new_sets, hist + [new_total]
             else:

@@ -2,11 +2,10 @@
 read them in place.
 
 A block is a read-only view of the oracle matrix when the R nodes are one
-contiguous run whose block already has the DP dtype and no +inf. When the run
-holds +inf or another dtype, the solvers read through that view and sanitize
-each read; when the R nodes are not one run, they read a sanitized copy. All
-three must drive every solver to the same result, and no solver may write to
-the oracle.
+contiguous run whose block already has the DP dtype and no +inf. Otherwise
+(+inf, another dtype, or R nodes that are not one run) the solvers read the
+oracle matrix through a wrapper that sanitizes each read. Both must drive
+every solver to the same result, and no solver may write to the oracle.
 """
 
 import numpy as np
@@ -15,13 +14,14 @@ import pytest
 from helpers import motion_instance
 from satcdn.costmodel import DistanceOracle
 from satcdn.placement import SOLVERS, OptimizerConfig
-from satcdn.placement.core import BIG, ContentProblem, _min_over_adds, _two_smallest
+from satcdn.placement.core import (BIG, ContentProblem, _min_over_adds, _sanitized,
+                                   _SanitizedReads, _two_smallest)
 
 
 def rebuild(oracle, mats, dtype=np.float64, keep=None):
-    """An oracle over the ``keep`` nodes (all by default) of ``oracle`` with
-    the given per-slot matrices stored in ``dtype``."""
-    keep = np.arange(oracle.n_nodes) if keep is None else np.sort(np.asarray(keep))
+    """An oracle over the ``keep`` nodes (all by default, in that order) of
+    ``oracle`` with the given per-slot matrices stored in ``dtype``."""
+    keep = np.arange(oracle.n_nodes) if keep is None else np.asarray(keep)
     return DistanceOracle([np.asarray(m[np.ix_(keep, keep)], dtype=dtype) for m in mats],
                           [oracle.ids[i] for i in keep], oracle.kind[keep],
                           shell=oracle.shell[keep], orbit=oracle.orbit[keep],
@@ -48,7 +48,7 @@ def outcome(solver, oracle, demand, catalog, params):
 
 def block_kinds(oracle, demand, params):
     """How slot 1's R x R and user blocks are read: "view" (in place),
-    "reads" (through the oracle view, sanitizing each read) or "copy"."""
+    "reads" (through the oracle matrix, sanitizing each read) or "copy"."""
     users = np.array([oracle.index[u] for u in demand.users])
     prob = ContentProblem(oracle, users, demand.values[:, 0, :], 1.0, params)
     D = oracle.matrix(1)
@@ -93,26 +93,82 @@ class TestViewEqualsCopy:
         kept = full.candidates_idx[::2]
         copy = full.with_candidates(kept)
         view = rebuild(oracle, mats, keep=np.concatenate([kept, full.origins_idx, full.users_idx]))
-        assert block_kinds(copy, demand, params) == ("copy", "copy")
+        assert block_kinds(copy, demand, params) == ("reads", "copy")
         assert block_kinds(view, demand, params) == ("view", "view")
         assert outcome(solver, view, demand, catalog, params) == \
             outcome(solver, copy, demand, catalog, params)
 
 
-@pytest.mark.parametrize("layout", ["view", "reads", "copy"])
+@pytest.mark.parametrize("layout", ["view", "inf", "not_one_run"])
 def test_solvers_leave_oracle_matrices_unchanged(instance, layout):
     oracle, mats, demand, catalog, params = instance
-    if layout == "reads":
+    if layout == "inf":
         mats = [m.copy() for m in mats]
         for m in mats:
             m[3, 11] = m[11, 3] = np.inf
     oracle = rebuild(oracle, mats)
-    if layout == "copy":
+    if layout == "not_one_run":
         oracle = oracle.with_candidates(oracle.candidates_idx[::2])
     before = [oracle.matrix(t).tobytes() for t in range(1, oracle.slot_count + 1)]
     for solve in SOLVERS.values():
         solve(demand, oracle, params, OptimizerConfig(max_iterations=3), catalog=catalog)
     assert [oracle.matrix(t).tobytes() for t in range(1, oracle.slot_count + 1)] == before
+
+
+@pytest.mark.parametrize("one_run", [True, False])
+def test_sanitized_reads_match_reads_of_the_sanitized_block(one_run):
+    """Every read form the solvers use returns what the same read of the
+    sanitized R x R block gives, whether the R nodes are one run or not."""
+    rng = np.random.default_rng(4)
+    D = rng.random((12, 12))
+    D[rng.random(D.shape) < 0.2] = np.inf
+    nodes = np.arange(2, 9) if one_run else np.array([0, 3, 4, 7, 10, 11])
+    reads = _SanitizedReads(D, slice(2, 9) if one_run else nodes, np.float32)
+    block = _sanitized(D[np.ix_(nodes, nodes)], np.float32)
+    a, b = np.array([4, 0, 2]), np.array([[1], [3]])
+    for idx in [(slice(None), a), (a, slice(1, 4)), (slice(None), slice(None)),
+                (a[:, None], a), (b, a), (2, slice(None)), (slice(None), 3), (a, 1),
+                (np.int64(2), a), (b, slice(None))]:
+        got = reads[idx]
+        assert got.dtype == np.float32 and got.shape == block[idx].shape
+        assert np.array_equal(got, block[idx])
+
+
+@pytest.mark.parametrize("one_run", [True, False])
+@pytest.mark.parametrize("n_cands", [30, 780])  # DP in float64, float32
+def test_query_costs_with_targets_keep_their_sum_order(n_cands, one_run):
+    """On float distances and weights, the query costs with one target added
+    equal, bit for bit, the block expressions they stand for: pairwise column
+    sums of an index-array gather (the DP pass's additions, any number of
+    targets, one included) and, for the orbit DP's marginal costs, sums over
+    the candidate columns, row by row when they are one run."""
+    oracle, demand, _catalog, params = motion_instance(8, 60, n_cands, 3, n_gateways=2,
+                                                       orbit_rows=5)
+    if not one_run:  # an origin between the satellites and the gateways
+        order = np.arange(oracle.n_nodes)
+        order = np.concatenate([order[:n_cands], oracle.origins_idx,
+                                np.setdiff1d(order[n_cands:], oracle.origins_idx)])
+        oracle = rebuild(oracle, [oracle.matrix(t) for t in range(1, 4)], keep=order)
+    users = np.array([oracle.index[u] for u in demand.users])
+    prob = ContentProblem(oracle, users, demand.values[:, 0, :], 1.0, params)
+    assert prob.dp_dtype == (np.float64 if n_cands < 768 else np.float32)
+    assert isinstance(prob._cand_cols, slice) == one_run
+    rng = np.random.default_rng(3)
+    for t in range(1, prob.T + 1):
+        base = tuple(sorted(prob.s0 + tuple(rng.choice(prob.cand_pos, 2, replace=False).tolist())))
+        du, wz = np.array(prob.user_block(t)), prob.weights(t)
+        u1 = du[:, np.asarray(base)].min(axis=1)
+        assert prob.base_costs(t, base)[0] == float((wz * u1).sum())
+        free = np.setdiff1d(prob.cand_pos, base)
+        for k in (1, 1, 2, 7, free.size):
+            W = np.sort(rng.choice(free, k, replace=False))
+            ref = (wz[:, None] * np.minimum(u1[:, None], du[:, W])).sum(axis=0)
+            got = prob.query_costs_with(t, base, W)
+            assert got.dtype == ref.dtype and np.array_equal(got, ref)
+        cols = slice(int(prob.cand_pos[0]), int(prob.cand_pos[-1]) + 1) if one_run \
+            else prob.cand_pos
+        ref = (wz[:, None] * np.minimum(u1[:, None], du[:, cols])).sum(axis=0)
+        assert np.array_equal(prob.query_costs_with(t, base, prob._cand_cols), ref)
 
 
 def two_smallest_reference(mat, members, rows):

@@ -6,7 +6,8 @@ import pytest
 from helpers import motion_instance
 from satcdn.costmodel import CostParams, DistanceOracle
 from satcdn.demand import DemandMatrix
-from satcdn.placement import OptimizerConfig, solve_mtls, solve_mtols
+from satcdn.placement import OptimizerConfig, local_search, solve_mtls, solve_mtols
+from satcdn.placement.core import ContentProblem, PlacementStats
 
 SAT, USER, GATEWAY, ORIGIN = 0, 1, 2, 3
 
@@ -132,6 +133,46 @@ class TestMTOLSSolver:
         a = solve_mtols(demand, oracle, params, cfg, catalog=catalog)
         b = solve_mtols(demand, oracle, params, cfg, catalog=catalog)
         assert a.schedule.sets == b.schedule.sets
+
+    def test_orbit_dp_after_earlier_calls_equals_fresh(self):
+        """The orbit DP keeps the distances between consecutive choices for
+        the next call and rereads only what changed; a call after others on
+        the same problem picks what it picks on a fresh problem."""
+        oracle, demand, _catalog, params = motion_instance(17, 6, 40, 6, n_gateways=2,
+                                                           orbit_rows=5)
+        users = np.array([oracle.index[u] for u in demand.users])
+
+        def problem():
+            return ContentProblem(oracle, users, demand.values[:, 0, :], 1.0, params)
+
+        warm = problem()
+        rng = np.random.default_rng(5)
+        for _ in range(6):
+            sets = [tuple(sorted(warm.s0 + tuple(
+                rng.choice(warm.cand_pos, rng.integers(0, 4), replace=False).tolist())))
+                for _t in range(warm.T)]
+            got = local_search._orbit_dp(warm, sets, PlacementStats("mtols"))
+            assert got == local_search._orbit_dp(problem(), sets, PlacementStats("mtols"))
+
+    def test_unchanged_schedule_is_not_reevaluated(self, monkeypatch):
+        """A DP pass that returns the current schedule stops the search with
+        the history as is, without evaluating that schedule again."""
+        seen = []
+        evaluate = local_search.evaluate_content
+
+        def record(prob, c, users, sets, catalog):
+            seen.append(list(sets))
+            return evaluate(prob, c, users, sets, catalog)
+
+        monkeypatch.setattr(local_search, "evaluate_content", record)
+        oracle, demand, catalog, params = motion_instance(13, 3, 12, 5, orbit_rows=4)
+        for solve in (solve_mtls, solve_mtols):
+            seen.clear()
+            res = solve(demand, oracle, params, OptimizerConfig(max_iterations=20),
+                        catalog=catalog)
+            assert res.stats.iterations < 20  # stopped by a pass without a gain
+            assert all(a != b for a, b in zip(seen, seen[1:]))
+            assert len(seen) >= len(res.stats.history["c0"])
 
 
 class TestOperationCounters:
