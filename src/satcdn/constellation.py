@@ -272,7 +272,7 @@ class LatencySampler:
     def lognormal(cls, median_ms: float = 40.0, sigma: float = 0.5) -> "LatencySampler":
         if median_ms <= 0 or sigma <= 0:
             raise ValueError("median_ms and sigma must be positive")
-        return cls(samples=None, median_ms=median_ms, sigma=sigma)
+        return cls(samples=None, median_ms=float(median_ms), sigma=float(sigma))
 
     @property
     def source(self) -> str:

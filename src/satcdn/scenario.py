@@ -5,15 +5,20 @@ cost parameters, algorithms, and (optionally) routing policies. ``run_scenario``
 wires constellation -> demand -> costs -> placement -> delivery and writes one
 CSV per (algorithm, table kind) plus a metadata file with every resolved
 default so results are reproducible.
+
+``_SCHEMA`` is the reference for the config: every field, its JSON type, its
+default and (where the config owns it) its range.
 """
 
 from __future__ import annotations
 
 import csv
+import inspect
 import json
-from dataclasses import asdict, dataclass, field, fields
+from contextlib import contextmanager
+from dataclasses import asdict, dataclass, make_dataclass
 from pathlib import Path
-from typing import Any
+from typing import Any, NamedTuple
 
 from . import constellation as cst
 from . import demand as dm
@@ -35,124 +40,171 @@ def _expect(cond: bool, path: str, msg: str):
         raise ConfigError(f"{path}: {msg}")
 
 
-@dataclass
-class Scenario:
-    """A fully resolved scenario configuration."""
-
-    seed: int = 0
-    slot_seconds: float = 300.0
-    horizon_slots: int = 12
-    metric: str = "hop"
-    alpha: float = 50.0
-    beta: float = 1.0
-    shells: list[dict] = field(default_factory=list)
-    gateways: dict = field(default_factory=lambda: {"list": []})
-    origins: list[dict] = field(default_factory=list)
-    users: dict = field(default_factory=dict)
-    latency_samples_file: str | None = None
-    lognormal_latency: dict = field(default_factory=lambda: {"median_ms": 40.0, "sigma": 0.5})
-    candidates: str = "both"
-    algorithms: list[str] = field(default_factory=lambda: list(ALGORITHMS))
-    prediction: dict = field(default_factory=lambda: {"mode": "oracle"})
-    optimizer: dict = field(default_factory=dict)
-    routing: dict = field(default_factory=dict)
+@contextmanager
+def _field(path: str):
+    """Report a library ``ValueError`` raised inside as a config error at ``path``."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
 
 
-_SHELL_DEFAULTS = dict(orbits=1, sats_per_orbit=1, altitude_km=550.0, inclination_deg=53.0,
-                       phasing_offset=0.0, min_elevation_deg=10.0, isl=True, gamma=10.0,
-                       geo_longitudes_deg=None)
-
-_OPT_DEFAULTS = {f.name: f.default for f in fields(OptimizerConfig)}
-
-_ROUTING_DEFAULTS = dict(policies=[], fanout=3, weights=[4.0 / 7.0, 2.0 / 7.0, 1.0 / 7.0],
-                         terrestrial_gbps=20.0, satellite_gbps=10.0, qoe_budget_s=4.0,
-                         server_capacity_mbps=None)
+_REQUIRED = object()  # default of a field the config must give
 
 
-def load_config(source) -> Scenario:
-    """Parse and validate a scenario config (path or dict)."""
+class F(NamedTuple):
+    """One config field: its JSON ``kind`` ("int", "num", "str", "bool", a dict
+    of fields, a one-element list ``[item]`` of ``item`` fields, or a ``Tagged``),
+    its default (called with the resolved top-level config if callable; a None
+    default also admits null) and its range."""
+
+    kind: Any
+    default: Any = _REQUIRED
+    null: bool = False
+    ge: float | None = None
+    gt: float | None = None
+    choices: tuple | None = None
+    size: int | None = None
+    min_size: int = 0
+
+
+class Tagged(NamedTuple):
+    """An object whose fields depend on a variant: the value of its ``key``
+    field, or (``key`` None) the name of its one field, ``default`` if empty."""
+
+    key: str | None
+    variants: dict
+    default: Any = _REQUIRED
+
+    def fields(self, value: dict, path: str) -> dict:
+        if self.key is None:
+            _expect(len(value) <= 1, path, f"specify only one of {'/'.join(self.variants)}")
+            name = next(iter(value), self.default)
+            return {name: self.variants[name]} if name in self.variants else self.variants
+        tag = {self.key: F("str", self.default, choices=tuple(self.variants))}
+        name = _check(F(tag), {k: value[k] for k in tag if k in value}, path)[self.key]
+        return {**tag, **self.variants[name]}
+
+
+def _lib(owner, name: str):
+    """The default the library's ``owner`` (a function or dataclass) gives ``name``."""
+    return inspect.signature(owner).parameters[name].default
+
+
+def _from(owner, **kinds) -> dict:
+    """Fields typed by ``kinds`` whose defaults ``owner`` holds under the same names."""
+    return {name: F(kind, _lib(owner, name)) for name, kind in kinds.items()}
+
+
+_BBOX = F([F("num")], list(dm.US_BBOX), size=4)
+_SITE = F({"name": F("str"), "lat_deg": F("num"), "lon_deg": F("num")})
+
+_SCHEMA = {
+    "seed": F("int", _lib(cst.Network, "seed"), ge=0),
+    "slot_seconds": F("num", _lib(cst.Network, "slot_seconds"), gt=0),
+    "horizon_slots": F("int", 12),  # >= 1 unless users.mode is trace (checked in load_config)
+    "metric": F("str", "hop", choices=METRICS),
+    "alpha": F("num", _lib(CostParams.from_oracle, "alpha"), ge=1),
+    "beta": F("num", _lib(CostParams.from_oracle, "beta"), ge=0),
+    "shells": F([F({
+        "name": F("str"), "orbits": F("int", 1), "sats_per_orbit": F("int", 1),
+        "altitude_km": F("num", 550.0),
+        **_from(cst.ShellSpec, inclination_deg="num", phasing_offset="num",
+                min_elevation_deg="num", isl="bool", geo_longitudes_deg=[F("num")]),
+        "gamma": F("num", _lib(CostParams.from_oracle, "gamma"))})], min_size=1),
+    "gateways": F(Tagged(None, {
+        "file": F("str"),
+        "synthetic": F({"count": F("int", ge=0), "bbox": _BBOX,
+                        "seed": F("int", lambda config: config["seed"], ge=0)}),
+        "list": F([_SITE], [])}, default="list"), {}),
+    "origins": F([_SITE], min_size=1),
+    "users": F(Tagged("mode", {
+        "grid": {"rows": F("int", ge=1), "cols": F("int", ge=1), "bbox": _BBOX,
+                 "per_slot_demand": F("num", 1.0),
+                 "active": F([F("int")], _lib(dm.synth_grid_demand, "active"), size=2),
+                 "content_size_mb": F("num", _lib(dm.ContentCatalog.uniform, "size_mb"))},
+        "population": {"requests": F("int", ge=1),
+                       "nodes_file": F("str", None),  # None: bundled US states
+                       "contents": F([F("str")], _lib(dm.synth_population_demand, "contents"),
+                                     min_size=1),
+                       "content_size_mb": F("num", _lib(dm.ContentCatalog.uniform, "size_mb"))},
+        "trace": {"trace_file": F("str"), "nodes_file": F("str"),
+                  "catalog_file": F("str", None),
+                  "top_k": F("int", _lib(dm.load_trace, "top_k"), null=True, ge=1)}})),
+    "latency_samples_file": F("str", None),
+    "lognormal_latency": F(dict.fromkeys(("median_ms", "sigma"), F("num")),
+                           {k: _lib(cst.LatencySampler, k) for k in ("median_ms", "sigma")}),
+    "candidates": F("str", "both", choices=CANDIDATE_MODES),
+    "algorithms": F([F("str", choices=ALGORITHMS)], list(ALGORITHMS)),
+    "prediction": F(Tagged("mode", {"oracle": {},
+                                    "moving_average": {"window_slots": F("int", 1, ge=1)}},
+                           default="oracle"), {}),
+    "optimizer": F(_from(OptimizerConfig, max_iterations="int", neighbor_limit="int",
+                         improvement_tol="num", starfront_thresholds=[F("num")],
+                         pch_intra_period_s="num", pch_inter_period_s="num"), {}),
+    "routing": F({"policies": F([F("str", choices=POLICIES)], []),
+                  **_from(RoutingPolicy, fanout="int", weights=[F("num")]),
+                  **_from(LinkModel, terrestrial_gbps="num", satellite_gbps="num",
+                          server_capacity_mbps="num"),
+                  "qoe_budget_s": F("num", _lib(QoEModel, "budget_s"))}, {}),
+}
+
+_JSON = {"int": (int, "an integer"), "num": ((int, float), "a number"),
+         "str": (str, "a string"), "bool": (bool, "true or false")}
+
+
+def _check(f: F, value, path: str = "", config: dict | None = None):
+    """``value`` checked against ``f``, with defaults filled in and every given
+    value kept as written."""
+    kind = f.kind
+    if value is None and (f.null or f.default is None):
+        return None
+    if isinstance(kind, str):
+        types, name = _JSON[kind]
+        _expect(isinstance(value, types) and (kind == "bool") == isinstance(value, bool),
+                path, f"must be {name}")
+        _expect(f.ge is None or value >= f.ge, path, f"must be >= {f.ge}")
+        _expect(f.gt is None or value > f.gt, path, f"must be > {f.gt}")
+        _expect(f.choices is None or value in f.choices, path, f"must be one of {f.choices}")
+        return value
+    if isinstance(kind, list):
+        # a tuple comes only from a library-owned default
+        _expect(isinstance(value, (list, tuple)), path, "must be a list")
+        _expect(f.size is None or len(value) == f.size, path, f"must list {f.size} values")
+        _expect(len(value) >= f.min_size, path, f"must list at least {f.min_size} entries")
+        return [_check(kind[0], v, f"{path}[{i}]", config) for i, v in enumerate(value)]
+    _expect(isinstance(value, dict), path, "must be an object")
+    fields = kind.fields(value, path) if isinstance(kind, Tagged) else kind
+    prefix = f"{path}." if path else ""
+    for key in value:
+        _expect(key in fields, prefix + key, "unknown field")
+    out: dict = {}
+    config = out if config is None else config
+    for key, sub in fields.items():
+        if key not in value:
+            _expect(sub.default is not _REQUIRED, prefix + key, "required")
+        given = value.get(key, sub.default)
+        out[key] = _check(sub, given(config) if callable(given) else given, prefix + key, config)
+    return out
+
+
+Scenario = make_dataclass("Scenario", list(_SCHEMA), namespace={"__module__": __name__})
+
+
+def load_config(source, **overrides) -> Scenario:
+    """Parse and validate a scenario config (path or dict). ``overrides`` that
+    are not None replace top-level fields before the check."""
     if isinstance(source, (str, Path)):
-        with open(source) as fh:
-            raw = json.load(fh)
-    else:
-        raw = json.loads(json.dumps(source))  # deep copy, guarantees JSON-compatible
-
-    known = set(Scenario.__dataclass_fields__)
-    for key in raw:
-        _expect(key in known, key, "unknown configuration field")
-
-    sc = Scenario(**{k: raw[k] for k in raw})
-    _expect(sc.metric in METRICS, "metric", f"must be one of {METRICS}")
-    _expect(sc.horizon_slots >= 1 or sc.users.get("mode") == "trace",
+        with open(source) as fh, _field(str(source)):
+            source = json.load(fh)
+    _expect(isinstance(source, dict), "config", "must be a JSON object")
+    raw = {**source, **{k: v for k, v in overrides.items() if v is not None}}
+    cfg = _check(F(_SCHEMA), json.loads(json.dumps(raw)))  # deep copy, JSON-compatible
+    _expect(cfg["horizon_slots"] >= 1 or cfg["users"]["mode"] == "trace",
             "horizon_slots", "must be >= 1")
-    _expect(sc.slot_seconds > 0, "slot_seconds", "must be positive")
-    _expect(sc.alpha >= 1.0, "alpha", "must be >= 1")
-    _expect(sc.beta >= 0.0, "beta", "must be >= 0")
-    _expect(len(sc.shells) >= 1, "shells", "at least one shell is required")
-    _expect(sc.candidates in CANDIDATE_MODES, "candidates",
-            f"must be one of {CANDIDATE_MODES}")
-    for i, shell in enumerate(sc.shells):
-        path = f"shells[{i}]"
-        merged = dict(_SHELL_DEFAULTS)
-        _expect("name" in shell, path + ".name", "shell name is required")
-        merged["name"] = shell["name"]
-        for k, v in shell.items():
-            _expect(k in merged or k == "name", f"{path}.{k}", "unknown shell field")
-            merged[k] = v
-        _expect(merged["gamma"] >= sc.beta, path + ".gamma", "must be >= beta")
-        sc.shells[i] = merged
-    _expect(len({str(shell["name"]) for shell in sc.shells}) == len(sc.shells), "shells",
-            "shell names must be unique")
-    _expect(len(sc.origins) >= 1, "origins", "at least one origin node is required")
-    for i, org in enumerate(sc.origins):
-        for k in ("name", "lat_deg", "lon_deg"):
-            _expect(k in org, f"origins[{i}].{k}", "required")
-    mode = sc.users.get("mode")
-    _expect(mode in ("grid", "population", "trace"), "users.mode",
-            "must be grid, population, or trace")
-    if mode == "grid":
-        for k in ("rows", "cols"):
-            _expect(int(sc.users.get(k, 0)) >= 1, f"users.{k}", "must be >= 1")
-        sc.users.setdefault("bbox", list(dm.US_BBOX))
-        sc.users.setdefault("per_slot_demand", 1.0)
-        sc.users.setdefault("active", None)
-        sc.users.setdefault("content_size_mb", 1.0)
-    elif mode == "population":
-        _expect(int(sc.users.get("requests", 0)) >= 1, "users.requests", "must be >= 1")
-        sc.users.setdefault("nodes_file", None)  # default: bundled US states
-        sc.users.setdefault("contents", ["content/0"])
-        sc.users.setdefault("content_size_mb", 1.0)
-    else:
-        _expect("trace_file" in sc.users, "users.trace_file", "required for trace mode")
-        _expect("nodes_file" in sc.users, "users.nodes_file", "required for trace mode")
-        sc.users.setdefault("catalog_file", None)
-        sc.users.setdefault("top_k", 10)
-    gw_keys = set(sc.gateways) & {"file", "synthetic", "list"}
-    _expect(len(gw_keys) <= 1, "gateways", "specify only one of file/synthetic/list")
-    if not gw_keys:
-        sc.gateways = {"list": []}
-    if "synthetic" in sc.gateways:
-        syn = dict(sc.gateways["synthetic"])
-        _expect(int(syn.get("count", 0)) >= 0, "gateways.synthetic.count", "must be >= 0")
-        syn.setdefault("bbox", list(dm.US_BBOX))
-        syn.setdefault("seed", sc.seed)
-        sc.gateways = {"synthetic": syn}
-    for name in sc.algorithms:
-        _expect(name in ALGORITHMS, "algorithms", f"unknown algorithm {name!r}")
-    pmode = sc.prediction.get("mode", "oracle")
-    _expect(pmode in ("oracle", "moving_average"), "prediction.mode",
-            "must be oracle or moving_average")
-    if pmode == "moving_average":
-        _expect(int(sc.prediction.get("window_slots", 1)) >= 1,
-                "prediction.window_slots", "must be >= 1")
-    for section, defaults in (("optimizer", _OPT_DEFAULTS), ("routing", _ROUTING_DEFAULTS)):
-        given = getattr(sc, section)
-        for k in given:
-            _expect(k in defaults, f"{section}.{k}", f"unknown {section} field")
-        setattr(sc, section, {**defaults, **given})
-    for p in sc.routing["policies"]:
-        _expect(p in POLICIES, "routing.policies", f"unknown policy {p!r}")
-    return sc
+    for i, shell in enumerate(cfg["shells"]):
+        _expect(shell["gamma"] >= cfg["beta"], f"shells[{i}].gamma", "must be >= beta")
+    return Scenario(**cfg)
 
 
 @dataclass
@@ -167,34 +219,41 @@ class BuiltScenario:
     params: CostParams
 
 
+def _ground_node(path: str, node_id: str, kind: str, entry: dict) -> cst.GroundNode:
+    with _field(path):
+        return cst.GroundNode(node_id, kind, entry["lat_deg"], entry["lon_deg"])
+
+
+def _read_sites(path: str, file, kind: str, prefix: str):
+    """Ground nodes from the ``name,lat_deg,lon_deg[,weight]`` CSV ``file`` of
+    config field ``path``, with each node's weight (1.0 without the column)."""
+    nodes, weights = [], {}
+    with open(file, newline="") as fh:
+        reader = csv.reader(fh)
+        header = [h.strip() for h in next(reader, [])]
+        _expect(header[:3] == ["name", "lat_deg", "lon_deg"], path,
+                "expected header 'name,lat_deg,lon_deg[,weight]'")
+        for line, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            at = f"{path} line {line}"
+            _expect(len(row) >= len(header), at, f"expected fields {','.join(header)}")
+            name = row[0].strip()
+            nid = name if name.startswith(prefix + "/") else f"{prefix}/{name}"
+            with _field(at):
+                nodes.append(cst.GroundNode(nid, kind, float(row[1]), float(row[2])))
+                weights[nid] = float(row[3]) if len(header) > 3 else 1.0
+    return nodes, weights
+
+
 def _build_gateways(sc: Scenario) -> list[cst.GroundNode]:
     if "file" in sc.gateways:
-        nodes = []
-        with open(sc.gateways["file"], newline="") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, None)
-            _expect(header is not None and [h.strip() for h in header] == ["name", "lat_deg", "lon_deg"],
-                    "gateways.file", "expected header 'name,lat_deg,lon_deg'")
-            for line, row in enumerate(reader, start=2):
-                if not row:
-                    continue
-                path = f"gateways.file line {line}"
-                _expect(len(row) >= 3, path, "expected fields name,lat_deg,lon_deg")
-                nodes.append(_ground_node(path, f"gw/{row[0].strip()}", "gateway",
-                                          {"lat_deg": row[1], "lon_deg": row[2]}))
-        return nodes
+        return _read_sites("gateways.file", sc.gateways["file"], "gateway", "gw")[0]
     if "synthetic" in sc.gateways:
-        syn = sc.gateways["synthetic"]
-        return dm.random_ground_sites(int(syn["count"]), syn["bbox"], int(syn["seed"]))
+        with _field("gateways.synthetic"):
+            return dm.random_ground_sites(**sc.gateways["synthetic"])
     return [_ground_node(f"gateways.list[{i}]", f"gw/{g['name']}", "gateway", g)
-            for i, g in enumerate(sc.gateways.get("list", []))]
-
-
-def _ground_node(path: str, node_id: str, kind: str, entry: dict) -> cst.GroundNode:
-    try:
-        return cst.GroundNode(node_id, kind, float(entry["lat_deg"]), float(entry["lon_deg"]))
-    except ValueError as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
+            for i, g in enumerate(sc.gateways["list"])]
 
 
 def _expect_unique(path: str, nodes: list[cst.GroundNode]) -> None:
@@ -208,62 +267,38 @@ def _expect_unique(path: str, nodes: list[cst.GroundNode]) -> None:
 def _build_users_demand(sc: Scenario):
     u = sc.users
     if u["mode"] == "grid":
-        users, catalog, demand = dm.synth_grid_demand(
-            int(u["rows"]), int(u["cols"]), u["bbox"], float(u["per_slot_demand"]),
-            sc.horizon_slots, active=tuple(u["active"]) if u.get("active") else None,
-            size_mb=float(u["content_size_mb"]))
-        return users, catalog, demand
+        with _field("users"):
+            return dm.synth_grid_demand(u["rows"], u["cols"], u["bbox"], u["per_slot_demand"],
+                                        sc.horizon_slots, active=u["active"],
+                                        size_mb=u["content_size_mb"])
     if u["mode"] == "population":
-        if u.get("nodes_file"):
-            users, weights = _load_user_nodes(u["nodes_file"])
+        if u["nodes_file"]:
+            users, weights = _read_sites("users.nodes_file", u["nodes_file"], "user_region", "user")
         else:
             users, weights = dm.us_state_nodes()
-        demand = dm.synth_population_demand(weights, int(u["requests"]), sc.horizon_slots,
-                                            sc.seed, contents=list(u["contents"]))
-        catalog = dm.ContentCatalog.uniform(list(u["contents"]), float(u["content_size_mb"]))
+        with _field("users"):
+            demand = dm.synth_population_demand(weights, u["requests"], sc.horizon_slots,
+                                                sc.seed, contents=u["contents"])
+            catalog = dm.ContentCatalog.uniform(u["contents"], u["content_size_mb"])
         return users, catalog, demand
-    users, _weights = _load_user_nodes(u["nodes_file"])
-    catalog_in = dm.load_catalog(u["catalog_file"]) if u.get("catalog_file") else None
-    catalog, demand = dm.load_trace(u["trace_file"], known_users=[n.node_id for n in users],
-                                    top_k=u.get("top_k"), catalog=catalog_in)
+    users, _weights = _read_sites("users.nodes_file", u["nodes_file"], "user_region", "user")
+    with _field("users.catalog_file"):
+        catalog = dm.load_catalog(u["catalog_file"]) if u["catalog_file"] else None
+    with _field("users.trace_file"):
+        catalog, demand = dm.load_trace(u["trace_file"], known_users=[n.node_id for n in users],
+                                        top_k=u["top_k"], catalog=catalog)
     return users, catalog, demand
-
-
-def _load_user_nodes(path):
-    nodes, weights = [], {}
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        _expect(header is not None and [h.strip() for h in header][:3] == ["name", "lat_deg", "lon_deg"],
-                str(path), "expected header 'name,lat_deg,lon_deg[,weight]'")
-        has_w = len(header) > 3
-        for row in reader:
-            if not row:
-                continue
-            nid = row[0].strip()
-            if not nid.startswith("user/"):
-                nid = f"user/{nid}"
-            nodes.append(cst.GroundNode(nid, "user_region", float(row[1]), float(row[2])))
-            weights[nid] = float(row[3]) if has_w else 1.0
-    return nodes, weights
 
 
 def build_network(sc: Scenario) -> tuple[cst.Network, dm.ContentCatalog, dm.DemandMatrix]:
     """The network and demand half of ``build_scenario``: shells, ground
     nodes, latency sampler, catalog and demand, with no snapshots or oracle."""
     shells = []
-    for i, shell in enumerate(sc.shells):
-        try:
-            spec = cst.ShellSpec(
-                orbit_count=int(shell["orbits"]), sats_per_orbit=int(shell["sats_per_orbit"]),
-                altitude_km=float(shell["altitude_km"]), inclination_deg=float(shell["inclination_deg"]),
-                phasing_offset=float(shell["phasing_offset"]),
-                min_elevation_deg=float(shell["min_elevation_deg"]), isl=bool(shell["isl"]),
-                name=str(shell["name"]),
-                geo_longitudes_deg=tuple(shell["geo_longitudes_deg"]) if shell.get("geo_longitudes_deg") else None)
-            shells.append(cst.build_shell(spec))
-        except ValueError as exc:
-            raise ConfigError(f"shells[{i}]: {exc}") from exc
+    for i, s in enumerate(sc.shells):
+        with _field(f"shells[{i}]"):
+            spec = {k: v for k, v in s.items() if k not in ("orbits", "gamma")}
+            spec["geo_longitudes_deg"] = tuple(s["geo_longitudes_deg"] or ()) or None
+            shells.append(cst.build_shell(cst.ShellSpec(orbit_count=s["orbits"], **spec)))
 
     gateways = _build_gateways(sc)
     origins = [_ground_node(f"origins[{i}]", f"origin/{o['name']}", "origin", o)
@@ -274,16 +309,15 @@ def build_network(sc: Scenario) -> tuple[cst.Network, dm.ContentCatalog, dm.Dema
         _expect_unique(path, nodes)
 
     if sc.latency_samples_file:
-        sampler = cst.LatencySampler.from_file(sc.latency_samples_file)
+        with _field("latency_samples_file"):
+            sampler = cst.LatencySampler.from_file(sc.latency_samples_file)
     else:
-        ln = sc.lognormal_latency
-        try:
-            sampler = cst.LatencySampler.lognormal(float(ln["median_ms"]), float(ln["sigma"]))
-        except ValueError as exc:
-            raise ConfigError(f"lognormal_latency: {exc}") from exc
+        with _field("lognormal_latency"):
+            sampler = cst.LatencySampler.lognormal(**sc.lognormal_latency)
 
-    network = cst.Network(shells, gateways + origins + users,
-                          slot_seconds=sc.slot_seconds, latency_sampler=sampler, seed=sc.seed)
+    with _field("shells"):  # shell names must be unique
+        network = cst.Network(shells, gateways + origins + users,
+                              slot_seconds=sc.slot_seconds, latency_sampler=sampler, seed=sc.seed)
     return network, catalog, demand
 
 
@@ -297,11 +331,11 @@ def build_scenario(sc: Scenario) -> BuiltScenario:
     elif sc.candidates == "satellites_only":
         oracle = oracle.restrict_kinds([cst.SAT])
 
-    gamma_map = {i: float(shell["gamma"]) for i, shell in enumerate(sc.shells)}
+    gamma_map = {i: shell["gamma"] for i, shell in enumerate(sc.shells)}
     params = CostParams.from_oracle(oracle, alpha=sc.alpha, beta=sc.beta, gamma=gamma_map)
 
-    if sc.prediction.get("mode") == "moving_average":
-        planning = dm.predict_demand(demand, int(sc.prediction["window_slots"]))
+    if sc.prediction["mode"] == "moving_average":
+        planning = dm.predict_demand(demand, sc.prediction["window_slots"])
     else:
         planning = demand
 
@@ -341,37 +375,18 @@ def _settings(sc: Scenario) -> tuple[OptimizerConfig, list[RoutingPolicy], LinkM
     """The optimizer and delivery settings of ``sc``, built before any work so
     that a bad value fails as a config error."""
     opt, r = sc.optimizer, sc.routing
-    try:
-        opt_config = OptimizerConfig(
-            max_iterations=int(opt["max_iterations"]), neighbor_limit=int(opt["neighbor_limit"]),
-            improvement_tol=float(opt["improvement_tol"]),
-            starfront_thresholds=tuple(opt["starfront_thresholds"]) if opt["starfront_thresholds"] else None,
-            pch_intra_period_s=float(opt["pch_intra_period_s"]),
-            pch_inter_period_s=float(opt["pch_inter_period_s"]) if opt["pch_inter_period_s"] else None)
-    except ValueError as exc:
-        raise ConfigError(f"optimizer: {exc}") from exc
-    try:
-        policies = [RoutingPolicy(kind=p, fanout=int(r["fanout"]), weights=tuple(r["weights"]))
-                    for p in r["policies"]]
-        links = LinkModel(terrestrial_gbps=float(r["terrestrial_gbps"]),
-                          satellite_gbps=float(r["satellite_gbps"]),
-                          server_capacity_mbps=r["server_capacity_mbps"])
-        qoe = QoEModel(budget_s=float(r["qoe_budget_s"]))
-    except ValueError as exc:
-        raise ConfigError(f"routing: {exc}") from exc
+    with _field("optimizer"):  # a zero inter period means the default, as None does
+        opt_config = OptimizerConfig(**{**opt, "pch_inter_period_s": opt["pch_inter_period_s"] or None})
+    with _field("routing"):
+        policies = [RoutingPolicy(p, r["fanout"], r["weights"]) for p in r["policies"]]
+        links = LinkModel(r["terrestrial_gbps"], r["satellite_gbps"], r["server_capacity_mbps"])
+        qoe = QoEModel(budget_s=r["qoe_budget_s"])
     return opt_config, policies, links, qoe
 
 
 def run_scenario(config, out_dir, *, algorithms=None, metric=None, seed=None) -> dict:
     """Execute a scenario and write its result bundle under ``out_dir``."""
-    sc = load_config(config)
-    if metric is not None:
-        sc.metric = metric
-    if seed is not None:
-        sc.seed = int(seed)
-    if algorithms is not None:
-        sc.algorithms = list(algorithms)
-    sc = load_config(asdict(sc))  # re-validate with overrides applied
+    sc = load_config(config, algorithms=algorithms, metric=metric, seed=seed)
     opt_config, policies, links, qoe = _settings(sc)
 
     out = Path(out_dir)

@@ -1,6 +1,7 @@
 import csv
 import itertools
 import json
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -9,7 +10,8 @@ import pytest
 from helpers import motion_instance, schedule_cost_ref
 from satcdn.cli import main
 from satcdn.costmodel import ReplicaSchedule, query_cost
-from satcdn.scenario import ConfigError, build_scenario, load_config, run_scenario
+from satcdn.scenario import (_REQUIRED, _SCHEMA, F, ConfigError, Tagged, build_scenario,
+                             load_config, run_scenario)
 
 
 def minimal_config(**over):
@@ -51,6 +53,84 @@ def small_leo_config(**over):
     }
     cfg.update(over)
     return cfg
+
+
+_WRONG = {"int": 1.0, "num": "1", "str": 1, "bool": "no"}  # valid JSON, wrong type
+
+
+def _sample(f: F):
+    """A schema-valid value for field ``f`` (required subfields only)."""
+    kind = f.kind
+    if isinstance(kind, str):
+        return f.choices[0] if f.choices else {"int": 1, "num": 1.0, "str": "x", "bool": True}[kind]
+    if isinstance(kind, list):
+        return [_sample(kind[0])] * (f.size or 1)
+    if isinstance(kind, Tagged):  # the default variant, or the first
+        return {} if kind.key is None else {kind.key: next(iter(kind.variants)),
+                                            **_sample(F(next(iter(kind.variants.values()))))}
+    return {k: _sample(sub) for k, sub in kind.items() if sub.default is _REQUIRED}
+
+
+def _schema_cases():
+    """Malformed configs generated from the config schema table, as
+    ``(expected message prefix, config, test id)``: a wrong JSON type for every
+    field, a wrong length for every fixed-length list, a missing value for every
+    required field, an unknown key in every object and an unknown variant for
+    every tagged object. Each starts from the resolved minimal config."""
+    cases = []
+
+    def walk(f, value, path, put, variant=""):
+        """Cases for field ``f`` at ``path`` holding the valid ``value``;
+        ``put(v)`` is the whole config with ``v`` there instead."""
+        kind = f.kind
+        wrong = _WRONG[kind] if isinstance(kind, str) else {} if isinstance(kind, list) else [1]
+        cases.append((path, put(wrong), "type" + variant))
+        if isinstance(kind, list):
+            value = value or _sample(f)
+            if f.size:
+                cases.append((path, put(value[1:]), "length" + variant))
+            walk(kind[0], value[0], f"{path}[0]", lambda v: put([v] + value[1:]), variant)
+        elif isinstance(kind, Tagged) and kind.key is None:
+            cases.append((path, put({n: _sample(sub) for n, sub in kind.variants.items()}),
+                          "two_variants" + variant))
+            for name, sub in kind.variants.items():
+                given = value.get(name)
+                walk(sub, _sample(sub) if given is None else given, f"{path}.{name}",
+                     lambda v, name=name: put({name: v}), variant)
+        elif isinstance(kind, Tagged):
+            tag = f"{path}.{kind.key}"
+            cases.append((tag, put({**value, kind.key: "bogus"}), "variant" + variant))
+            cases.append((tag, put({**value, kind.key: 1}), "tag_type" + variant))
+            if kind.default is _REQUIRED:
+                cases.append((tag, put({k: v for k, v in value.items() if k != kind.key}),
+                              "required" + variant))
+            for name, fields in kind.variants.items():
+                obj = value if value.get(kind.key) == name else {kind.key: name,
+                                                                 **_sample(F(fields))}
+                walk_fields(fields, obj, path, put, f"{variant}-{name}")
+        elif isinstance(kind, dict):
+            walk_fields(kind, value, path, put, variant)
+
+    def walk_fields(fields, value, path, put, variant):
+        prefix = f"{path}." if path else ""
+        cases.append((prefix + "bogus", put({**value, "bogus": 1}), "unknown" + variant))
+        for key, sub in fields.items():
+            if sub.default is _REQUIRED:
+                cases.append((prefix + key, put({k: v for k, v in value.items() if k != key}),
+                              "required" + variant))
+            given = value.get(key)
+            walk(sub, _sample(sub) if given is None else given, prefix + key,
+                 lambda v, key=key: put({**value, key: v}), variant)
+
+    walk(F(_SCHEMA), asdict(load_config(minimal_config())), "", lambda v: v)
+    # the root's wrong-type case (a top-level list) has no path to name
+    return [(f"{path}:", {"_document": config}, f"{path}-{what}")
+            for path, config, what in cases if path]
+
+
+SCHEMA_CASES = _schema_cases()
+TRACE_USERS = {"mode": "trace", "trace_file": "@t.csv", "nodes_file": "@n.csv"}
+TRACE_NODES = "name,lat_deg,lon_deg\na,0,-75\n"
 
 
 def read_csv(path):
@@ -158,6 +238,21 @@ class TestRunScenario:
         out = tmp_path / "out"
         summary = run_scenario(cfg, out)
         assert set(summary) == {"mtols", "pch"}
+
+    def test_moving_average_window_defaults_to_one(self, tmp_path):
+        cfg = small_leo_config(prediction={"mode": "moving_average"}, algorithms=["mtols"])
+        out = tmp_path / "out"
+        assert set(run_scenario(cfg, out)) == {"mtols"}
+        meta = json.loads((out / "metadata.json").read_text())
+        assert meta["resolved_config"]["prediction"] == {"mode": "moving_average",
+                                                         "window_slots": 1}
+
+    def test_seed_override_is_the_synthetic_gateway_seed_default(self, tmp_path):
+        cfg = small_leo_config(algorithms=["no_replica"])
+        del cfg["gateways"]["synthetic"]["seed"]
+        run_scenario(cfg, tmp_path / "out", seed=11)
+        meta = json.loads((tmp_path / "out" / "metadata.json").read_text())
+        assert meta["resolved_config"]["gateways"]["synthetic"]["seed"] == 11
 
     def test_latency_sample_file_used(self, tmp_path):
         samples = tmp_path / "lat.csv"
@@ -409,10 +504,47 @@ class TestCLICommands:
         ("gateways.file line 2: could not convert",
          {"gateways": {"file": "@gw.csv"},
           "_files": {"gw.csv": "name,lat_deg,lon_deg\ng,north,-75\n"}}),
-    ], ids=["routing_weights", "qoe_budget_zero", "optimizer_typo", "optimizer_value",
-            "orbits_zero", "origin_latitude", "duplicate_shell_names", "lognormal_sigma_zero",
-            "gateway_latitude", "duplicate_origin_names", "duplicate_gateway_names",
-            "duplicate_gateway_file_names", "gateway_file_latitude", "gateway_file_not_a_number"])
+        ("config: must be a JSON object", {"_document": [minimal_config()]}),
+        ("horizon_slots: must be an integer", {"horizon_slots": "2"}),
+        ("beta: must be a number", {"beta": None}),
+        ("algorithms: must be a list", {"algorithms": "mtls"}),
+        ("users.per_slot_demnd: unknown field",
+         {"users": {"mode": "grid", "rows": 1, "cols": 1, "per_slot_demnd": 5}}),
+        ("users.nodes_file: expected header",
+         {"users": TRACE_USERS, "_files": {"n.csv": "nm,lat,lon\na,0,-75\n"}}),
+        ("users.nodes_file line 3: expected fields name,lat_deg,lon_deg",
+         {"users": TRACE_USERS, "_files": {"n.csv": "name,lat_deg,lon_deg\na,0,-75\nb,0\n"}}),
+        ("users.nodes_file line 2: could not convert",
+         {"users": TRACE_USERS, "_files": {"n.csv": "name,lat_deg,lon_deg\na,north,-75\n"}}),
+        ("users.nodes_file line 2: latitude",
+         {"users": TRACE_USERS, "_files": {"n.csv": "name,lat_deg,lon_deg\na,95,-75\n"}}),
+        ("users.nodes_file line 2: expected fields name,lat_deg,lon_deg,weight",
+         {"users": {"mode": "population", "requests": 5, "nodes_file": "@n.csv"},
+          "_files": {"n.csv": "name,lat_deg,lon_deg,weight\na,0,-75\n"}}),
+        ("users.trace_file: ", {"users": TRACE_USERS, "_files": {
+            "n.csv": TRACE_NODES, "t.csv": "slot,user_node,content,demand\n1,user/a,c\n"}}),
+        ("users.trace_file: ", {"users": TRACE_USERS, "_files": {
+            "n.csv": TRACE_NODES, "t.csv": "slot,user_node,content,demand\n1,user/zz,c,1\n"}}),
+        ("users.catalog_file: ", {"users": {**TRACE_USERS, "catalog_file": "@c.csv"}, "_files": {
+            "n.csv": TRACE_NODES, "c.csv": "content,size_mb\nc,big\n"}}),
+        ("latency_samples_file: ", {"latency_samples_file": "@lat.csv",
+                                    "_files": {"lat.csv": "latency_ms\nfast\n"}}),
+        ("latency_samples_file: ", {"latency_samples_file": "@lat.csv",
+                                    "_files": {"lat.csv": "latency_ms\n"}}),
+        ("seed: must be >= 0", {"seed": -1, "metric": "sampled"}),
+        ("users.top_k: must be >= 1", {"users": {**TRACE_USERS, "top_k": 0}}),
+        ("users.contents: must list at least 1",
+         {"users": {"mode": "population", "requests": 5, "contents": []}}),
+    ] + [(field, over) for field, over, _ in SCHEMA_CASES],
+        ids=["routing_weights", "qoe_budget_zero", "optimizer_typo", "optimizer_value",
+             "orbits_zero", "origin_latitude", "duplicate_shell_names", "lognormal_sigma_zero",
+             "gateway_latitude", "duplicate_origin_names", "duplicate_gateway_names",
+             "duplicate_gateway_file_names", "gateway_file_latitude", "gateway_file_not_a_number",
+             "top_level_list", "horizon_as_string", "beta_null", "algorithms_as_string",
+             "users_typo", "nodes_file_header", "nodes_file_short_row", "nodes_file_not_a_number",
+             "nodes_file_latitude", "nodes_file_short_weighted_row", "trace_short_row",
+             "trace_unknown_user", "catalog_not_a_number", "latency_not_a_number",
+             "latency_file_empty", "negative_seed", "top_k_zero", "no_contents"] + [case_id for *_, case_id in SCHEMA_CASES])
     def test_bad_settings_exit_code_before_any_solver(self, tmp_path, capsys, monkeypatch,
                                                       field, over):
         import satcdn.scenario as sc_mod
@@ -422,8 +554,9 @@ class TestCLICommands:
         over = dict(over)
         for name, text in over.pop("_files", {}).items():  # "@name" is tmp_path / name
             (tmp_path / name).write_text(text)
+        config = over.pop("_document") if "_document" in over else minimal_config(**over)
         cfg_path = tmp_path / "cfg.json"
-        cfg_path.write_text(json.dumps(minimal_config(**over)).replace('"@', f'"{tmp_path}/'))
+        cfg_path.write_text(json.dumps(config).replace('"@', f'"{tmp_path}/'))
         rc = main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "o")])
         assert rc == 2 and not called
         assert capsys.readouterr().err.startswith(f"config error: {field}")
