@@ -33,6 +33,10 @@ GROUND_KINDS = {"user_region": USER, "gateway": GATEWAY, "origin": ORIGIN}
 # Floor for edge latencies so weights stay strictly positive even for
 # coincident ground sites.
 _MIN_LATENCY_MS = 1e-6
+# Significant bits the smallest positive edge weight must keep on the dyadic
+# grid of ``dyadic_weights``; the latency floor keeps 13 or more on the
+# Starlink 72x22 paper network.
+_GRID_BITS = 8
 
 
 def orbital_period_s(altitude_km: float) -> float:
@@ -424,8 +428,12 @@ class SnapshotGraph:
         raise ValueError(f"unknown metric {metric!r}")
 
     def to_csr(self, metric: str) -> csr_matrix:
+        """Both directions of every edge, weighted by ``metric``; latency
+        weights are snapped to a dyadic grid (``dyadic_weights``)."""
         w = self.weights(metric)
         n = self.n_nodes
+        if metric != "hop":
+            w = dyadic_weights(w, n)
         rows = np.concatenate([self.edge_u, self.edge_v])
         cols = np.concatenate([self.edge_v, self.edge_u])
         return csr_matrix((np.concatenate([w, w]), (rows, cols)), shape=(n, n))
@@ -442,6 +450,31 @@ class SnapshotGraph:
         np.add.at(deg, self.edge_u[sat_edge], 1)
         np.add.at(deg, self.edge_v[sat_edge], 1)
         return deg
+
+
+def dyadic_weights(w: np.ndarray, n: int) -> np.ndarray:
+    """``w`` rounded to the nearest multiple of 2^-k, k = floor(52 - log2(n * max w)).
+
+    A shortest path in an ``n``-node graph has fewer than ``n`` edges, so every
+    path sum is then a multiple of 2^-k below 2^(53 - k), which float64 holds
+    exactly. Distances no longer depend on the order an algorithm adds edges
+    in: ``D[u, v] == D[v, u]`` bit for bit, and a Dijkstra row equals the
+    matching column. Raises ValueError when the weights are not finite or
+    span so wide a range that the smallest positive one would keep fewer than
+    ``_GRID_BITS`` significant bits on the grid.
+    """
+    if w.size == 0:
+        return w
+    top = n * float(w.max())
+    if not (math.isfinite(top) and top > 0):
+        raise ValueError("edge weights must be finite and not all zero")
+    k = math.floor(52 - math.log2(top))
+    smallest = float(w[w > 0].min())
+    if math.ldexp(smallest, k) < 2 ** _GRID_BITS:
+        raise ValueError(f"edge weights span too wide a range for exact path sums: the "
+                         f"smallest positive weight {smallest!r} keeps fewer than "
+                         f"{_GRID_BITS} bits on the 2^-{k} grid")
+    return np.ldexp(np.rint(np.ldexp(w, k)), -k)
 
 
 class Network:

@@ -1,10 +1,13 @@
+import dataclasses
+import math
+
 import numpy as np
 import pytest
 from scipy.sparse.csgraph import dijkstra
 
 from helpers import motion_instance, schedule_cost_ref
 from satcdn import costmodel
-from satcdn.constellation import GroundNode, Network, starlink_phase1, viasat
+from satcdn.constellation import GroundNode, Network, o3b, starlink_phase1, viasat
 from satcdn.costmodel import (CostParams, DistanceOracle, ReplicaSchedule,
                               build_distance_oracle, compute_c_qmin, disconnected_users,
                               query_cost, replication_cost, storage_cost, total_cost)
@@ -113,6 +116,23 @@ def isolated_network():
     return Network([viasat(longitudes_deg=(0.0,))], ground)
 
 
+def three_shell_network():
+    """LEO, MEO and GEO shells over spread-out ground sites: edge latencies
+    span two orders of magnitude, and the GEO and MEO hops are long."""
+    shells = [starlink_phase1(orbit_count=4, sats_per_orbit=6, name="s", min_elevation_deg=5.0),
+              o3b(sats_per_orbit=6), viasat(longitudes_deg=(-100.0, 20.0))]
+    ground = [GroundNode("gw/b", "gateway", 45.0, -80.0),
+              GroundNode("gw/e", "gateway", 0.0, 10.0),
+              GroundNode("origin/o", "origin", 40.0, -90.0),
+              GroundNode("user/a", "user_region", 30.0, -100.0),
+              GroundNode("user/c", "user_region", -20.0, 60.0),
+              GroundNode("user/d", "user_region", 5.0, 20.0)]
+    return Network(shells, ground, seed=3)
+
+
+NETWORKS = [leo_network, split_network, isolated_network, three_shell_network]
+
+
 def full_apsp(snap, metric):
     """Distances and predecessors of every source in one call, independent of
     the oracle's per-row routine."""
@@ -166,6 +186,48 @@ class TestLazyRows:
             eager.pred_row(1, 0)
         with pytest.raises(ValueError, match="predecessors"):
             eager.predecessors(1)
+
+
+class TestDyadicWeights:
+    @pytest.mark.parametrize("metric", ["ideal", "sampled"])
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("make_net", NETWORKS)
+    def test_every_oracle_equals_its_transpose(self, metric, dtype, make_net):
+        snaps = make_net().snapshots(2)
+        eager = build_distance_oracle(snaps, metric, dtype=dtype)
+        paths = build_distance_oracle(snaps, metric, need_paths=True, dtype=dtype)
+        n = eager.n_nodes
+        for t in range(1, len(snaps) + 1):
+            D = eager.matrix(t)
+            assert D.tobytes() == np.ascontiguousarray(D.T).tobytes()
+            rows = np.array([paths.row(t, s) for s in range(n)])
+            assert rows.tobytes() == np.ascontiguousarray(rows.T).tobytes()
+            assert rows.tobytes() == D.tobytes()
+
+    def test_weights_sit_on_the_grid_and_barely_move(self):
+        snap = three_shell_network().snapshot(1)
+        for metric in ("ideal", "sampled"):
+            raw = snap.weights(metric)
+            got = np.asarray(snap.to_csr(metric)[snap.edge_u, snap.edge_v]).ravel()
+            k = math.floor(52 - math.log2(snap.n_nodes * raw.max()))
+            assert np.array_equal(np.ldexp(got, k), np.rint(np.ldexp(got, k)))
+            assert np.all(np.abs(got - raw) <= math.ldexp(1.0, -k - 1))
+            assert got.min() > 0
+
+    def test_hop_weights_are_unchanged(self):
+        snap = leo_network().snapshot(1)
+        assert np.array_equal(snap.to_csr("hop").data, np.ones(2 * snap.n_edges))
+
+    def test_too_coarse_a_grid_raises(self):
+        snap = leo_network().snapshot(1)
+        wide = snap.ideal_ms.copy()
+        wide[0], wide[1] = 1e-9, 1e9  # k = 18: the 1e-9 edge would round to 0
+        with pytest.raises(ValueError, match="too wide a range"):
+            dataclasses.replace(snap, ideal_ms=wide).to_csr("ideal")
+        bad = snap.ideal_ms.copy()
+        bad[0] = np.inf
+        with pytest.raises(ValueError, match="finite"):
+            dataclasses.replace(snap, ideal_ms=bad).to_csr("ideal")
 
 
 class TestHopBFS:
