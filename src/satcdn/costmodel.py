@@ -2,8 +2,7 @@
 
 The distance oracle gives, for every slot, shortest-path distances over the
 snapshot graph under one metric (hop count, ideal latency, or sampled
-latency), either as full precomputed matrices or as per-source rows computed
-on demand. Disconnected pairs are +inf. Cost evaluations are pure functions of
+latency), either as full matrices or as per-source rows computed on demand. Disconnected pairs are +inf. Cost evaluations are pure functions of
 (schedule, demand, oracle, params) and can run concurrently per content.
 """
 
@@ -24,25 +23,33 @@ METRICS = ("hop", "ideal", "sampled")
 
 class _Slot:
     """One slot's distances: the full arrays once built, else the slot graph
-    and the rows computed from it so far, keyed by source."""
+    and the rows computed from it so far. Source ``s``'s row is row
+    ``pos[s]`` of ``rows`` (and of ``pred_rows``); ``pos`` is -1 for sources
+    not computed yet, and the first ``count`` rows are in use."""
 
-    __slots__ = ("graph", "full", "pred", "rows", "pred_rows")
+    __slots__ = ("graph", "full", "pred", "rows", "pred_rows", "pos", "count")
 
-    def __init__(self, full=None, pred=None, graph=None):
+    def __init__(self, full=None, pred=None, graph=None, dtype=None, paths=False):
         self.full, self.pred, self.graph = full, pred, graph
-        self.rows: dict[int, np.ndarray] = {}
-        self.pred_rows: dict[int, np.ndarray] = {}
+        self.rows = self.pred_rows = self.pos = None
+        self.count = 0
+        if graph is not None:
+            n = graph.shape[0]
+            self.pos = np.full(n, -1, dtype=np.int64)
+            self.rows = np.empty((0, n), dtype=dtype)
+            self.pred_rows = np.empty((0, n), dtype=np.int32) if paths else None
 
 
 class DistanceOracle:
     """Shortest-path distances per slot, plus node role metadata.
 
-    ``row(t, src)`` is the distance row of source ``src`` at 1-based slot
-    ``t`` and ``pred_row(t, src)`` its shortest-path predecessor row (-9999
-    where unreachable). A slot holds either its full arrays (rows are slices)
-    or its graph, from which missing rows are computed with Dijkstra on
-    demand and cached. ``matrix(t)`` and ``predecessors(t)`` return the full
-    (n, n) arrays, building them through the same routine when needed.
+    ``take(t, rows, cols)`` reads what ``matrix(t)[rows, cols]`` would at
+    1-based slot ``t``. ``row(t, src)`` is the distance row of source ``src``
+    and ``pred_row(t, src)`` its shortest-path predecessor row (-9999 where
+    unreachable). A slot holds either its full arrays (reads are slices) or
+    its graph, from which missing rows are computed with Dijkstra on demand
+    and cached. ``matrix(t)`` and ``predecessors(t)`` return the full (n, n)
+    arrays, building them from the cached rows and the rows still missing.
     The node ordering follows the snapshot's node table: satellites, gateways,
     origins, users — so candidate and user blocks are contiguous slices.
     """
@@ -57,8 +64,10 @@ class DistanceOracle:
         self.ids = list(ids)
         self.kind = np.asarray(kind, dtype=np.int8)
         n = len(self.ids)
+        self.dtype = np.dtype(dtype)
+        self.has_paths = paths if graphs is not None else predecessors is not None
         if graphs is not None:
-            self._slots = [_Slot(graph=g) for g in graphs]
+            self._slots = [_Slot(graph=g, dtype=self.dtype, paths=paths) for g in graphs]
         else:
             matrices = list(matrices)
             preds = list(predecessors) if predecessors is not None else [None] * len(matrices)
@@ -74,9 +83,8 @@ class DistanceOracle:
         self.orbit_key = np.asarray(orbit_key, dtype=np.int32) if orbit_key is not None else fill.copy()
         self.metric = metric
         self.slot_seconds = float(slot_seconds)
-        self.dtype = np.dtype(dtype)
-        self.has_paths = paths if graphs is not None else predecessors is not None
         self.index = {nid: i for i, nid in enumerate(self.ids)}
+        self._node = np.arange(n)
         if candidates is not None:
             self._candidates = np.asarray(candidates, dtype=np.int64)
         else:
@@ -108,7 +116,9 @@ class DistanceOracle:
         return self._slots[t - 1]
 
     def _solve(self, slot: _Slot, sources: np.ndarray):
-        """Distance (and predecessor) rows of ``sources``: one Dijkstra call.
+        """Float64 distance (and int32 predecessor) rows of ``sources``: one
+        Dijkstra call. Callers cast the distances to the oracle's dtype as
+        they store them.
 
         The slot graph stores both directions of every edge, so it is searched
         as a directed graph: each edge is scanned once per direction.
@@ -116,28 +126,40 @@ class DistanceOracle:
         res = dijkstra(slot.graph, directed=True, indices=sources,
                        unweighted=(self.metric == "hop"), return_predecessors=self.has_paths)
         dist, pred = res if self.has_paths else (res, None)
-        if pred is not None:
-            pred = pred.astype(np.int32, copy=False)
-        return np.ascontiguousarray(dist, dtype=self.dtype), pred
+        return dist, None if pred is None else pred.astype(np.int32, copy=False)
 
-    def _fill(self, slot: _Slot, src: int) -> None:
-        """Compute ``src``'s row together with every user row not yet cached."""
-        users = [int(u) for u in self.users_idx if int(u) not in slot.rows and u != src]
-        sources = np.asarray([src] + users, dtype=np.int64)
-        dist, pred = self._solve(slot, sources)
-        for i, s in enumerate(sources.tolist()):
-            slot.rows[s] = dist[i]
+    def _cache(self, slot: _Slot, sources) -> None:
+        """Compute and keep the rows of every source in ``sources`` not cached
+        yet, in one Dijkstra call. The row arrays grow by doubling."""
+        new = np.unique(sources)
+        new = new[slot.pos[new] < 0]
+        if not new.size:
+            return
+        dist, pred = self._solve(slot, new)
+        k, end = slot.count, slot.count + new.size
+        if end > len(slot.rows):
+            cap = max(end, 2 * len(slot.rows))
+            slot.rows = _grown(slot.rows, k, cap)
             if pred is not None:
-                slot.pred_rows[s] = pred[i]
+                slot.pred_rows = _grown(slot.pred_rows, k, cap)
+        slot.rows[k:end] = dist
+        if pred is not None:
+            slot.pred_rows[k:end] = pred
+        slot.pos[new] = np.arange(k, end)
+        slot.count = end
+
+    def _cached(self, slot: _Slot, src) -> _Slot:
+        """``slot`` once ``src``'s row is cached, computed together with every
+        user row not cached yet (delivery routes from each user in turn)."""
+        if slot.pos[src] < 0:
+            self._cache(slot, np.append(self.users_idx, src))
+        return slot
 
     def row(self, t: int, src: int) -> np.ndarray:
         slot = self._slot(t)
         if slot.full is not None:
             return slot.full[src]
-        src = int(src)
-        if src not in slot.rows:
-            self._fill(slot, src)
-        return slot.rows[src]
+        return self._cached(slot, src).rows[slot.pos[src]]
 
     def pred_row(self, t: int, src: int) -> np.ndarray:
         if not self.has_paths:
@@ -145,10 +167,41 @@ class DistanceOracle:
         slot = self._slot(t)
         if slot.full is not None:
             return slot.pred[src]
-        src = int(src)
-        if src not in slot.pred_rows:
-            self._fill(slot, src)
-        return slot.pred_rows[src]
+        return self._cached(slot, src).pred_rows[slot.pos[src]]
+
+    def take(self, t: int, rows, cols):
+        """``matrix(t)[rows, cols]`` for NumPy indexes ``rows`` and ``cols``
+        (each an int, a slice or an integer array): the same values, shape and
+        dtype and, for every read that gathers, the same memory layout, which
+        fixes the order NumPy sums in. A read of slices and ints alone, a view
+        of the full matrix, comes back as a C-contiguous copy.
+
+        Without the full matrix the read is made of cached Dijkstra rows of
+        whichever side needs fewer new rows (then the smaller side). Distances
+        are symmetric bit for bit (``constellation.dyadic_weights``), so a
+        column is the matching row.
+        """
+        slot = self._slot(t)
+        if slot.full is not None:
+            return slot.full[rows, cols]
+        if isinstance(rows, slice) and np.ndim(cols):
+            # NumPy lays a (slice, array) read out array-major: D[A, s] moved.
+            return np.moveaxis(self.take(t, cols, rows), -1, 0)
+        r, c = self._node[rows], self._node[cols]
+        if isinstance(cols, slice):
+            r = r[..., None]
+        elif isinstance(rows, slice):
+            r = r.reshape(r.shape + (1,) * c.ndim)
+        ur, uc = np.unique(r), np.unique(c)
+        if (np.count_nonzero(slot.pos[uc] < 0), uc.size) \
+                < (np.count_nonzero(slot.pos[ur] < 0), ur.size):
+            r, c, ur = c, r, uc  # D[c, r] == D[r, c]
+        self._cache(slot, ur)
+        return slot.rows[slot.pos[r], c]
+
+    def has_matrix(self, t: int) -> bool:
+        """Whether slot ``t`` holds its full matrix."""
+        return self._slot(t).full is not None
 
     def matrix(self, t: int) -> np.ndarray:
         slot = self._slot(t)
@@ -158,11 +211,31 @@ class DistanceOracle:
             if self.metric == "hop" and not self.has_paths:
                 slot.full = _hop_matrix(slot.graph, self.dtype)
             else:
-                slot.full, slot.pred = self._solve(slot, np.arange(n))
-            slot.graph = None
-            slot.rows.clear()
-            slot.pred_rows.clear()
+                # Dijkstra runs only from the sources not cached yet.
+                full = np.empty((n, n), dtype=self.dtype)
+                pred = np.empty((n, n), dtype=np.int32) if self.has_paths else None
+                have = np.flatnonzero(slot.pos >= 0)
+                full[have] = slot.rows[slot.pos[have]]
+                if pred is not None:
+                    pred[have] = slot.pred_rows[slot.pos[have]]
+                miss = np.flatnonzero(slot.pos < 0)
+                if miss.size:
+                    dist, pred_miss = self._solve(slot, miss)
+                    full[miss] = dist
+                    if pred is not None:
+                        pred[miss] = pred_miss
+                slot.full, slot.pred = full, pred
+            slot.graph = slot.rows = slot.pred_rows = slot.pos = None
         return slot.full
+
+    def build_matrices(self, slots: int) -> None:
+        """Build the full matrices of slots 1..``slots``, failing before the
+        first one is built when they would not all fit in memory."""
+        todo = [t for t in range(1, slots + 1) if not self.has_matrix(t)]
+        if todo:
+            check_fits(self.n_nodes, len(todo), self.dtype.itemsize, self.has_paths)
+        for t in todo:
+            self.matrix(t)
 
     def d(self, t: int, u, v) -> float:
         ui = self.index[u] if isinstance(u, str) else int(u)
@@ -190,6 +263,13 @@ class DistanceOracle:
     def from_matrices(cls, matrices, ids, kind, **kw) -> "DistanceOracle":
         """Construct directly from per-slot distance matrices (for tests/toys)."""
         return cls([np.asarray(m, dtype=float) for m in matrices], ids, kind, **kw)
+
+
+def _grown(a: np.ndarray, used: int, cap: int) -> np.ndarray:
+    """``a`` with room for ``cap`` rows, its first ``used`` rows kept."""
+    out = np.empty((cap,) + a.shape[1:], dtype=a.dtype)
+    out[:used] = a[:used]
+    return out
 
 
 def _unpack(words: np.ndarray, n: int) -> np.ndarray:
@@ -280,33 +360,33 @@ def build_distance_oracle(snapshots, metric: str, *, need_paths: bool = False,
     """Shortest paths per slot over snapshot graphs.
 
     Large networks default to float32 storage; small ones keep float64.
-    Without ``need_paths`` the full per-slot matrices are built up front (the
-    placement solvers read whole blocks): hop counts by one all-sources
-    breadth-first search per slot, ``ideal`` and ``sampled`` latencies by
-    Dijkstra from every source. With ``need_paths`` the oracle keeps the slot
-    graphs and computes distance and predecessor rows per source on demand
-    with Dijkstra (unweighted for ``hop``): delivery only routes from user
-    sources.
+    Latency edge weights are snapped to a dyadic grid
+    (``constellation.dyadic_weights``), so every distance is an exact path
+    sum and ``D[u, v] == D[v, u]`` bit for bit. The ``hop`` planning oracle
+    (without ``need_paths``) builds every slot's full matrix up front, by one
+    all-sources breadth-first search per slot: every hop workload runs MTLS,
+    which reads whole blocks. Every other oracle keeps the slot graphs and
+    computes Dijkstra rows on demand (unweighted for ``hop``), so the
+    ``ideal`` and ``sampled`` planning oracles serve the solvers' and the
+    cost model's reads (``take``) from the rows of the smaller side; full
+    matrices are built only for MTLS (``build_matrices``), from the cached
+    rows and the rows still missing. With ``need_paths`` predecessor rows are
+    kept too: delivery only routes from user sources.
     """
     if metric not in METRICS:
         raise ValueError(f"metric must be one of {METRICS}")
     if not snapshots:
         raise ValueError("at least one snapshot required")
     nt = snapshots[0].nodes
-    n = nt.n_nodes
     if dtype is None:
-        dtype = np.float64 if n <= 768 else np.float32
-    if not need_paths:
-        check_fits(n, len(snapshots), np.dtype(dtype).itemsize, False)
-
+        dtype = np.float64 if nt.n_nodes <= 768 else np.float32
     oracle = DistanceOracle(None, nt.ids, nt.kind, shell=nt.shell, orbit=nt.orbit,
                             in_orbit=nt.in_orbit, orbit_key=nt.orbit_key, metric=metric,
                             slot_seconds=_infer_slot_seconds(snapshots),
                             graphs=[snap.to_csr(metric) for snap in snapshots],
                             paths=need_paths, dtype=dtype)
-    if not need_paths:
-        for t in range(1, oracle.slot_count + 1):
-            oracle.matrix(t)
+    if metric == "hop" and not need_paths:
+        oracle.build_matrices(oracle.slot_count)
     return oracle
 
 
@@ -329,7 +409,7 @@ def compute_c_qmin(oracle: DistanceOracle) -> float:
     best = np.inf
     if users.size and targets.size:
         for t in range(1, oracle.slot_count + 1):
-            block = oracle.matrix(t)[np.ix_(users, targets)]
+            block = oracle.take(t, users[:, None], targets)
             pos = block[(block > 0) & np.isfinite(block)]
             if pos.size:
                 best = min(best, float(pos.min()))
@@ -465,7 +545,7 @@ def _nearest(schedule: ReplicaSchedule, demand, oracle: DistanceOracle):
     for ci, c in enumerate(demand.contents):
         values = demand.values[:, ci, :slots]
         for t in (np.flatnonzero(values.any(axis=0)) + 1).tolist():
-            block = oracle.matrix(t)[rows, np.asarray(schedule.nodes(c, t), dtype=np.int64)]
+            block = oracle.take(t, rows, np.asarray(schedule.nodes(c, t), dtype=np.int64))
             yield c, t, values[:, t - 1], block.min(axis=1)
 
 
@@ -488,7 +568,7 @@ def replication_cost(schedule: ReplicaSchedule, oracle: DistanceOracle, alpha: f
         prev = origins
         for t in range(1, schedule.slot_count + 1):
             cur = np.asarray(schedule.nodes(c, t), dtype=np.int64)
-            block = np.asarray(oracle.matrix(t)[cur[:, None], prev], dtype=float)
+            block = np.asarray(oracle.take(t, cur[:, None], prev), dtype=float)
             total += alpha * float(block.min(axis=1).sum())
             prev = cur
     return total

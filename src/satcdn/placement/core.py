@@ -8,15 +8,16 @@ storage costs attach to each variant.
 
 Solvers read a slot's distances among the R nodes (origins plus candidates)
 from the oracle matrix in place, with no per-slot copy or gather of the R x R
-block. Inside the DP, disconnected distances read as a large finite sentinel
+block; a slot without its full matrix (only MTLS builds them) is read entry
+by entry through ``DistanceOracle.take``. Inside the DP, disconnected distances read as a large finite sentinel
 (``BIG``) so that argmin arithmetic stays NaN-free; reported costs always come
 from a clean re-evaluation against the oracle. On the default node layout the
 R nodes are one contiguous run, so their block is a view of the oracle matrix,
 read as is when it already has the DP dtype and no +inf (decided once per
 oracle and slot, and shared by every content, iteration and solver). Otherwise
-(+inf, another dtype, or R nodes that are not one run) the block is read
-through a wrapper that maps each read to node indices and sanitizes just the
-entries asked for.
+(+inf, another dtype, R nodes that are not one run, or no full matrix) the
+block is read through a wrapper that maps each read to node indices and
+sanitizes just the entries asked for.
 """
 
 from __future__ import annotations
@@ -144,16 +145,16 @@ def _key(idx) -> tuple | bytes:
     return (idx.start, idx.stop) if isinstance(idx, slice) else idx.tobytes()
 
 
-def _in_place(shared: dict, D: np.ndarray, t: int, rows, cols, dtype) -> bool:
-    """Whether slot ``t``'s ``D[rows][:, cols]`` is its own sanitized block:
-    both indexes (from ``_as_index``) are slices and the block already has
-    ``dtype`` and only finite entries. Decided once per oracle (``shared``),
-    slot, index pair and dtype."""
+def _in_place(shared: dict, t: int, rows, cols, dtype, block: np.ndarray) -> bool:
+    """Whether ``block``, slot ``t``'s ``D[rows, cols]`` read as a view, is its
+    own sanitized block: both indexes (from ``_as_index``) are slices and the
+    block already has ``dtype`` and only finite entries. Decided once per
+    oracle (``shared``), slot, index pair and dtype."""
     key = (t, _key(rows), _key(cols), dtype)
     ok = shared.get(key)
     if ok is None:
         ok = shared[key] = bool(isinstance(rows, slice) and isinstance(cols, slice)
-                                and D.dtype == dtype and np.isfinite(D[rows, cols]).all())
+                                and block.dtype == dtype and np.isfinite(block).all())
     return ok
 
 
@@ -168,17 +169,38 @@ def _sanitized(block: np.ndarray, dtype, out: np.ndarray | None = None) -> np.nd
     return out
 
 
+def _shifted(idx, span: range):
+    """The nodes of ``span`` at the positions ``idx`` (a nonnegative int or
+    array, or a forward slice), in the same index form."""
+    if isinstance(idx, slice):
+        sub = span[idx]
+        return slice(sub.start, sub.stop, sub.step)
+    return idx + span.start
+
+
 class _SanitizedReads:
-    """A slot's R x R block read through the oracle matrix ``D`` when it cannot
-    be a view of it. ``r`` indexes the R nodes in ``D``: a slice when they are
-    one run, else their node indices. Each read ``[rows, cols]`` (R-positions)
+    """A slot's R x R block read through the oracle when it cannot be a view
+    of the oracle matrix. ``r`` indexes the R nodes: a slice when they are one
+    run, else their node indices. Each read ``[rows, cols]`` (R-positions)
     returns a sanitized copy (see ``_sanitized``) of just the entries asked
-    for, shaped as the same read of an R x R array would be."""
+    for, shaped as the same read of an R x R array would be. Without the
+    full matrix the reads go through ``oracle.take``; on one run they keep
+    their index form, and with it NumPy's layout of the result."""
 
-    __slots__ = ("raw", "nodes", "dtype")
+    __slots__ = ("read", "span", "nodes", "dtype")
 
-    def __init__(self, D: np.ndarray, r, dtype):
-        self.raw, self.nodes = (D[r, r], None) if isinstance(r, slice) else (D, r)
+    def __init__(self, oracle: DistanceOracle, t: int, r, dtype):
+        run = isinstance(r, slice)
+        self.span = None
+        if oracle.has_matrix(t):
+            D = oracle.matrix(t)
+            raw = D[r, r] if run else D
+            self.read = lambda rows, cols: raw[rows, cols]
+        else:
+            self.read = lambda rows, cols: oracle.take(t, rows, cols)
+            if run:
+                self.span = range(r.start, r.stop)
+        self.nodes = None if run else r
         self.dtype = np.dtype(dtype)
 
     def __getitem__(self, idx) -> np.ndarray:
@@ -191,7 +213,9 @@ class _SanitizedReads:
                 rows = rows.reshape(rows.shape + (1,) * np.ndim(cols))
             elif isinstance(idx[1], slice):
                 rows = np.expand_dims(rows, -1)
-        return _sanitized(self.raw[rows, cols], self.dtype)
+        elif self.span is not None:
+            rows, cols = _shifted(rows, self.span), _shifted(cols, self.span)
+        return _sanitized(self.read(rows, cols), self.dtype)
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -290,27 +314,31 @@ class ContentProblem:
         """(R x R) sanitized distances among the R nodes at slot ``t``, read-only.
 
         Row and column order are R-positions; entry [v, a] is the distance
-        from R-node v to R-node a. It is a view of the oracle matrix when that
-        block can be read in place (see ``_in_place``), else a
-        ``_SanitizedReads`` over the oracle matrix.
+        from R-node v to R-node a. It is a view of the oracle matrix when the
+        slot has its full matrix and the block can be read in place (see
+        ``_in_place``), else a ``_SanitizedReads`` over the oracle.
         """
         B = self._blocks[t - 1]
         if B is None:
-            D, r = self.oracle.matrix(t), self._r_index
-            B = _read_only(D[r, r]) if _in_place(self._shared, D, t, r, r, self.dp_dtype) \
-                else _SanitizedReads(D, r, self.dp_dtype)
+            r = self._r_index
+            if self.oracle.has_matrix(t) and isinstance(r, slice):
+                B = self.oracle.matrix(t)[r, r]
+                B = _read_only(B) if _in_place(self._shared, t, r, r, self.dp_dtype, B) else None
+            if B is None:
+                B = _SanitizedReads(self.oracle, t, r, self.dp_dtype)
             self._blocks[t - 1] = B
         return B
 
     def user_block(self, t: int) -> np.ndarray:
         """(U x R) sanitized user-to-R-node distances at slot ``t``, read-only:
-        a view of the oracle matrix when it can be read in place, else a copy
-        kept for this problem."""
+        a view of the users' oracle rows when it can be read in place, else a
+        copy kept for this problem."""
         du = self._user_blocks[t - 1]
         if du is None:
-            D, u, r = self.oracle.matrix(t), self._u_index, self._r_index
-            du = D[u, r] if _in_place(self._shared, D, t, u, r, self.dp_dtype) \
-                else _sanitized(D[u][:, r], self.dp_dtype)
+            u, r = self._u_index, self._r_index
+            du = self.oracle.take(t, u, slice(None))[:, r]
+            if not _in_place(self._shared, t, u, r, self.dp_dtype, du):
+                du = _sanitized(du, self.dp_dtype)
             du = self._user_blocks[t - 1] = _read_only(du)
         return du
 

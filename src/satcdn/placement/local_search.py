@@ -190,7 +190,11 @@ def _search_rule(users: list[str], catalog, config: OptimizerConfig, orbit_mode:
 
 def solve_mtls(demand: DemandMatrix, oracle: DistanceOracle, params: CostParams,
                config: OptimizerConfig | None = None, *, catalog=None) -> PlacementResult:
-    """Multi-time local search with full per-iteration DP over nearby sets."""
+    """Multi-time local search with full per-iteration DP over nearby sets.
+
+    Its DP reads whole R x R blocks, so the oracle's full matrices are built
+    first; a MemoryError names every slot before the first is built."""
+    oracle.build_matrices(demand.slot_count)
     rule = _search_rule(demand.users, catalog, config or OptimizerConfig(), orbit_mode=False)
     return solve_per_content("mtls", demand, oracle, params, catalog, rule)
 

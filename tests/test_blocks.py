@@ -11,9 +11,10 @@ every solver to the same result, and no solver may write to the oracle.
 import numpy as np
 import pytest
 
-from helpers import motion_instance
-from satcdn.costmodel import DistanceOracle
-from satcdn.placement import SOLVERS, OptimizerConfig
+from helpers import GATEWAY, motion_instance
+from satcdn.costmodel import CostParams, DistanceOracle, build_distance_oracle, total_cost
+from satcdn.demand import ContentCatalog, DemandMatrix
+from satcdn.placement import SOLVERS, OptimizerConfig, local_search
 from satcdn.placement.core import (BIG, ContentProblem, _min_over_adds, _sanitized,
                                    _SanitizedReads, _two_smallest)
 
@@ -123,7 +124,8 @@ def test_sanitized_reads_match_reads_of_the_sanitized_block(one_run):
     D = rng.random((12, 12))
     D[rng.random(D.shape) < 0.2] = np.inf
     nodes = np.arange(2, 9) if one_run else np.array([0, 3, 4, 7, 10, 11])
-    reads = _SanitizedReads(D, slice(2, 9) if one_run else nodes, np.float32)
+    oracle = DistanceOracle.from_matrices([D], [f"n{i}" for i in range(12)], np.zeros(12))
+    reads = _SanitizedReads(oracle, 1, slice(2, 9) if one_run else nodes, np.float32)
     block = _sanitized(D[np.ix_(nodes, nodes)], np.float32)
     a, b = np.array([4, 0, 2]), np.array([[1], [3]])
     for idx in [(slice(None), a), (a, slice(1, 4)), (slice(None), slice(None)),
@@ -214,3 +216,78 @@ def test_min_over_adds_gather_and_chunks_match_restatement(dtype):
         buf, buf64 = np.empty(size, dtype=dtype), np.empty(size)
         vals, j = _min_over_adds(B, W, pa, w1, g_adds, 2.5, buf, buf64)
         assert np.array_equal(vals, ref[0]) and np.array_equal(j, ref[1])
+
+
+def network_instance():
+    """Snapshots of a LEO shell with inter-satellite links plus a MEO ring,
+    over spread-out gateways and users, with two contents of random demand."""
+    from satcdn.constellation import GroundNode, Network, o3b, starlink_phase1
+    rng = np.random.default_rng(12)
+    ground = [GroundNode(f"gw/g{i}", "gateway", lat, lon)
+              for i, (lat, lon) in enumerate([(45.0, -80.0), (0.0, 10.0), (30.0, 120.0)])]
+    ground.append(GroundNode("origin/o", "origin", 40.0, -90.0))
+    ground += [GroundNode(f"user/u{i}", "user_region", float(lat), float(lon))
+               for i, (lat, lon) in enumerate(zip(rng.uniform(-50, 50, 9),
+                                                  rng.uniform(-180, 180, 9)))]
+    net = Network([starlink_phase1(orbit_count=6, sats_per_orbit=8, name="s",
+                                   min_elevation_deg=5.0), o3b(sats_per_orbit=6)],
+                  ground, seed=4)
+    T = 4
+    users = [g.node_id for g in ground if g.kind == "user_region"]
+    demand = DemandMatrix(users, ["a", "b"], rng.uniform(0.0, 3.0, size=(len(users), 2, T))
+                          * (rng.random((len(users), 2, T)) < 0.7))
+    return net.snapshots(T), demand, ContentCatalog(["a", "b"], [1.0, 2.5])
+
+
+@pytest.fixture(scope="module")
+def network():
+    return network_instance()
+
+
+def planning_oracle(snaps, metric, dtype, restrict, full):
+    """A weighted planning oracle computing rows on demand, or (``full``)
+    holding every slot's full matrix, with restricted candidates."""
+    oracle = build_distance_oracle(snaps, metric, dtype=dtype)
+    if full:
+        oracle.build_matrices(oracle.slot_count)
+    if restrict == "gateways":
+        return oracle.restrict_kinds([GATEWAY])
+    if restrict == "every_other":
+        return oracle.with_candidates(oracle.candidates_idx[::2])
+    return oracle
+
+
+@pytest.mark.parametrize("restrict", ["none", "gateways", "every_other"])
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("metric", ["ideal", "sampled"])
+def test_solvers_match_on_lazy_and_eager_oracles(network, metric, dtype, restrict, monkeypatch):
+    """Schedules, counts, histories, DP objectives, c_qmin and costs agree bit
+    for bit whether the solvers and the cost model read cached rows or full
+    matrices. Each solve gets a fresh oracle, so MTLS too starts from rows."""
+    snaps, demand, catalog = network
+    objectives = []
+    dp = local_search.dp_pass
+
+    def record(*args, **kwargs):
+        sets, f = dp(*args, **kwargs)
+        objectives.append(f)
+        return sets, f
+
+    monkeypatch.setattr(local_search, "dp_pass", record)
+    got = {}
+    for full in (False, True):
+        runs = []
+        for solver in SOLVERS:
+            oracle = planning_oracle(snaps, metric, dtype, restrict, full)
+            params = CostParams.from_oracle(oracle, alpha=5.0, beta=1.0, gamma=4.0)
+            objectives.clear()
+            res = SOLVERS[solver](demand, oracle, params, OptimizerConfig(max_iterations=4),
+                                  catalog=catalog)
+            st = res.stats
+            cost = total_cost(res.schedule, demand, catalog, oracle, params)
+            runs.append((solver, params.c_qmin, res.schedule.sets, st.iterations,
+                         st.relaxations, st.orbit_relaxations, st.history, st.orbit_sequence,
+                         st.warnings, list(objectives), cost))
+            assert all(oracle.has_matrix(t) == (full or solver == "mtls") for t in range(1, 5))
+        got[full] = runs
+    assert got[False] == got[True]

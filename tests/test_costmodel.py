@@ -12,6 +12,7 @@ from satcdn.costmodel import (CostParams, DistanceOracle, ReplicaSchedule,
                               build_distance_oracle, compute_c_qmin, disconnected_users,
                               query_cost, replication_cost, storage_cost, total_cost)
 from satcdn.demand import ContentCatalog, DemandMatrix
+from satcdn.placement import solve_mtls, solve_mtols, solve_naive_greedy
 
 SAT, USER, GATEWAY, ORIGIN = 0, 1, 2, 3
 
@@ -177,8 +178,8 @@ class TestLazyRows:
         lazy.row(2, lazy.index["user/a"])
         slot = lazy._slots[1]
         assert slot.full is None
-        assert sorted(slot.rows) == sorted(int(u) for u in lazy.users_idx)
-        assert not lazy._slots[0].rows
+        assert np.array_equal(np.flatnonzero(slot.pos >= 0), lazy.users_idx)
+        assert (lazy._slots[0].pos < 0).all()
 
     def test_planning_oracle_has_no_paths(self):
         eager = build_distance_oracle(leo_network().snapshots(1), "hop")
@@ -195,14 +196,17 @@ class TestDyadicWeights:
     def test_every_oracle_equals_its_transpose(self, metric, dtype, make_net):
         snaps = make_net().snapshots(2)
         eager = build_distance_oracle(snaps, metric, dtype=dtype)
+        eager.build_matrices(len(snaps))
+        lazy = build_distance_oracle(snaps, metric, dtype=dtype)
         paths = build_distance_oracle(snaps, metric, need_paths=True, dtype=dtype)
         n = eager.n_nodes
         for t in range(1, len(snaps) + 1):
             D = eager.matrix(t)
             assert D.tobytes() == np.ascontiguousarray(D.T).tobytes()
-            rows = np.array([paths.row(t, s) for s in range(n)])
-            assert rows.tobytes() == np.ascontiguousarray(rows.T).tobytes()
-            assert rows.tobytes() == D.tobytes()
+            for oracle in (lazy, paths):
+                rows = np.array([oracle.row(t, s) for s in range(n)])
+                assert rows.tobytes() == D.tobytes()
+            assert not lazy.has_matrix(t)
 
     def test_weights_sit_on_the_grid_and_barely_move(self):
         snap = three_shell_network().snapshot(1)
@@ -228,6 +232,64 @@ class TestDyadicWeights:
         bad[0] = np.inf
         with pytest.raises(ValueError, match="finite"):
             dataclasses.replace(snap, ideal_ms=bad).to_csr("ideal")
+
+
+def read_forms(oracle):
+    """Every form of ``matrix(t)[rows, cols]`` read the solvers and the cost
+    model make, on node indexes."""
+    users, cands, origins = oracle.users_idx, oracle.candidates_idx, oracle.origins_idx
+    a, b = np.array([5, 0, 17, 3]), np.array([[2], [9]])
+    return [(slice(int(users[0]), int(users[-1]) + 1), slice(None)), (slice(None), a),
+            (slice(3, 7), a), (a, slice(1, 4)), (slice(None), slice(None)),
+            (slice(2, 9), slice(4, 6)), (a[:, None], a), (b, a), (users[:, None], cands),
+            (cands[:, None], origins), (users[:, None], users), (2, slice(None)),
+            (slice(None), 3), (a, 1), (np.int64(2), a), (b, slice(None)), (4, 7)]
+
+
+def _basic(idx) -> bool:
+    return all(isinstance(i, (slice, int, np.integer)) for i in idx)
+
+
+class TestTake:
+    @pytest.mark.parametrize("metric", ["ideal", "sampled"])
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("warm", [False, True])
+    def test_take_equals_the_matrix_read(self, metric, dtype, warm):
+        """Values, shape, dtype and, for a gather, the memory layout (which
+        fixes NumPy's sum order) of every read form, whichever side the rows
+        come from: a fresh oracle, or one holding a few rows already."""
+        snaps = three_shell_network().snapshots(2)
+        eager = build_distance_oracle(snaps, metric, dtype=dtype)
+        eager.build_matrices(2)
+        for idx in read_forms(eager):
+            lazy = build_distance_oracle(snaps, metric, dtype=dtype)
+            for t in (1, 2):
+                if warm:
+                    lazy.take(t, slice(None), np.array([0, 2, 3, 17]))
+                want, got = eager.matrix(t)[idx], lazy.take(t, *idx)
+                assert np.asarray(got).dtype == want.dtype and np.shape(got) == want.shape
+                assert np.asarray(got).tobytes() == np.ascontiguousarray(want).tobytes()
+                if _basic(idx):
+                    assert np.asarray(got).flags.c_contiguous
+                else:
+                    assert got.strides == want.strides
+                assert not lazy.has_matrix(t)
+
+    def test_matrix_reuses_the_cached_rows(self, monkeypatch):
+        snaps = leo_network().snapshots(1)
+        lazy = build_distance_oracle(snaps, "ideal")
+        users = lazy.users_idx
+        lazy.take(1, users[:, None], lazy.candidates_idx)
+        assert np.array_equal(np.flatnonzero(lazy._slots[0].pos >= 0), users)
+        solved = []
+        solve = DistanceOracle._solve
+        monkeypatch.setattr(DistanceOracle, "_solve",
+                            lambda self, slot, src: solved.append(src) or solve(self, slot, src))
+        D = lazy.matrix(1)
+        assert np.array_equal(solved[0], np.setdiff1d(np.arange(lazy.n_nodes), users))
+        eager = build_distance_oracle(snaps, "ideal")
+        eager.build_matrices(1)
+        assert D.tobytes() == eager.matrix(1).tobytes()
 
 
 class TestHopBFS:
@@ -256,8 +318,10 @@ class TestHopBFS:
         snaps = leo_network().snapshots(2)
         build_distance_oracle(snaps, "hop")
         assert calls == {"bfs": 2, "dijkstra": 0}
-        for metric in ("ideal", "sampled"):
-            build_distance_oracle(snaps, metric)
+        weighted = [build_distance_oracle(snaps, metric) for metric in ("ideal", "sampled")]
+        assert calls == {"bfs": 2, "dijkstra": 0}
+        for oracle in weighted:
+            oracle.build_matrices(2)
         assert calls == {"bfs": 2, "dijkstra": 4}
         lazy = build_distance_oracle(snaps, "hop", need_paths=True)
         lazy.matrix(1)
@@ -288,6 +352,24 @@ class TestMemoryGuard:
         assert lazy.row(1, lazy.index["user/a"])[lazy.index["user/a"]] == 0.0
         with pytest.raises(MemoryError, match="1 slot"):
             lazy.matrix(1)
+
+    def test_lazy_planning_oracle_solves_until_mtls_asks_for_full_matrices(self, monkeypatch):
+        monkeypatch.setattr(costmodel, "available_memory_bytes", lambda: 10_000)
+        snaps = leo_network().snapshots(3)
+        oracle = build_distance_oracle(snaps, "ideal")
+        users = [oracle.ids[i] for i in oracle.users_idx]
+        demand = DemandMatrix(users, ["c"], np.ones((len(users), 1, 3)))
+        params = CostParams.from_oracle(oracle)
+        for solve in (solve_naive_greedy, solve_mtols):
+            solve(demand, oracle, params)
+        assert not any(oracle.has_matrix(t) for t in (1, 2, 3))
+
+        def never(*_a, **_k):
+            raise AssertionError("Dijkstra ran for a full matrix before the memory check")
+
+        monkeypatch.setattr(DistanceOracle, "_solve", never)
+        with pytest.raises(MemoryError, match=rf"n={oracle.n_nodes} nodes over 3 slot"):
+            solve_mtls(demand, oracle, params)
 
     def test_estimate_counts_matrices_predecessors_and_temporary(self, monkeypatch):
         # 48 float32 slots of 1000x1000 plus one float64 Dijkstra output
