@@ -2,7 +2,8 @@
 
 The distance oracle gives, for every slot, shortest-path distances over the
 snapshot graph under one metric (hop count, ideal latency, or sampled
-latency), either as full matrices or as per-source rows computed on demand. Disconnected pairs are +inf. Cost evaluations are pure functions of
+latency), either as full matrices or as per-source rows computed on demand.
+Disconnected pairs are +inf. Cost evaluations are pure functions of
 (schedule, demand, oracle, params) and can run concurrently per content.
 """
 
@@ -130,7 +131,8 @@ class DistanceOracle:
 
     def _cache(self, slot: _Slot, sources) -> None:
         """Compute and keep the rows of every source in ``sources`` not cached
-        yet, in one Dijkstra call. The row arrays grow by doubling."""
+        yet, in one Dijkstra call. The row arrays grow by doubling, up to one
+        row per node."""
         new = np.unique(sources)
         new = new[slot.pos[new] < 0]
         if not new.size:
@@ -138,7 +140,7 @@ class DistanceOracle:
         dist, pred = self._solve(slot, new)
         k, end = slot.count, slot.count + new.size
         if end > len(slot.rows):
-            cap = max(end, 2 * len(slot.rows))
+            cap = min(max(end, 2 * len(slot.rows)), self.n_nodes)
             slot.rows = _grown(slot.rows, k, cap)
             if pred is not None:
                 slot.pred_rows = _grown(slot.pred_rows, k, cap)
@@ -174,12 +176,13 @@ class DistanceOracle:
         (each an int, a slice or an integer array): the same values, shape and
         dtype and, for every read that gathers, the same memory layout, which
         fixes the order NumPy sums in. A read of slices and ints alone, a view
-        of the full matrix, comes back as a C-contiguous copy.
+        of the full matrix, may come back as a C-contiguous copy.
 
-        Without the full matrix the read is made of cached Dijkstra rows of
-        whichever side needs fewer new rows (then the smaller side). Distances
-        are symmetric bit for bit (``constellation.dyadic_weights``), so a
-        column is the matching row.
+        Without the full matrix the read is made of cached Dijkstra rows: of
+        the ``rows`` side when they are all cached, else of whichever side
+        needs fewer new rows (then the smaller side). Distances are symmetric
+        bit for bit (``constellation.dyadic_weights``), so a column is the
+        matching row.
         """
         slot = self._slot(t)
         if slot.full is not None:
@@ -187,17 +190,20 @@ class DistanceOracle:
         if isinstance(rows, slice) and np.ndim(cols):
             # NumPy lays a (slice, array) read out array-major: D[A, s] moved.
             return np.moveaxis(self.take(t, cols, rows), -1, 0)
-        r, c = self._node[rows], self._node[cols]
-        if isinstance(cols, slice):
-            r = r[..., None]
-        elif isinstance(rows, slice):
-            r = r.reshape(r.shape + (1,) * c.ndim)
-        ur, uc = np.unique(r), np.unique(c)
-        if (np.count_nonzero(slot.pos[uc] < 0), uc.size) \
-                < (np.count_nonzero(slot.pos[ur] < 0), ur.size):
-            r, c, ur = c, r, uc  # D[c, r] == D[r, c]
-        self._cache(slot, ur)
-        return slot.rows[slot.pos[r], c]
+        r = np.asarray(self._node[rows])
+        need_r = r[slot.pos[r] < 0]
+        if need_r.size:
+            c = np.asarray(self._node[cols])
+            need_c = c[slot.pos[c] < 0]
+            if (np.unique(need_c).size, c.size) < (np.unique(need_r).size, r.size):
+                self._cache(slot, need_c)
+                if isinstance(cols, slice):
+                    r = r[..., None]
+                elif isinstance(rows, slice):
+                    r = r.reshape(r.shape + (1,) * c.ndim)
+                return slot.rows[slot.pos[c], r]  # D[c, r] == D[r, c]
+            self._cache(slot, need_r)
+        return slot.rows[slot.pos[r], cols]
 
     def has_matrix(self, t: int) -> bool:
         """Whether slot ``t`` holds its full matrix."""

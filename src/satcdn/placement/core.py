@@ -8,9 +8,10 @@ storage costs attach to each variant.
 
 Solvers read a slot's distances among the R nodes (origins plus candidates)
 from the oracle matrix in place, with no per-slot copy or gather of the R x R
-block; a slot without its full matrix (only MTLS builds them) is read entry
-by entry through ``DistanceOracle.take``. Inside the DP, disconnected distances read as a large finite sentinel
-(``BIG``) so that argmin arithmetic stays NaN-free; reported costs always come
+block; a slot without its full matrix (only MTLS builds them) is read through
+``DistanceOracle.take``, just the entries asked for. Inside the DP,
+disconnected distances read as a large finite sentinel (``BIG``) so that
+argmin arithmetic stays NaN-free; reported costs always come
 from a clean re-evaluation against the oracle. On the default node layout the
 R nodes are one contiguous run, so their block is a view of the oracle matrix,
 read as is when it already has the DP dtype and no +inf (decided once per
