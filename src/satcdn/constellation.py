@@ -274,8 +274,8 @@ class LatencySampler:
 
     @classmethod
     def lognormal(cls, median_ms: float = 40.0, sigma: float = 0.5) -> "LatencySampler":
-        if median_ms <= 0 or sigma <= 0:
-            raise ValueError("median_ms and sigma must be positive")
+        if not (0 < median_ms < math.inf and 0 < sigma < math.inf):
+            raise ValueError("median_ms and sigma must be positive and finite")
         return cls(samples=None, median_ms=float(median_ms), sigma=float(sigma))
 
     @property

@@ -15,6 +15,7 @@ from __future__ import annotations
 import csv
 import inspect
 import json
+import math
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, make_dataclass
 from pathlib import Path
@@ -139,9 +140,10 @@ _SCHEMA = {
     "prediction": F(Tagged("mode", {"oracle": {},
                                     "moving_average": {"window_slots": F("int", 1, ge=1)}},
                            default="oracle"), {}),
-    "optimizer": F(_from(OptimizerConfig, max_iterations="int", neighbor_limit="int",
-                         improvement_tol="num", starfront_thresholds=[F("num")],
-                         pch_intra_period_s="num", pch_inter_period_s="num"), {}),
+    "optimizer": F({**_from(OptimizerConfig, max_iterations="int", neighbor_limit="int",
+                            improvement_tol="num", starfront_thresholds=[F("num")]),
+                    **{name: F("num", _lib(OptimizerConfig, name), gt=0)
+                       for name in ("pch_intra_period_s", "pch_inter_period_s")}}, {}),
     "routing": F({"policies": F([F("str", choices=POLICIES)], []),
                   **_from(RoutingPolicy, fanout="int", weights=[F("num")]),
                   **_from(LinkModel, terrestrial_gbps="num", satellite_gbps="num",
@@ -163,6 +165,7 @@ def _check(f: F, value, path: str = "", config: dict | None = None):
         types, name = _JSON[kind]
         _expect(isinstance(value, types) and (kind == "bool") == isinstance(value, bool),
                 path, f"must be {name}")
+        _expect(kind != "num" or math.isfinite(value), path, "must be a finite number")
         _expect(f.ge is None or value >= f.ge, path, f"must be >= {f.ge}")
         _expect(f.gt is None or value > f.gt, path, f"must be > {f.gt}")
         _expect(f.choices is None or value in f.choices, path, f"must be one of {f.choices}")
@@ -375,8 +378,8 @@ def _settings(sc: Scenario) -> tuple[OptimizerConfig, list[RoutingPolicy], LinkM
     """The optimizer and delivery settings of ``sc``, built before any work so
     that a bad value fails as a config error."""
     opt, r = sc.optimizer, sc.routing
-    with _field("optimizer"):  # a zero inter period means the default, as None does
-        opt_config = OptimizerConfig(**{**opt, "pch_inter_period_s": opt["pch_inter_period_s"] or None})
+    with _field("optimizer"):
+        opt_config = OptimizerConfig(**opt)
     with _field("routing"):
         policies = [RoutingPolicy(p, r["fanout"], r["weights"]) for p in r["policies"]]
         links = LinkModel(r["terrestrial_gbps"], r["satellite_gbps"], r["server_capacity_mbps"])

@@ -74,7 +74,7 @@ def _sample(f: F):
 def _schema_cases():
     """Malformed configs generated from the config schema table, as
     ``(expected message prefix, config, test id)``: a wrong JSON type for every
-    field, a wrong length for every fixed-length list, a missing value for every
+    field, NaN and -Infinity for every number, a wrong length for every fixed-length list, a missing value for every
     required field, an unknown key in every object and an unknown variant for
     every tagged object. Each starts from the resolved minimal config."""
     cases = []
@@ -85,6 +85,9 @@ def _schema_cases():
         kind = f.kind
         wrong = _WRONG[kind] if isinstance(kind, str) else {} if isinstance(kind, list) else [1]
         cases.append((path, put(wrong), "type" + variant))
+        if kind == "num":
+            cases.append((path, put(float("nan")), "nan" + variant))
+            cases.append((path, put(-float("inf")), "infinite" + variant))
         if isinstance(kind, list):
             value = value or _sample(f)
             if f.size:
@@ -489,6 +492,8 @@ class TestCLICommands:
         ("shells: shell names must be unique",
          {"shells": 2 * minimal_config()["shells"]}),
         ("lognormal_latency: ", {"lognormal_latency": {"median_ms": 40.0, "sigma": 0}}),
+        ("optimizer.pch_inter_period_s: must be > 0", {"optimizer": {"pch_inter_period_s": 0}}),
+        ("optimizer.pch_intra_period_s: must be > 0", {"optimizer": {"pch_intra_period_s": 0}}),
         ("gateways.list[0]: latitude", {"gateways": {"list": [{"name": "g", "lat_deg": -91.0,
                                                                "lon_deg": 0.0}]}}),
         ("origins: duplicate name 'main'",
@@ -538,6 +543,7 @@ class TestCLICommands:
     ] + [(field, over) for field, over, _ in SCHEMA_CASES],
         ids=["routing_weights", "qoe_budget_zero", "optimizer_typo", "optimizer_value",
              "orbits_zero", "origin_latitude", "duplicate_shell_names", "lognormal_sigma_zero",
+             "pch_inter_period_zero", "pch_intra_period_zero",
              "gateway_latitude", "duplicate_origin_names", "duplicate_gateway_names",
              "duplicate_gateway_file_names", "gateway_file_latitude", "gateway_file_not_a_number",
              "top_level_list", "horizon_as_string", "beta_null", "algorithms_as_string",

@@ -231,6 +231,12 @@ class TestLatencySampler:
         assert np.all(draws > 0)
         assert abs(np.median(draws) - 40.0) / 40.0 < 0.15
 
+    @pytest.mark.parametrize("median_ms,sigma", [(float("nan"), 0.5), (40.0, float("inf")),
+                                                 (float("inf"), 0.5), (0.0, 0.5), (40.0, -1.0)])
+    def test_lognormal_rejects_non_positive_and_non_finite(self, median_ms, sigma):
+        with pytest.raises(ValueError, match="positive and finite"):
+            LatencySampler.lognormal(median_ms, sigma)
+
     def test_rejects_bad_file(self, tmp_path):
         p = tmp_path / "lat.csv"
         p.write_text("latency_ms\nnot-a-number\n")
