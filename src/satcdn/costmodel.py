@@ -150,18 +150,18 @@ class DistanceOracle:
         slot.pos[new] = np.arange(k, end)
         slot.count = end
 
-    def _cached(self, slot: _Slot, src) -> _Slot:
-        """``slot`` once ``src``'s row is cached, computed together with every
-        user row not cached yet (delivery routes from each user in turn)."""
+    def _cache_source(self, slot: _Slot, src) -> None:
+        """Cache ``src``'s row together with every user row not cached yet
+        (delivery routes from each user in turn)."""
         if slot.pos[src] < 0:
             self._cache(slot, np.append(self.users_idx, src))
-        return slot
 
     def row(self, t: int, src: int) -> np.ndarray:
         slot = self._slot(t)
         if slot.full is not None:
             return slot.full[src]
-        return self._cached(slot, src).rows[slot.pos[src]]
+        self._cache_source(slot, src)
+        return slot.rows[slot.pos[src]]
 
     def pred_row(self, t: int, src: int) -> np.ndarray:
         if not self.has_paths:
@@ -169,7 +169,8 @@ class DistanceOracle:
         slot = self._slot(t)
         if slot.full is not None:
             return slot.pred[src]
-        return self._cached(slot, src).pred_rows[slot.pos[src]]
+        self._cache_source(slot, src)
+        return slot.pred_rows[slot.pos[src]]
 
     def take(self, t: int, rows, cols):
         """``matrix(t)[rows, cols]`` for NumPy indexes ``rows`` and ``cols``
@@ -190,11 +191,12 @@ class DistanceOracle:
         if isinstance(rows, slice) and np.ndim(cols):
             # NumPy lays a (slice, array) read out array-major: D[A, s] moved.
             return np.moveaxis(self.take(t, cols, rows), -1, 0)
-        r = np.asarray(self._node[rows])
-        need_r = r[slot.pos[r] < 0]
-        if need_r.size:
-            c = np.asarray(self._node[cols])
-            need_c = c[slot.pos[c] < 0]
+        # Node indexes: a slice as its nodes; ints and arrays index alike.
+        r = self._node[rows] if isinstance(rows, slice) else np.asarray(rows)
+        p = slot.pos[r]
+        if p.min(initial=0) < 0:
+            c = self._node[cols] if isinstance(cols, slice) else np.asarray(cols)
+            need_r, need_c = r[p < 0], c[slot.pos[c] < 0]
             if (np.unique(need_c).size, c.size) < (np.unique(need_r).size, r.size):
                 self._cache(slot, need_c)
                 if isinstance(cols, slice):
@@ -203,7 +205,8 @@ class DistanceOracle:
                     r = r.reshape(r.shape + (1,) * c.ndim)
                 return slot.rows[slot.pos[c], r]  # D[c, r] == D[r, c]
             self._cache(slot, need_r)
-        return slot.rows[slot.pos[r], cols]
+            p = slot.pos[r]
+        return slot.rows[p, cols]
 
     def has_matrix(self, t: int) -> bool:
         """Whether slot ``t`` holds its full matrix."""
