@@ -3,8 +3,9 @@
 The distance oracle gives, for every slot, shortest-path distances over the
 snapshot graph under one metric (hop count, ideal latency, or sampled
 latency), either as full matrices or as per-source rows computed on demand.
-Disconnected pairs are +inf. Cost evaluations are pure functions of
-(schedule, demand, oracle, params) and can run concurrently per content.
+Disconnected pairs are +inf. An oracle without full matrices caches the rows
+it computes as it is read, so it is not thread-safe: a caller that evaluates
+costs concurrently builds the matrices first (``build_matrices``).
 """
 
 from __future__ import annotations
@@ -20,6 +21,10 @@ from scipy.sparse.csgraph import dijkstra
 from .constellation import GATEWAY, ORIGIN, SAT, USER
 
 METRICS = ("hop", "ideal", "sampled")
+
+# Networks of at most this many nodes are small: their oracles store float64
+# and their planning oracles build every slot's full matrix up front.
+SMALL_NETWORK_NODES = 768
 
 
 class _Slot:
@@ -368,33 +373,38 @@ def build_distance_oracle(snapshots, metric: str, *, need_paths: bool = False,
                           dtype=None) -> DistanceOracle:
     """Shortest paths per slot over snapshot graphs.
 
-    Large networks default to float32 storage; small ones keep float64.
-    Latency edge weights are snapped to a dyadic grid
+    Small networks (``SMALL_NETWORK_NODES``) default to float64 storage,
+    large ones to float32. Latency edge weights are snapped to a dyadic grid
     (``constellation.dyadic_weights``), so every distance is an exact path
-    sum and ``D[u, v] == D[v, u]`` bit for bit. The ``hop`` planning oracle
-    (without ``need_paths``) builds every slot's full matrix up front, by one
-    all-sources breadth-first search per slot: every hop workload runs MTLS,
-    which reads whole blocks. Every other oracle keeps the slot graphs and
-    computes Dijkstra rows on demand (unweighted for ``hop``), so the
-    ``ideal`` and ``sampled`` planning oracles serve the solvers' and the
-    cost model's reads (``take``) from the rows of the smaller side; full
-    matrices are built only for MTLS (``build_matrices``), from the cached
-    rows and the rows still missing. With ``need_paths`` predecessor rows are
-    kept too: delivery only routes from user sources.
+    sum and ``D[u, v] == D[v, u]`` bit for bit.
+
+    A planning oracle (without ``need_paths``) builds every slot's full
+    matrix up front when the metric is ``hop`` (one all-sources breadth-first
+    search per slot; every hop workload runs MTLS, which reads whole blocks)
+    or the network is small, where an all-pairs Dijkstra costs about as much
+    as the row bookkeeping of the solvers' reads. The ``ideal`` and
+    ``sampled`` planning oracles of large networks keep the slot graphs and
+    compute Dijkstra rows on demand: the solvers' and the cost model's reads
+    (``take``) come from the rows of the smaller side, and full matrices are
+    built only for MTLS (``build_matrices``), from the cached rows and the
+    rows still missing. With ``need_paths`` rows and their predecessor rows
+    are always computed on demand (unweighted for ``hop``): delivery only
+    routes from user sources.
     """
     if metric not in METRICS:
         raise ValueError(f"metric must be one of {METRICS}")
     if not snapshots:
         raise ValueError("at least one snapshot required")
     nt = snapshots[0].nodes
+    small = nt.n_nodes <= SMALL_NETWORK_NODES
     if dtype is None:
-        dtype = np.float64 if nt.n_nodes <= 768 else np.float32
+        dtype = np.float64 if small else np.float32
     oracle = DistanceOracle(None, nt.ids, nt.kind, shell=nt.shell, orbit=nt.orbit,
                             in_orbit=nt.in_orbit, orbit_key=nt.orbit_key, metric=metric,
                             slot_seconds=_infer_slot_seconds(snapshots),
                             graphs=[snap.to_csr(metric) for snap in snapshots],
                             paths=need_paths, dtype=dtype)
-    if metric == "hop" and not need_paths:
+    if not need_paths and (metric == "hop" or small):
         oracle.build_matrices(oracle.slot_count)
     return oracle
 

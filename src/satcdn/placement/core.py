@@ -182,25 +182,18 @@ def _shifted(idx, span: range):
 class _SanitizedReads:
     """A slot's R x R block read through the oracle when it cannot be a view
     of the oracle matrix. ``r`` indexes the R nodes: a slice when they are one
-    run, else their node indices. Each read ``[rows, cols]`` (R-positions)
-    returns a sanitized copy (see ``_sanitized``) of just the entries asked
-    for, shaped as the same read of an R x R array would be. Without the
-    full matrix the reads go through ``oracle.take``; on one run they keep
-    their index form, and with it NumPy's layout of the result."""
+    run, else their node indices. Each read ``[rows, cols]`` (R-positions) is
+    one ``oracle.take`` of just the entries asked for, returned as a sanitized
+    copy (see ``_sanitized``) shaped as the same read of an R x R array would
+    be. On one run the positions shift by its start and keep their index
+    form, and with it NumPy's layout of the result."""
 
-    __slots__ = ("read", "span", "nodes", "dtype")
+    __slots__ = ("oracle", "t", "span", "nodes", "dtype")
 
     def __init__(self, oracle: DistanceOracle, t: int, r, dtype):
         run = isinstance(r, slice)
-        self.span = None
-        if oracle.has_matrix(t):
-            D = oracle.matrix(t)
-            raw = D[r, r] if run else D
-            self.read = lambda rows, cols: raw[rows, cols]
-        else:
-            self.read = lambda rows, cols: oracle.take(t, rows, cols)
-            if run:
-                self.span = range(r.start, r.stop)
+        self.oracle, self.t = oracle, t
+        self.span = range(r.start, r.stop) if run else None
         self.nodes = None if run else r
         self.dtype = np.dtype(dtype)
 
@@ -214,9 +207,9 @@ class _SanitizedReads:
                 rows = rows.reshape(rows.shape + (1,) * np.ndim(cols))
             elif isinstance(idx[1], slice):
                 rows = np.expand_dims(rows, -1)
-        elif self.span is not None:
+        else:
             rows, cols = _shifted(rows, self.span), _shifted(cols, self.span)
-        return _sanitized(self.read(rows, cols), self.dtype)
+        return _sanitized(self.oracle.take(self.t, rows, cols), self.dtype)
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from helpers import GATEWAY, motion_instance
+from satcdn import costmodel
 from satcdn.costmodel import CostParams, DistanceOracle, build_distance_oracle, total_cost
 from satcdn.demand import ContentCatalog, DemandMatrix
 from satcdn.placement import SOLVERS, OptimizerConfig, local_search
@@ -263,7 +264,10 @@ def planning_oracle(snaps, metric, dtype, restrict, full):
 def test_solvers_match_on_lazy_and_eager_oracles(network, metric, dtype, restrict, monkeypatch):
     """Schedules, counts, histories, DP objectives, c_qmin and costs agree bit
     for bit whether the solvers and the cost model read cached rows or full
-    matrices. Each solve gets a fresh oracle, so MTLS too starts from rows."""
+    matrices. Each solve gets a fresh oracle, so MTLS too starts from rows;
+    the test network is small, so its oracles are made to compute rows on
+    demand as a large network's do."""
+    monkeypatch.setattr(costmodel, "SMALL_NETWORK_NODES", 0)
     snaps, demand, catalog = network
     objectives = []
     dp = local_search.dp_pass

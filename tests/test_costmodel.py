@@ -134,6 +134,13 @@ def three_shell_network():
 NETWORKS = [leo_network, split_network, isolated_network, three_shell_network]
 
 
+@pytest.fixture
+def lazy_planning(monkeypatch):
+    """Weighted planning oracles of the small test networks compute rows on
+    demand, as those of large networks do."""
+    monkeypatch.setattr(costmodel, "SMALL_NETWORK_NODES", 0)
+
+
 def full_apsp(snap, metric):
     """Distances and predecessors of every source in one call, independent of
     the oracle's per-row routine."""
@@ -193,6 +200,7 @@ class TestDyadicWeights:
     @pytest.mark.parametrize("metric", ["ideal", "sampled"])
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     @pytest.mark.parametrize("make_net", NETWORKS)
+    @pytest.mark.usefixtures("lazy_planning")
     def test_every_oracle_equals_its_transpose(self, metric, dtype, make_net):
         snaps = make_net().snapshots(2)
         eager = build_distance_oracle(snaps, metric, dtype=dtype)
@@ -254,6 +262,7 @@ class TestTake:
     @pytest.mark.parametrize("metric", ["ideal", "sampled"])
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     @pytest.mark.parametrize("warm", [False, True])
+    @pytest.mark.usefixtures("lazy_planning")
     def test_take_equals_the_matrix_read(self, metric, dtype, warm):
         """Values, shape, dtype and, for a gather, the memory layout (which
         fixes NumPy's sum order) of every read form, whichever side the rows
@@ -275,6 +284,7 @@ class TestTake:
                     assert got.strides == want.strides
                 assert not lazy.has_matrix(t)
 
+    @pytest.mark.usefixtures("lazy_planning")
     def test_matrix_reuses_the_cached_rows(self, monkeypatch):
         snaps = leo_network().snapshots(1)
         lazy = build_distance_oracle(snaps, "ideal")
@@ -318,15 +328,23 @@ class TestHopBFS:
         snaps = leo_network().snapshots(2)
         build_distance_oracle(snaps, "hop")
         assert calls == {"bfs": 2, "dijkstra": 0}
+        # A small network's weighted planning oracles are built up front, a
+        # large one's only when MTLS asks for them.
+        for metric in ("ideal", "sampled"):
+            build_distance_oracle(snaps, metric)
+        assert calls == {"bfs": 2, "dijkstra": 4}
+        monkeypatch.setattr(costmodel, "SMALL_NETWORK_NODES", 0)
+        build_distance_oracle(snaps, "hop")
+        assert calls == {"bfs": 4, "dijkstra": 4}
         weighted = [build_distance_oracle(snaps, metric) for metric in ("ideal", "sampled")]
-        assert calls == {"bfs": 2, "dijkstra": 0}
+        assert calls == {"bfs": 4, "dijkstra": 4}
         for oracle in weighted:
             oracle.build_matrices(2)
-        assert calls == {"bfs": 2, "dijkstra": 4}
+        assert calls == {"bfs": 4, "dijkstra": 8}
         lazy = build_distance_oracle(snaps, "hop", need_paths=True)
         lazy.matrix(1)
         lazy.row(2, lazy.users_idx[0])
-        assert calls == {"bfs": 2, "dijkstra": 6}
+        assert calls == {"bfs": 4, "dijkstra": 10}
 
 
 class TestMemoryGuard:
@@ -353,6 +371,7 @@ class TestMemoryGuard:
         with pytest.raises(MemoryError, match="1 slot"):
             lazy.matrix(1)
 
+    @pytest.mark.usefixtures("lazy_planning")
     def test_lazy_planning_oracle_solves_until_mtls_asks_for_full_matrices(self, monkeypatch):
         monkeypatch.setattr(costmodel, "available_memory_bytes", lambda: 10_000)
         snaps = leo_network().snapshots(3)
