@@ -1,11 +1,11 @@
 """Per-slot shortest-path distances and the query / replication / storage costs.
 
-The distance oracle gives, for every slot, shortest-path distances over the
-snapshot graph under one metric (hop count, ideal latency, or sampled
-latency), either as full matrices or as per-source rows computed on demand.
-Disconnected pairs are +inf. An oracle without full matrices caches the rows
-it computes as it is read, so it is not thread-safe: a caller that evaluates
-costs concurrently builds the matrices first (``build_matrices``).
+The distance oracle gives, for every slot, shortest-path distances and
+predecessors over the snapshot graph under one metric (hop count, ideal
+latency, or sampled latency). It stores what is read: per-source rows
+computed on demand, and full matrices where block reads or MTLS need them.
+Disconnected pairs are +inf. An oracle caches what it computes as it is
+read, so it is not thread-safe.
 """
 
 from __future__ import annotations
@@ -23,27 +23,28 @@ from .constellation import GATEWAY, ORIGIN, SAT, USER
 METRICS = ("hop", "ideal", "sampled")
 
 # Networks of at most this many nodes are small: their oracles store float64
-# and their planning oracles build every slot's full matrix up front.
+# and build every slot's full matrix at their first block read.
 SMALL_NETWORK_NODES = 768
 
 
 class _Slot:
-    """One slot's distances: the full arrays once built, else the slot graph
-    and the rows computed from it so far. Source ``s``'s row is row
-    ``pos[s]`` of ``rows`` (and of ``pred_rows``); ``pos`` is -1 for sources
-    not computed yet, and the first ``count`` rows are in use."""
+    """One slot's distances: the given arrays (``full``, optionally
+    ``pred``), or the slot graph, the predecessor rows computed from it by
+    source (``preds``) and, until ``full`` is built, the distance rows:
+    source ``s``'s is row ``pos[s]`` of ``rows`` (-1: not computed yet), and
+    the first ``count`` rows are in use."""
 
-    __slots__ = ("graph", "full", "pred", "rows", "pred_rows", "pos", "count")
+    __slots__ = ("graph", "full", "pred", "rows", "pos", "count", "preds")
 
-    def __init__(self, full=None, pred=None, graph=None, dtype=None, paths=False):
+    def __init__(self, full=None, pred=None, graph=None, dtype=None):
         self.full, self.pred, self.graph = full, pred, graph
-        self.rows = self.pred_rows = self.pos = None
+        self.rows = self.pos = None
         self.count = 0
+        self.preds = {}
         if graph is not None:
             n = graph.shape[0]
             self.pos = np.full(n, -1, dtype=np.int64)
             self.rows = np.empty((0, n), dtype=dtype)
-            self.pred_rows = np.empty((0, n), dtype=np.int32) if paths else None
 
 
 class DistanceOracle:
@@ -52,12 +53,11 @@ class DistanceOracle:
     ``take(t, rows, cols)`` reads what ``matrix(t)[rows, cols]`` would at
     1-based slot ``t``. ``row(t, src)`` is the distance row of source ``src``
     and ``pred_row(t, src)`` its shortest-path predecessor row (-9999 where
-    unreachable). A slot holds either its full arrays (reads are slices) or
-    its graph, from which missing rows are computed with Dijkstra on demand
-    and cached. ``matrix(t)`` and ``predecessors(t)`` return the full (n, n)
-    arrays, building them from the cached rows and the rows still missing.
-    The node ordering follows the snapshot's node table: satellites, gateways,
-    origins, users — so candidate and user blocks are contiguous slices.
+    unreachable). Built from snapshot graphs, an oracle stores what is read:
+    Dijkstra rows computed on demand, and full matrices as ``full`` says.
+    The node ordering follows the snapshot's node table: satellites,
+    gateways, origins, users — so candidate and user blocks are contiguous
+    slices.
     """
 
     def __init__(self, matrices: Sequence[np.ndarray] | None, ids: Sequence[str], kind: np.ndarray,
@@ -65,15 +65,15 @@ class DistanceOracle:
                  in_orbit: np.ndarray | None = None, orbit_key: np.ndarray | None = None,
                  metric: str = "custom", slot_seconds: float = 300.0,
                  predecessors: Sequence[np.ndarray] | None = None,
-                 candidates: np.ndarray | None = None, graphs=None, paths: bool = False,
-                 dtype=np.float64):
+                 candidates: np.ndarray | None = None, graphs=None, dtype=np.float64):
         self.ids = list(ids)
         self.kind = np.asarray(kind, dtype=np.int8)
         n = len(self.ids)
         self.dtype = np.dtype(dtype)
-        self.has_paths = paths if graphs is not None else predecessors is not None
+        # Whether block reads build every slot's full matrix (see full).
+        self._eager = graphs is not None and (metric == "hop" or n <= SMALL_NETWORK_NODES)
         if graphs is not None:
-            self._slots = [_Slot(graph=g, dtype=self.dtype, paths=paths) for g in graphs]
+            self._slots = [_Slot(graph=g, dtype=self.dtype) for g in graphs]
         else:
             matrices = list(matrices)
             preds = list(predecessors) if predecessors is not None else [None] * len(matrices)
@@ -121,61 +121,70 @@ class DistanceOracle:
             raise IndexError(f"slot {t} outside 1..{self.slot_count}")
         return self._slots[t - 1]
 
-    def _solve(self, slot: _Slot, sources: np.ndarray):
-        """Float64 distance (and int32 predecessor) rows of ``sources``: one
-        Dijkstra call. Callers cast the distances to the oracle's dtype as
-        they store them.
+    def _solve(self, slot: _Slot, sources, predecessors: bool = False):
+        """Float64 distance rows of ``sources`` (and their predecessor rows
+        when ``predecessors``): one Dijkstra call. Callers cast the distances
+        to the oracle's dtype as they store them.
 
         The slot graph stores both directions of every edge, so it is searched
         as a directed graph: each edge is scanned once per direction.
         """
-        res = dijkstra(slot.graph, directed=True, indices=sources,
-                       unweighted=(self.metric == "hop"), return_predecessors=self.has_paths)
-        dist, pred = res if self.has_paths else (res, None)
-        return dist, None if pred is None else pred.astype(np.int32, copy=False)
+        return dijkstra(slot.graph, directed=True, indices=sources,
+                        unweighted=(self.metric == "hop"), return_predecessors=predecessors)
 
-    def _cache(self, slot: _Slot, sources) -> None:
-        """Compute and keep the rows of every source in ``sources`` not cached
-        yet, in one Dijkstra call. The row arrays grow by doubling, up to one
-        row per node."""
+    def _cache(self, slot: _Slot, sources, dist=None) -> None:
+        """Keep the rows of every source in ``sources`` not cached yet: rows
+        ``dist`` of sorted unique ``sources`` when given, else computed in one
+        Dijkstra call. The row array grows by doubling, up to one row per
+        node."""
         new = np.unique(sources)
-        new = new[slot.pos[new] < 0]
+        miss = slot.pos[new] < 0
+        new = new[miss]
         if not new.size:
             return
-        dist, pred = self._solve(slot, new)
+        dist = self._solve(slot, new) if dist is None else dist[miss]
         k, end = slot.count, slot.count + new.size
         if end > len(slot.rows):
             cap = min(max(end, 2 * len(slot.rows)), self.n_nodes)
-            slot.rows = _grown(slot.rows, k, cap)
-            if pred is not None:
-                slot.pred_rows = _grown(slot.pred_rows, k, cap)
+            grown = np.empty((cap, self.n_nodes), dtype=self.dtype)
+            grown[:k] = slot.rows[:k]
+            slot.rows = grown
         slot.rows[k:end] = dist
-        if pred is not None:
-            slot.pred_rows[k:end] = pred
         slot.pos[new] = np.arange(k, end)
         slot.count = end
 
-    def _cache_source(self, slot: _Slot, src) -> None:
-        """Cache ``src``'s row together with every user row not cached yet
-        (delivery routes from each user in turn)."""
-        if slot.pos[src] < 0:
-            self._cache(slot, np.append(self.users_idx, src))
+    def _route(self, slot: _Slot, src) -> None:
+        """Compute the distance and predecessor rows of ``src`` and every user
+        whose predecessors are not cached yet, in one Dijkstra call (delivery
+        routes from each user in turn), and keep both."""
+        new = np.unique(np.append(self.users_idx, src))
+        new = new[[s not in slot.preds for s in new.tolist()]]
+        dist, pred = self._solve(slot, new, predecessors=True)
+        slot.preds.update(zip(new.tolist(), pred.astype(np.int32, copy=False)))
+        if slot.full is None:
+            self._cache(slot, new, dist)
 
     def row(self, t: int, src: int) -> np.ndarray:
+        """Source ``src``'s distance row; a missing one is computed as
+        ``_route`` does."""
         slot = self._slot(t)
         if slot.full is not None:
             return slot.full[src]
-        self._cache_source(slot, src)
+        if slot.pos[src] < 0:
+            self._route(slot, src)
         return slot.rows[slot.pos[src]]
 
     def pred_row(self, t: int, src: int) -> np.ndarray:
-        if not self.has_paths:
-            raise ValueError("oracle was built without path predecessors")
+        """Source ``src``'s predecessor row; a missing one is computed by
+        ``_route``."""
         slot = self._slot(t)
-        if slot.full is not None:
+        if slot.graph is None:
+            if slot.pred is None:
+                raise ValueError("oracle was built without path predecessors")
             return slot.pred[src]
-        self._cache_source(slot, src)
-        return slot.pred_rows[slot.pos[src]]
+        if int(src) not in slot.preds:
+            self._route(slot, src)
+        return slot.preds[int(src)]
 
     def take(self, t: int, rows, cols):
         """``matrix(t)[rows, cols]`` for NumPy indexes ``rows`` and ``cols``
@@ -184,15 +193,16 @@ class DistanceOracle:
         fixes the order NumPy sums in. A read of slices and ints alone, a view
         of the full matrix, may come back as a C-contiguous copy.
 
-        Without the full matrix the read is made of cached Dijkstra rows: of
-        the ``rows`` side when they are all cached, else of whichever side
-        needs fewer new rows (then the smaller side). Distances are symmetric
-        bit for bit (``constellation.dyadic_weights``), so a column is the
-        matching row.
+        Without the full matrix (see ``full``) the read is made of cached
+        Dijkstra rows: of the ``rows`` side when they are all cached, else of
+        whichever side needs fewer new rows (then the smaller side). Distances
+        are symmetric bit for bit (``constellation.dyadic_weights``), so a
+        column is the matching row.
         """
-        slot = self._slot(t)
-        if slot.full is not None:
-            return slot.full[rows, cols]
+        full = self.full(t)
+        if full is not None:
+            return full[rows, cols]
+        slot = self._slots[t - 1]
         if isinstance(rows, slice) and np.ndim(cols):
             # NumPy lays a (slice, array) read out array-major: D[A, s] moved.
             return np.moveaxis(self.take(t, cols, rows), -1, 0)
@@ -217,50 +227,56 @@ class DistanceOracle:
         """Whether slot ``t`` holds its full matrix."""
         return self._slot(t).full is not None
 
+    def full(self, t: int) -> np.ndarray | None:
+        """The full matrix that slot ``t``'s block reads slice, or None while
+        they are made of cached rows. A ``hop`` oracle (one all-sources
+        breadth-first search per slot; every hop workload runs MTLS) and a
+        small network's, where an all-pairs Dijkstra costs about what the
+        row bookkeeping of the solvers' reads does, build every slot's full
+        matrix at their first block read, after checking that all fit in
+        memory. Larger ``ideal`` and ``sampled`` oracles build one only for
+        ``matrix(t)`` or MTLS (``build_matrices``)."""
+        slot = self._slot(t)
+        if slot.full is None and self._eager:
+            self._build(self._slots)
+        return slot.full
+
     def matrix(self, t: int) -> np.ndarray:
         slot = self._slot(t)
-        if slot.full is None:
-            n = self.n_nodes
-            check_fits(n, 1, self.dtype.itemsize, self.has_paths)
-            if self.metric == "hop" and not self.has_paths:
-                slot.full = _hop_matrix(slot.graph, self.dtype)
-            else:
-                # Dijkstra runs only from the sources not cached yet.
-                full = np.empty((n, n), dtype=self.dtype)
-                pred = np.empty((n, n), dtype=np.int32) if self.has_paths else None
-                have = np.flatnonzero(slot.pos >= 0)
-                full[have] = slot.rows[slot.pos[have]]
-                if pred is not None:
-                    pred[have] = slot.pred_rows[slot.pos[have]]
-                miss = np.flatnonzero(slot.pos < 0)
-                if miss.size:
-                    dist, pred_miss = self._solve(slot, miss)
-                    full[miss] = dist
-                    if pred is not None:
-                        pred[miss] = pred_miss
-                slot.full, slot.pred = full, pred
-            slot.graph = slot.rows = slot.pred_rows = slot.pos = None
+        self._build(self._slots if self._eager else [slot])
         return slot.full
 
     def build_matrices(self, slots: int) -> None:
-        """Build the full matrices of slots 1..``slots``, failing before the
+        """Build the full matrices of slots 1..``slots`` (of every slot on an
+        oracle that builds them together, see ``full``), failing before the
         first one is built when they would not all fit in memory."""
-        todo = [t for t in range(1, slots + 1) if not self.has_matrix(t)]
+        self._build(self._slots if self._eager else self._slots[:slots])
+
+    def _build(self, slots: Sequence[_Slot]) -> None:
+        """Build the full matrix of every slot in ``slots`` that has none,
+        after checking that they all fit: one all-sources breadth-first
+        search for ``hop``, else Dijkstra from the sources not cached yet
+        next to the cached rows, which the full matrix then replaces."""
+        todo = [slot for slot in slots if slot.full is None]
         if todo:
-            check_fits(self.n_nodes, len(todo), self.dtype.itemsize, self.has_paths)
-        for t in todo:
-            self.matrix(t)
+            check_fits(self.n_nodes, len(todo), self.dtype.itemsize)
+        for slot in todo:
+            if self.metric == "hop":
+                slot.full = _hop_matrix(slot.graph, self.dtype)
+            else:
+                full = np.empty((self.n_nodes, self.n_nodes), dtype=self.dtype)
+                have = np.flatnonzero(slot.pos >= 0)
+                full[have] = slot.rows[slot.pos[have]]
+                miss = np.flatnonzero(slot.pos < 0)
+                if miss.size:
+                    full[miss] = self._solve(slot, miss)
+                slot.full = full
+            slot.rows = slot.pos = None
 
     def d(self, t: int, u, v) -> float:
         ui = self.index[u] if isinstance(u, str) else int(u)
         vi = self.index[v] if isinstance(v, str) else int(v)
         return float(self.row(t, ui)[vi])
-
-    def predecessors(self, t: int) -> np.ndarray:
-        if not self.has_paths:
-            raise ValueError("oracle was built without path predecessors")
-        self.matrix(t)
-        return self._slots[t - 1].pred
 
     def with_candidates(self, candidates: np.ndarray) -> "DistanceOracle":
         """Shallow view sharing distances but with a restricted candidate set."""
@@ -277,13 +293,6 @@ class DistanceOracle:
     def from_matrices(cls, matrices, ids, kind, **kw) -> "DistanceOracle":
         """Construct directly from per-slot distance matrices (for tests/toys)."""
         return cls([np.asarray(m, dtype=float) for m in matrices], ids, kind, **kw)
-
-
-def _grown(a: np.ndarray, used: int, cap: int) -> np.ndarray:
-    """``a`` with room for ``cap`` rows, its first ``used`` rows kept."""
-    out = np.empty((cap,) + a.shape[1:], dtype=a.dtype)
-    out[:used] = a[:used]
-    return out
 
 
 def _unpack(words: np.ndarray, n: int) -> np.ndarray:
@@ -352,16 +361,15 @@ def available_memory_bytes() -> int | None:
         return None
 
 
-def check_fits(n: int, slots: int, itemsize: int, paths: bool) -> None:
+def check_fits(n: int, slots: int, itemsize: int) -> None:
     """Raise MemoryError before building ``slots`` full (n, n) distance arrays
-    (plus int32 predecessors when ``paths``) that would not fit in memory.
+    that would not fit in memory.
 
     The estimate adds one slot's float64 Dijkstra output, which exists while
     it is cast to the stored dtype. The hop breadth-first search allocates no
     such output, so for it the estimate is an upper bound.
     """
-    pred = 4 if paths else 0
-    need = n * n * (slots * (itemsize + pred) + 8 + pred)
+    need = n * n * (slots * itemsize + 8)
     avail = available_memory_bytes()
     if avail is not None and need > avail:
         raise MemoryError(
@@ -369,44 +377,26 @@ def check_fits(n: int, slots: int, itemsize: int, paths: bool) -> None:
             f"of full matrices, but only {avail} bytes of physical memory are available")
 
 
-def build_distance_oracle(snapshots, metric: str, *, need_paths: bool = False,
-                          dtype=None) -> DistanceOracle:
-    """Shortest paths per slot over snapshot graphs.
+def build_distance_oracle(snapshots, metric: str, *, dtype=None) -> DistanceOracle:
+    """Shortest paths per slot over snapshot graphs, computed as they are
+    read: nothing is built up front (see ``DistanceOracle.full``).
 
     Small networks (``SMALL_NETWORK_NODES``) default to float64 storage,
     large ones to float32. Latency edge weights are snapped to a dyadic grid
     (``constellation.dyadic_weights``), so every distance is an exact path
-    sum and ``D[u, v] == D[v, u]`` bit for bit.
-
-    A planning oracle (without ``need_paths``) builds every slot's full
-    matrix up front when the metric is ``hop`` (one all-sources breadth-first
-    search per slot; every hop workload runs MTLS, which reads whole blocks)
-    or the network is small, where an all-pairs Dijkstra costs about as much
-    as the row bookkeeping of the solvers' reads. The ``ideal`` and
-    ``sampled`` planning oracles of large networks keep the slot graphs and
-    compute Dijkstra rows on demand: the solvers' and the cost model's reads
-    (``take``) come from the rows of the smaller side, and full matrices are
-    built only for MTLS (``build_matrices``), from the cached rows and the
-    rows still missing. With ``need_paths`` rows and their predecessor rows
-    are always computed on demand (unweighted for ``hop``): delivery only
-    routes from user sources.
+    sum and ``D[u, v] == D[v, u]`` bit for bit. ``hop`` rows are unweighted.
     """
     if metric not in METRICS:
         raise ValueError(f"metric must be one of {METRICS}")
     if not snapshots:
         raise ValueError("at least one snapshot required")
     nt = snapshots[0].nodes
-    small = nt.n_nodes <= SMALL_NETWORK_NODES
     if dtype is None:
-        dtype = np.float64 if small else np.float32
-    oracle = DistanceOracle(None, nt.ids, nt.kind, shell=nt.shell, orbit=nt.orbit,
-                            in_orbit=nt.in_orbit, orbit_key=nt.orbit_key, metric=metric,
-                            slot_seconds=_infer_slot_seconds(snapshots),
-                            graphs=[snap.to_csr(metric) for snap in snapshots],
-                            paths=need_paths, dtype=dtype)
-    if not need_paths and (metric == "hop" or small):
-        oracle.build_matrices(oracle.slot_count)
-    return oracle
+        dtype = np.float64 if nt.n_nodes <= SMALL_NETWORK_NODES else np.float32
+    return DistanceOracle(None, nt.ids, nt.kind, shell=nt.shell, orbit=nt.orbit,
+                          in_orbit=nt.in_orbit, orbit_key=nt.orbit_key, metric=metric,
+                          slot_seconds=_infer_slot_seconds(snapshots),
+                          graphs=[snap.to_csr(metric) for snap in snapshots], dtype=dtype)
 
 
 def _infer_slot_seconds(snapshots) -> float:

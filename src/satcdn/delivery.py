@@ -132,8 +132,8 @@ def route(user, content: str, slot: int, schedule: ReplicaSchedule,
 
 
 def path_links(oracle: DistanceOracle, slot: int, src: int, dst: int) -> list[tuple[int, int]]:
-    """Edge list of the shortest path from src to dst at a slot (needs an
-    oracle built with path predecessors)."""
+    """Edge list of the shortest path from src to dst at a slot, read from
+    the oracle's predecessor row of src."""
     if src == dst:
         return []
     pred = oracle.pred_row(slot, src)

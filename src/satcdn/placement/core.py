@@ -8,10 +8,11 @@ storage costs attach to each variant.
 
 Solvers read a slot's distances among the R nodes (origins plus candidates)
 from the oracle matrix in place, with no per-slot copy or gather of the R x R
-block; a slot without its full matrix (only MTLS builds them) is read through
-``DistanceOracle.take``, just the entries asked for. Inside the DP,
-disconnected distances read as a large finite sentinel (``BIG``) so that
-argmin arithmetic stays NaN-free; reported costs always come
+block; a slot without its full matrix (``DistanceOracle.full``: hop and
+small-network oracles build them at their first block read, others only for
+MTLS) is read through ``DistanceOracle.take``, just the entries asked for.
+Inside the DP, disconnected distances read as a large finite sentinel
+(``BIG``) so that argmin arithmetic stays NaN-free; reported costs always come
 from a clean re-evaluation against the oracle. On the default node layout the
 R nodes are one contiguous run, so their block is a view of the oracle matrix,
 read as is when it already has the DP dtype and no +inf (decided once per
@@ -30,7 +31,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from ..costmodel import CostBreakdown, CostParams, DistanceOracle, ReplicaSchedule, total_cost
+from ..costmodel import (SMALL_NETWORK_NODES, CostBreakdown, CostParams, DistanceOracle,
+                         ReplicaSchedule, total_cost)
 from ..demand import DemandMatrix
 
 BIG = 1e12  # finite stand-in for +inf inside DP arithmetic
@@ -258,7 +260,7 @@ def _layout(oracle: DistanceOracle) -> dict:
     return dict(
         r_nodes=r_nodes, r_ids=r_nodes.tolist(), R=R, cand_pos=cand_pos,
         origin_set=frozenset(origin_pos.tolist()), s0=tuple(origin_pos.tolist()),
-        dp_dtype=np.float64 if R <= 768 else np.float32, orbit_cands=orbit_cands,
+        dp_dtype=np.float64 if R <= SMALL_NETWORK_NODES else np.float32, orbit_cands=orbit_cands,
         orbit_grid=orbit_grid, orbit_ids=orbit_ids, orbit_slot=orbit_slot,
         orbit_members={o: orbit_cands[a:a + n] for o, a, n in zip(
             orbit_ids.tolist(), orbit_start.tolist(), orbit_size.tolist())},
@@ -314,9 +316,9 @@ class ContentProblem:
         """
         B = self._blocks[t - 1]
         if B is None:
-            r = self._r_index
-            if self.oracle.has_matrix(t) and isinstance(r, slice):
-                B = self.oracle.matrix(t)[r, r]
+            r, D = self._r_index, self.oracle.full(t)
+            if D is not None and isinstance(r, slice):
+                B = D[r, r]
                 B = _read_only(B) if _in_place(self._shared, t, r, r, self.dp_dtype, B) else None
             if B is None:
                 B = _SanitizedReads(self.oracle, t, r, self.dp_dtype)

@@ -342,15 +342,17 @@ def test_paper_scale_hop_oracle_equals_dijkstra(starlink_env):
 
 
 def test_paper_scale_ideal_rows_equal_undirected_dijkstra(starlink_env):
-    """Path-oracle rows and predecessors on one paper-scale ideal slot equal
-    an undirected Dijkstra over every source."""
+    """Rows and predecessor rows on one paper-scale ideal slot equal an
+    undirected Dijkstra over every source, before and after the slot's full
+    matrix is built."""
     from test_costmodel import full_apsp
     snap = starlink_env["net"].snapshot(1)
     dist, pred = full_apsp(snap, "ideal")
-    lazy = build_distance_oracle([snap], "ideal", need_paths=True)
+    lazy = build_distance_oracle([snap], "ideal")
     want = dist.astype(lazy.dtype)
     for u in lazy.users_idx:
         assert lazy.row(1, u).tobytes() == want[u].tobytes()
         assert lazy.pred_row(1, u).tobytes() == pred[u].astype(np.int32).tobytes()
     assert lazy.matrix(1).tobytes() == want.tobytes()
-    assert np.array_equal(lazy.predecessors(1), pred)
+    stacked = np.array([lazy.pred_row(1, s) for s in range(lazy.n_nodes)])
+    assert stacked.tobytes() == pred.astype(np.int32).tobytes()

@@ -101,6 +101,30 @@ class TestViewEqualsCopy:
             outcome(solver, copy, demand, catalog, params)
 
 
+@pytest.mark.parametrize("metric", ["hop", "ideal", "sampled"])
+@pytest.mark.parametrize("solver", ["mtols", "local_search", "naive_greedy"])
+def test_a_solver_reading_first_reads_blocks_in_place(metric, solver, monkeypatch):
+    """A hop or small-network oracle builds its full matrices at its first
+    block read, so a solver that reads it before anything else still reads
+    every R x R block as a view of the oracle matrix."""
+    from satcdn.constellation import GroundNode, Network, starlink_phase1
+    ground = [GroundNode("gw/g", "gateway", 45.0, -80.0),
+              GroundNode("origin/o", "origin", 40.0, -90.0),
+              GroundNode("user/a", "user_region", 35.0, -100.0),
+              GroundNode("user/b", "user_region", 30.0, -85.0)]
+    net = Network([starlink_phase1(orbit_count=6, sats_per_orbit=8, name="s")], ground, seed=4)
+    oracle = build_distance_oracle(net.snapshots(3), metric)
+    demand = DemandMatrix(["user/a", "user/b"], ["c"], np.ones((2, 1, 3)))
+    params = CostParams(metric, alpha=5.0, beta=1.0, gamma=4.0, c_qmin=1.0)
+    blocks = []
+    block = ContentProblem.block
+    monkeypatch.setattr(ContentProblem, "block",
+                        lambda self, t: blocks.append((t, block(self, t))) or blocks[-1][1])
+    SOLVERS[solver](demand, oracle, params, OptimizerConfig(max_iterations=2))
+    assert blocks and all(isinstance(B, np.ndarray) and np.shares_memory(B, oracle.matrix(t))
+                          for t, B in blocks)
+
+
 @pytest.mark.parametrize("layout", ["view", "inf", "not_one_run"])
 def test_solvers_leave_oracle_matrices_unchanged(instance, layout):
     oracle, mats, demand, catalog, params = instance

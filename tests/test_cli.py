@@ -74,9 +74,12 @@ def _sample(f: F):
 def _schema_cases():
     """Malformed configs generated from the config schema table, as
     ``(expected message prefix, config, test id)``: a wrong JSON type for every
-    field, NaN and -Infinity for every number, a wrong length for every fixed-length list, a missing value for every
-    required field, an unknown key in every object and an unknown variant for
-    every tagged object. Each starts from the resolved minimal config."""
+    field, NaN and -Infinity for every number, a value outside every ``ge`` or
+    ``gt`` bound and every ``choices`` set, a wrong length for every
+    fixed-length list, too few entries for every ``min_size`` list, a missing
+    value for every required field, an unknown key in every object and an
+    unknown variant for every tagged object. Each starts from the resolved
+    minimal config."""
     cases = []
 
     def walk(f, value, path, put, variant=""):
@@ -88,10 +91,18 @@ def _schema_cases():
         if kind == "num":
             cases.append((path, put(float("nan")), "nan" + variant))
             cases.append((path, put(-float("inf")), "infinite" + variant))
+        if f.ge is not None:
+            cases.append((path, put(f.ge - (1 if kind == "int" else 0.5)), "below_ge" + variant))
+        if f.gt is not None:
+            cases.append((path, put(f.gt), "at_gt" + variant))
+        if f.choices:
+            cases.append((path, put("bogus"), "choice" + variant))
         if isinstance(kind, list):
             value = value or _sample(f)
             if f.size:
                 cases.append((path, put(value[1:]), "length" + variant))
+            if f.min_size:
+                cases.append((path, put(value[:f.min_size - 1]), "too_few" + variant))
             walk(kind[0], value[0], f"{path}[0]", lambda v: put([v] + value[1:]), variant)
         elif isinstance(kind, Tagged) and kind.key is None:
             cases.append((path, put({n: _sample(sub) for n, sub in kind.variants.items()}),
@@ -220,6 +231,59 @@ class TestRunScenario:
         run_scenario(gw_none, tmp_path / "none")
         rows = read_csv(tmp_path / "none" / "naive_greedy_schedule.csv")[1:]
         assert all(r[2].startswith("origin/") for r in rows)
+
+    @pytest.mark.parametrize("candidates", ["both", "gateways_only"])
+    @pytest.mark.parametrize("metric", ["hop", "ideal", "sampled"])
+    def test_delivery_routes_on_one_ideal_oracle(self, tmp_path, monkeypatch, metric,
+                                                 candidates):
+        """With routing policies, delivery routes on the planning oracle when
+        it plans on ideal latencies, else on one more ideal oracle, which
+        never holds a full matrix. The delivery and replica-load files equal
+        those of ``simulate_delivery`` on a separately built ideal oracle."""
+        import satcdn.scenario as sc_mod
+        from satcdn.costmodel import build_distance_oracle
+        from satcdn.delivery import simulate_delivery
+
+        built = []
+        monkeypatch.setattr(sc_mod, "build_distance_oracle",
+                            lambda *a, **k: built.append(build_distance_oracle(*a, **k))
+                            or built[-1])
+        cfg = small_leo_config(metric=metric, candidates=candidates,
+                               algorithms=["no_replica", "naive_greedy", "mtols"],
+                               routing={"policies": ["closest", "weighted_round_robin"],
+                                        "server_capacity_mbps": 96.0})
+        out = tmp_path / "out"
+        run_scenario(cfg, out)
+        assert len(built) == (1 if metric == "ideal" else 2)
+        if metric != "ideal":
+            assert built[1].metric == "ideal"
+            assert not any(built[1].has_matrix(t) for t in range(1, built[1].slot_count + 1))
+
+        sc = load_config(cfg)
+        _opt, policies, links, qoe = sc_mod._settings(sc)
+        b = build_scenario(sc)
+        oracle = build_distance_oracle(b.snapshots[:b.demand.slot_count], "ideal")
+        for name in cfg["algorithms"]:
+            rows = read_csv(out / f"{name}_schedule.csv")[1:]
+            T = max(int(t) for _c, t, _n in rows)
+            sets = {c: [tuple(sorted(oracle.index[n] for c2, t2, n in rows
+                                     if (c2, int(t2)) == (c, t))) for t in range(1, T + 1)]
+                    for c in b.demand.contents}
+            sched = ReplicaSchedule(b.demand.contents, T, sets)
+            drows, lrows = [], []
+            for policy in policies:
+                rep = simulate_delivery(sched, b.demand, policy, links, qoe, oracle, b.catalog)
+                drows.extend((t, pol, q, rep.traffic_gb) for t, pol, q in rep.rows())
+                lrows.extend(rep.replica_rows())
+            assert lrows
+            sc_mod._write_csv(tmp_path / "delivery.csv",
+                              ["slot", "policy", "mean_qoe", "traffic_gb"], drows)
+            sc_mod._write_csv(tmp_path / "load.csv", ["policy", "node_id", "requests", "gb"],
+                              lrows)
+            assert (out / f"{name}_delivery.csv").read_bytes() == \
+                (tmp_path / "delivery.csv").read_bytes()
+            assert (out / f"{name}_replica_load.csv").read_bytes() == \
+                (tmp_path / "load.csv").read_bytes()
 
     def test_failed_algorithm_recorded_and_others_run(self, tmp_path, monkeypatch):
         import satcdn.scenario as sc_mod

@@ -154,11 +154,11 @@ class TestLazyRows:
     @pytest.mark.parametrize("make_net", [leo_network, split_network, isolated_network])
     def test_rows_equal_full_apsp_bit_for_bit(self, metric, dtype, make_net):
         snaps = make_net().snapshots(2)
-        lazy = build_distance_oracle(snaps, metric, need_paths=True, dtype=dtype)
+        lazy = build_distance_oracle(snaps, metric, dtype=dtype)
         eager = build_distance_oracle(snaps, metric, dtype=dtype)
         n = lazy.n_nodes
-        for t, snap in enumerate(snaps, start=1):
-            dist, pred = full_apsp(snap, metric)
+        apsp = [full_apsp(snap, metric) for snap in snaps]
+        for t, (dist, pred) in enumerate(apsp, start=1):
             want = dist.astype(dtype)
             assert eager.matrix(t).tobytes() == want.tobytes()
             # user sources first (the batched call), then every other source
@@ -167,12 +167,44 @@ class TestLazyRows:
                 assert lazy.row(t, src).tobytes() == want[src].tobytes()
                 assert lazy.pred_row(t, src).tobytes() == pred[src].astype(np.int32).tobytes()
                 assert eager.row(t, src).tobytes() == want[src].tobytes()
-            assert lazy.matrix(t).tobytes() == want.tobytes()
-            assert np.array_equal(lazy.predecessors(t), pred)
+            assert not lazy.has_matrix(t)
+        for t, (dist, pred) in enumerate(apsp, start=1):
+            assert lazy.matrix(t).tobytes() == dist.astype(dtype).tobytes()
+            assert np.array_equal(np.array([eager.pred_row(t, s) for s in range(n)]), pred)
+
+    @pytest.mark.parametrize("kind", ["rows", "eager", "lazy", "after_matrix"])
+    @pytest.mark.parametrize("metric", ["hop", "ideal", "sampled"])
+    @pytest.mark.parametrize("make_net", [leo_network, split_network, isolated_network])
+    def test_pred_rows_equal_full_apsp_on_every_oracle_kind(self, kind, metric, make_net,
+                                                           monkeypatch):
+        """Predecessor rows, stacked, equal an undirected Dijkstra (unweighted
+        for hop) bit for bit whatever the slot holds: rows only, the full
+        matrices of a hop (breadth-first search) or small oracle built at its
+        first block read, rows of a lazy weighted oracle after block reads,
+        or a full matrix built by ``matrix(t)``. Block reads store no
+        predecessor rows."""
+        if kind in ("lazy", "after_matrix"):
+            monkeypatch.setattr(costmodel, "SMALL_NETWORK_NODES", 0)
+        snaps = make_net().snapshots(2)
+        oracle = build_distance_oracle(snaps, metric)
+        users, n = oracle.users_idx, oracle.n_nodes
+        if kind in ("eager", "lazy"):
+            oracle.take(1, users[:, None], oracle.candidates_idx)
+        elif kind == "after_matrix":
+            oracle.matrix(2)
+        full = {"rows": False, "eager": True, "lazy": metric == "hop",
+                "after_matrix": metric == "hop"}[kind]
+        assert [oracle.has_matrix(t) for t in (1, 2)] == \
+            [full, full or kind == "after_matrix"]
+        assert all(not slot.preds for slot in oracle._slots)
+        for t, snap in enumerate(snaps, start=1):
+            _dist, pred = full_apsp(snap, metric)
+            got = np.array([oracle.pred_row(t, s) for s in range(n)])
+            assert got.dtype == np.int32 and got.tobytes() == pred.astype(np.int32).tobytes()
 
     def test_partitioned_rows_keep_inf_and_missing_predecessors(self):
         for metric in ("hop", "ideal"):
-            lazy = build_distance_oracle(split_network().snapshots(1), metric, need_paths=True)
+            lazy = build_distance_oracle(split_network().snapshots(1), metric)
             a, b = lazy.index["user/a"], lazy.index["user/b"]
             o = lazy.index["origin/o"]
             assert np.isinf(lazy.row(1, a)[b]) and np.isinf(lazy.row(1, b)[o])
@@ -181,19 +213,22 @@ class TestLazyRows:
             assert lazy.d(1, "user/b", "origin/o") == np.inf
 
     def test_user_row_read_computes_only_user_rows(self):
-        lazy = build_distance_oracle(leo_network().snapshots(2), "ideal", need_paths=True)
+        lazy = build_distance_oracle(leo_network().snapshots(2), "ideal")
+        users = lazy.users_idx
         lazy.row(2, lazy.index["user/a"])
         slot = lazy._slots[1]
         assert slot.full is None
-        assert np.array_equal(np.flatnonzero(slot.pos >= 0), lazy.users_idx)
-        assert (lazy._slots[0].pos < 0).all()
+        assert np.array_equal(np.flatnonzero(slot.pos >= 0), users)
+        assert sorted(slot.preds) == users.tolist()
+        assert (lazy._slots[0].pos < 0).all() and not lazy._slots[0].preds
+        gw = lazy.index["gw/b"]
+        lazy.pred_row(2, gw)
+        assert sorted(slot.preds) == sorted(users.tolist() + [gw])
+        assert np.array_equal(np.flatnonzero(slot.pos >= 0), np.sort(np.append(users, gw)))
 
-    def test_planning_oracle_has_no_paths(self):
-        eager = build_distance_oracle(leo_network().snapshots(1), "hop")
+    def test_toy_oracle_without_predecessors_refuses_pred_rows(self):
         with pytest.raises(ValueError, match="predecessors"):
-            eager.pred_row(1, 0)
-        with pytest.raises(ValueError, match="predecessors"):
-            eager.predecessors(1)
+            chain_oracle().pred_row(1, 0)
 
 
 class TestDyadicWeights:
@@ -206,14 +241,12 @@ class TestDyadicWeights:
         eager = build_distance_oracle(snaps, metric, dtype=dtype)
         eager.build_matrices(len(snaps))
         lazy = build_distance_oracle(snaps, metric, dtype=dtype)
-        paths = build_distance_oracle(snaps, metric, need_paths=True, dtype=dtype)
         n = eager.n_nodes
         for t in range(1, len(snaps) + 1):
             D = eager.matrix(t)
             assert D.tobytes() == np.ascontiguousarray(D.T).tobytes()
-            for oracle in (lazy, paths):
-                rows = np.array([oracle.row(t, s) for s in range(n)])
-                assert rows.tobytes() == D.tobytes()
+            rows = np.array([lazy.row(t, s) for s in range(n)])
+            assert rows.tobytes() == D.tobytes()
             assert not lazy.has_matrix(t)
 
     def test_weights_sit_on_the_grid_and_barely_move(self):
@@ -326,25 +359,31 @@ class TestHopBFS:
         monkeypatch.setattr(costmodel, "_hop_matrix", count("bfs", bfs))
         monkeypatch.setattr(costmodel, "dijkstra", count("dijkstra", dij))
         snaps = leo_network().snapshots(2)
-        build_distance_oracle(snaps, "hop")
+        hop = build_distance_oracle(snaps, "hop")
+        assert calls == {"bfs": 0, "dijkstra": 0}
+        hop.take(1, hop.users_idx[:, None], hop.candidates_idx)
         assert calls == {"bfs": 2, "dijkstra": 0}
-        # A small network's weighted planning oracles are built up front, a
-        # large one's only when MTLS asks for them.
+        # A small network's weighted oracles build their full matrices at
+        # their first block read, a large one's only when MTLS asks for them.
         for metric in ("ideal", "sampled"):
-            build_distance_oracle(snaps, metric)
+            build_distance_oracle(snaps, metric).take(2, 0, slice(None))
         assert calls == {"bfs": 2, "dijkstra": 4}
         monkeypatch.setattr(costmodel, "SMALL_NETWORK_NODES", 0)
-        build_distance_oracle(snaps, "hop")
+        build_distance_oracle(snaps, "hop").matrix(2)
         assert calls == {"bfs": 4, "dijkstra": 4}
         weighted = [build_distance_oracle(snaps, metric) for metric in ("ideal", "sampled")]
         assert calls == {"bfs": 4, "dijkstra": 4}
         for oracle in weighted:
             oracle.build_matrices(2)
         assert calls == {"bfs": 4, "dijkstra": 8}
-        lazy = build_distance_oracle(snaps, "hop", need_paths=True)
-        lazy.matrix(1)
-        lazy.row(2, lazy.users_idx[0])
-        assert calls == {"bfs": 4, "dijkstra": 10}
+        # Rows and predecessor rows come from one Dijkstra call and never
+        # build a full matrix.
+        hop = build_distance_oracle(snaps, "hop")
+        hop.row(2, hop.users_idx[0])
+        hop.pred_row(2, hop.users_idx[0])
+        assert calls == {"bfs": 4, "dijkstra": 9}
+        hop.matrix(1)
+        assert calls == {"bfs": 6, "dijkstra": 9}
 
 
 class TestMemoryGuard:
@@ -352,8 +391,9 @@ class TestMemoryGuard:
         monkeypatch.setattr(costmodel, "available_memory_bytes", lambda: 10_000)
         snaps = leo_network().snapshots(3)
         n = snaps[0].n_nodes
+        oracle = build_distance_oracle(snaps, "hop")
         with pytest.raises(MemoryError, match=rf"n={n} nodes over 3 slot"):
-            build_distance_oracle(snaps, "hop")
+            oracle.take(2, oracle.users_idx[:, None], oracle.candidates_idx)
 
     def test_hop_oracle_fails_before_the_bfs_runs(self, monkeypatch):
         def never(*_a, **_k):
@@ -362,12 +402,19 @@ class TestMemoryGuard:
         monkeypatch.setattr(costmodel, "_hop_matrix", never)
         monkeypatch.setattr(costmodel, "available_memory_bytes", lambda: 10_000)
         with pytest.raises(MemoryError, match="2 slot"):
-            build_distance_oracle(leo_network().snapshots(2), "hop")
+            build_distance_oracle(leo_network().snapshots(2), "hop").matrix(1)
 
     def test_lazy_oracle_serves_rows_but_refuses_full_matrix(self, monkeypatch):
         monkeypatch.setattr(costmodel, "available_memory_bytes", lambda: 10_000)
-        lazy = build_distance_oracle(leo_network().snapshots(2), "ideal", need_paths=True)
-        assert lazy.row(1, lazy.index["user/a"])[lazy.index["user/a"]] == 0.0
+        snaps = leo_network().snapshots(2)
+        small = build_distance_oracle(snaps, "ideal")
+        monkeypatch.setattr(costmodel, "SMALL_NETWORK_NODES", 0)
+        lazy = build_distance_oracle(snaps, "ideal")
+        for oracle in (small, lazy):
+            a = oracle.index["user/a"]
+            assert oracle.row(1, a)[a] == 0.0 and oracle.pred_row(1, a)[a] == -9999
+        with pytest.raises(MemoryError, match="2 slot"):
+            small.take(1, a, slice(None))
         with pytest.raises(MemoryError, match="1 slot"):
             lazy.matrix(1)
 
@@ -390,20 +437,18 @@ class TestMemoryGuard:
         with pytest.raises(MemoryError, match=rf"n={oracle.n_nodes} nodes over 3 slot"):
             solve_mtls(demand, oracle, params)
 
-    def test_estimate_counts_matrices_predecessors_and_temporary(self, monkeypatch):
+    def test_estimate_counts_matrices_and_temporary(self, monkeypatch):
         # 48 float32 slots of 1000x1000 plus one float64 Dijkstra output
         need = 1000 * 1000 * (48 * 4 + 8)
         monkeypatch.setattr(costmodel, "available_memory_bytes", lambda: need)
-        costmodel.check_fits(1000, 48, 4, False)
-        with pytest.raises(MemoryError, match=str(need + 1000 * 1000 * 49 * 4)):
-            costmodel.check_fits(1000, 48, 4, True)
+        costmodel.check_fits(1000, 48, 4)
         monkeypatch.setattr(costmodel, "available_memory_bytes", lambda: need - 1)
-        with pytest.raises(MemoryError):
-            costmodel.check_fits(1000, 48, 4, False)
+        with pytest.raises(MemoryError, match=str(need)):
+            costmodel.check_fits(1000, 48, 4)
 
     def test_unknown_memory_skips_the_check(self, monkeypatch):
         monkeypatch.setattr(costmodel, "available_memory_bytes", lambda: None)
-        costmodel.check_fits(10**6, 48, 4, True)
+        costmodel.check_fits(10**6, 48, 4)
 
 
 class TestCQMin:

@@ -254,14 +254,14 @@ class TestSimulateDelivery:
 
 
 def network_oracles():
-    """A lazy path oracle on a small LEO network and an eager one holding the
-    full APSP arrays of the same snapshots."""
+    """An oracle computing rows and predecessor rows on demand on a small LEO
+    network, and one holding the full APSP arrays of the same snapshots."""
     shell = starlink_phase1(orbit_count=6, sats_per_orbit=8, name="s")
     states, weights = us_state_nodes()
     ground = random_ground_sites(4, US_BBOX, seed=9) + \
         [GroundNode("origin/east", "origin", 39.0, -77.0)] + states
     snaps = Network([shell], ground, seed=5).snapshots(3)
-    lazy = build_distance_oracle(snaps, "ideal", need_paths=True)
+    lazy = build_distance_oracle(snaps, "ideal")
     full = [dijkstra(s.to_csr("ideal"), directed=False, return_predecessors=True)
             for s in snaps]
     eager = DistanceOracle.from_matrices([d for d, _ in full], lazy.ids, lazy.kind,
