@@ -20,7 +20,7 @@ net = Network([shell], gateways + origin + states, slot_seconds=300.0, seed=5)
 
 snaps = net.snapshots(T)
 oracle = build_distance_oracle(snaps, "hop")
-delivery_oracle = build_distance_oracle(snaps, "ideal")
+delivery_oracle = build_distance_oracle(snaps, "ideal", need_paths=True)
 params = CostParams.from_oracle(oracle, alpha=50.0, beta=1.0, gamma=10.0)
 
 # chunk requests assigned to states by population

@@ -1,11 +1,11 @@
 """Per-slot shortest-path distances and the query / replication / storage costs.
 
-The distance oracle gives, for every slot, shortest-path distances and
-predecessors over the snapshot graph under one metric (hop count, ideal
-latency, or sampled latency). It stores what is read: per-source rows
-computed on demand, and full matrices where block reads or MTLS need them.
-Disconnected pairs are +inf. An oracle caches what it computes as it is
-read, so it is not thread-safe.
+The distance oracle gives, for every slot, shortest-path distances (and, on
+an oracle built for routing, predecessors) over the snapshot graph under one
+metric (hop count, ideal latency, or sampled latency). It stores what is
+read: per-source rows computed on demand, and full matrices where block
+reads or MTLS need them. Disconnected pairs are +inf. An oracle caches what
+it computes as it is read, so it is not thread-safe.
 """
 
 from __future__ import annotations
@@ -53,11 +53,12 @@ class DistanceOracle:
     ``take(t, rows, cols)`` reads what ``matrix(t)[rows, cols]`` would at
     1-based slot ``t``. ``row(t, src)`` is the distance row of source ``src``
     and ``pred_row(t, src)`` its shortest-path predecessor row (-9999 where
-    unreachable). Built from snapshot graphs, an oracle stores what is read:
-    Dijkstra rows computed on demand, and full matrices as ``full`` says.
-    The node ordering follows the snapshot's node table: satellites,
-    gateways, origins, users — so candidate and user blocks are contiguous
-    slices.
+    unreachable) on an oracle with paths (``has_paths``): one built with
+    ``need_paths`` or given predecessors. Built from snapshot graphs, an
+    oracle stores what is read: Dijkstra rows computed on demand, and full
+    matrices as ``full`` says. The node ordering follows the snapshot's node
+    table: satellites, gateways, origins, users — so candidate and user
+    blocks are contiguous slices.
     """
 
     def __init__(self, matrices: Sequence[np.ndarray] | None, ids: Sequence[str], kind: np.ndarray,
@@ -65,11 +66,13 @@ class DistanceOracle:
                  in_orbit: np.ndarray | None = None, orbit_key: np.ndarray | None = None,
                  metric: str = "custom", slot_seconds: float = 300.0,
                  predecessors: Sequence[np.ndarray] | None = None,
-                 candidates: np.ndarray | None = None, graphs=None, dtype=np.float64):
+                 candidates: np.ndarray | None = None, graphs=None, paths: bool = False,
+                 dtype=np.float64):
         self.ids = list(ids)
         self.kind = np.asarray(kind, dtype=np.int8)
         n = len(self.ids)
         self.dtype = np.dtype(dtype)
+        self.has_paths = paths if graphs is not None else predecessors is not None
         # Whether block reads build every slot's full matrix (see full).
         self._eager = graphs is not None and (metric == "hop" or n <= SMALL_NETWORK_NODES)
         if graphs is not None:
@@ -121,16 +124,22 @@ class DistanceOracle:
             raise IndexError(f"slot {t} outside 1..{self.slot_count}")
         return self._slots[t - 1]
 
-    def _solve(self, slot: _Slot, sources, predecessors: bool = False):
-        """Float64 distance rows of ``sources`` (and their predecessor rows
-        when ``predecessors``): one Dijkstra call. Callers cast the distances
-        to the oracle's dtype as they store them.
+    def _solve(self, slot: _Slot, sources: np.ndarray) -> np.ndarray:
+        """Float64 distance rows of ``sources``: one Dijkstra call. Callers
+        cast them to the oracle's dtype as they store them. With paths the
+        call also computes the sources' predecessor rows, kept in
+        ``slot.preds``: delivery reads both from each user it routes.
 
         The slot graph stores both directions of every edge, so it is searched
         as a directed graph: each edge is scanned once per direction.
         """
-        return dijkstra(slot.graph, directed=True, indices=sources,
-                        unweighted=(self.metric == "hop"), return_predecessors=predecessors)
+        res = dijkstra(slot.graph, directed=True, indices=sources,
+                       unweighted=(self.metric == "hop"), return_predecessors=self.has_paths)
+        if not self.has_paths:
+            return res
+        dist, pred = res
+        slot.preds.update(zip(sources.tolist(), pred.astype(np.int32, copy=False)))
+        return dist
 
     def _cache(self, slot: _Slot, sources, dist=None) -> None:
         """Keep the rows of every source in ``sources`` not cached yet: rows
@@ -153,38 +162,55 @@ class DistanceOracle:
         slot.pos[new] = np.arange(k, end)
         slot.count = end
 
-    def _route(self, slot: _Slot, src) -> None:
-        """Compute the distance and predecessor rows of ``src`` and every user
-        whose predecessors are not cached yet, in one Dijkstra call (delivery
-        routes from each user in turn), and keep both."""
-        new = np.unique(np.append(self.users_idx, src))
+    def _route(self, slot: _Slot, sources) -> None:
+        """Keep the predecessor rows of ``sources`` and of every user that has
+        none yet, from one Dijkstra call, and their distance rows while the
+        slot has no full matrix. Rows computed before came with theirs, but
+        for a ``hop`` full matrix: its breadth-first search gives none."""
+        new = np.unique(np.append(self.users_idx, sources))
         new = new[[s not in slot.preds for s in new.tolist()]]
-        dist, pred = self._solve(slot, new, predecessors=True)
-        slot.preds.update(zip(new.tolist(), pred.astype(np.int32, copy=False)))
-        if slot.full is None:
-            self._cache(slot, new, dist)
+        if new.size:
+            dist = self._solve(slot, new)
+            if slot.full is None:
+                self._cache(slot, new, dist)
 
     def row(self, t: int, src: int) -> np.ndarray:
-        """Source ``src``'s distance row; a missing one is computed as
-        ``_route`` does."""
+        """Source ``src``'s distance row; a missing one is computed together
+        with every user row not cached yet (delivery and the cost model read
+        from each user in turn)."""
         slot = self._slot(t)
         if slot.full is not None:
             return slot.full[src]
         if slot.pos[src] < 0:
-            self._route(slot, src)
+            self._cache(slot, np.append(self.users_idx, src))
         return slot.rows[slot.pos[src]]
 
     def pred_row(self, t: int, src: int) -> np.ndarray:
         """Source ``src``'s predecessor row; a missing one is computed by
         ``_route``."""
-        slot = self._slot(t)
+        slot = self._pred_slot(t)
         if slot.graph is None:
-            if slot.pred is None:
-                raise ValueError("oracle was built without path predecessors")
             return slot.pred[src]
         if int(src) not in slot.preds:
             self._route(slot, src)
         return slot.preds[int(src)]
+
+    def predecessors(self, t: int) -> np.ndarray:
+        """Slot ``t``'s full (n, n) predecessor matrix: every source's
+        ``pred_row`` stacked, the missing ones computed in one Dijkstra call."""
+        slot = self._pred_slot(t)
+        if slot.graph is None:
+            return slot.pred
+        # the cached distance and predecessor rows and the stacked copy
+        check_fits(self.n_nodes, 1, self.dtype.itemsize + 8)
+        self._route(slot, self._node)
+        return np.stack([slot.preds[s] for s in range(self.n_nodes)])
+
+    def _pred_slot(self, t: int) -> _Slot:
+        """Slot ``t`` of an oracle with paths."""
+        if not self.has_paths:
+            raise ValueError("oracle was built without path predecessors")
+        return self._slot(t)
 
     def take(self, t: int, rows, cols):
         """``matrix(t)[rows, cols]`` for NumPy indexes ``rows`` and ``cols``
@@ -222,10 +248,6 @@ class DistanceOracle:
             self._cache(slot, need_r)
             p = slot.pos[r]
         return slot.rows[p, cols]
-
-    def has_matrix(self, t: int) -> bool:
-        """Whether slot ``t`` holds its full matrix."""
-        return self._slot(t).full is not None
 
     def full(self, t: int) -> np.ndarray | None:
         """The full matrix that slot ``t``'s block reads slice, or None while
@@ -377,9 +399,13 @@ def check_fits(n: int, slots: int, itemsize: int) -> None:
             f"of full matrices, but only {avail} bytes of physical memory are available")
 
 
-def build_distance_oracle(snapshots, metric: str, *, dtype=None) -> DistanceOracle:
+def build_distance_oracle(snapshots, metric: str, *, need_paths: bool = False,
+                          dtype=None) -> DistanceOracle:
     """Shortest paths per slot over snapshot graphs, computed as they are
-    read: nothing is built up front (see ``DistanceOracle.full``).
+    read: nothing is built up front (see ``DistanceOracle.full``). With
+    ``need_paths`` the oracle also answers ``pred_row`` and
+    ``predecessors``: every Dijkstra row it computes comes with its
+    predecessor row.
 
     Small networks (``SMALL_NETWORK_NODES``) default to float64 storage,
     large ones to float32. Latency edge weights are snapped to a dyadic grid
@@ -396,7 +422,8 @@ def build_distance_oracle(snapshots, metric: str, *, dtype=None) -> DistanceOrac
     return DistanceOracle(None, nt.ids, nt.kind, shell=nt.shell, orbit=nt.orbit,
                           in_orbit=nt.in_orbit, orbit_key=nt.orbit_key, metric=metric,
                           slot_seconds=_infer_slot_seconds(snapshots),
-                          graphs=[snap.to_csr(metric) for snap in snapshots], dtype=dtype)
+                          graphs=[snap.to_csr(metric) for snap in snapshots],
+                          paths=need_paths, dtype=dtype)
 
 
 def _infer_slot_seconds(snapshots) -> float:

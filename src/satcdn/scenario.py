@@ -397,11 +397,11 @@ def run_scenario(config, out_dir, *, algorithms=None, metric=None, seed=None) ->
     built = build_scenario(sc)
     oracle, demand, catalog, params = built.oracle, built.demand, built.catalog, built.params
 
-    # delivery routes on ideal latencies; the planning snapshots cover the demand
     delivery_oracle = None
     if policies:
-        delivery_oracle = oracle if sc.metric == "ideal" else \
-            build_distance_oracle(built.snapshots[:demand.slot_count], "ideal")
+        # the planning snapshots cover the demand horizon; reuse them
+        delivery_oracle = build_distance_oracle(built.snapshots[:demand.slot_count], "ideal",
+                                                need_paths=True)
 
     nodes = built.network.nodes
     metadata: dict[str, Any] = {

@@ -16,6 +16,12 @@ from satcdn.demand import ContentCatalog, DemandMatrix
 SAT, USER, GATEWAY, ORIGIN = 0, 1, 2, 3
 
 
+def has_full(oracle: DistanceOracle, t: int) -> bool:
+    """Whether slot ``t`` of ``oracle`` holds its full matrix (reading it
+    through ``full(t)`` could build it)."""
+    return oracle._slots[t - 1].full is not None
+
+
 def motion_instance(seed, n_users, n_cands, T, *, n_origins=1, n_gateways=0,
                     alpha=2.0, beta=0.5, gamma=1.0, speed=2.0, box=10.0,
                     orbit_rows=None):

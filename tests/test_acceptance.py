@@ -348,11 +348,10 @@ def test_paper_scale_ideal_rows_equal_undirected_dijkstra(starlink_env):
     from test_costmodel import full_apsp
     snap = starlink_env["net"].snapshot(1)
     dist, pred = full_apsp(snap, "ideal")
-    lazy = build_distance_oracle([snap], "ideal")
+    lazy = build_distance_oracle([snap], "ideal", need_paths=True)
     want = dist.astype(lazy.dtype)
     for u in lazy.users_idx:
         assert lazy.row(1, u).tobytes() == want[u].tobytes()
         assert lazy.pred_row(1, u).tobytes() == pred[u].astype(np.int32).tobytes()
     assert lazy.matrix(1).tobytes() == want.tobytes()
-    stacked = np.array([lazy.pred_row(1, s) for s in range(lazy.n_nodes)])
-    assert stacked.tobytes() == pred.astype(np.int32).tobytes()
+    assert lazy.predecessors(1).tobytes() == pred.astype(np.int32).tobytes()

@@ -11,7 +11,7 @@ every solver to the same result, and no solver may write to the oracle.
 import numpy as np
 import pytest
 
-from helpers import GATEWAY, motion_instance
+from helpers import GATEWAY, has_full, motion_instance
 from satcdn import costmodel
 from satcdn.costmodel import CostParams, DistanceOracle, build_distance_oracle, total_cost
 from satcdn.demand import ContentCatalog, DemandMatrix
@@ -316,6 +316,6 @@ def test_solvers_match_on_lazy_and_eager_oracles(network, metric, dtype, restric
             runs.append((solver, params.c_qmin, res.schedule.sets, st.iterations,
                          st.relaxations, st.orbit_relaxations, st.history, st.orbit_sequence,
                          st.warnings, list(objectives), cost))
-            assert all(oracle.has_matrix(t) == (full or solver == "mtls") for t in range(1, 5))
+            assert all(has_full(oracle, t) == (full or solver == "mtls") for t in range(1, 5))
         got[full] = runs
     assert got[False] == got[True]

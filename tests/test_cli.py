@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from helpers import motion_instance, schedule_cost_ref
+from helpers import has_full, motion_instance, schedule_cost_ref
 from satcdn.cli import main
 from satcdn.costmodel import ReplicaSchedule, query_cost
 from satcdn.scenario import (_REQUIRED, _SCHEMA, F, ConfigError, Tagged, build_scenario,
@@ -234,35 +234,36 @@ class TestRunScenario:
 
     @pytest.mark.parametrize("candidates", ["both", "gateways_only"])
     @pytest.mark.parametrize("metric", ["hop", "ideal", "sampled"])
-    def test_delivery_routes_on_one_ideal_oracle(self, tmp_path, monkeypatch, metric,
-                                                 candidates):
-        """With routing policies, delivery routes on the planning oracle when
-        it plans on ideal latencies, else on one more ideal oracle, which
-        never holds a full matrix. The delivery and replica-load files equal
-        those of ``simulate_delivery`` on a separately built ideal oracle."""
+    def test_delivery_routes_on_one_ideal_path_oracle(self, tmp_path, monkeypatch, metric,
+                                                      candidates):
+        """With routing policies, the planning oracle is built first, without
+        paths, and delivery routes on one more ``ideal`` oracle built with
+        ``need_paths``, which never holds a full matrix. The delivery and
+        replica-load files equal those of ``simulate_delivery`` on a
+        separately built path oracle."""
         import satcdn.scenario as sc_mod
         from satcdn.costmodel import build_distance_oracle
         from satcdn.delivery import simulate_delivery
 
-        built = []
+        built, calls = [], []
         monkeypatch.setattr(sc_mod, "build_distance_oracle",
-                            lambda *a, **k: built.append(build_distance_oracle(*a, **k))
-                            or built[-1])
+                            lambda *a, **k: calls.append((a[1:], k))
+                            or built.append(build_distance_oracle(*a, **k)) or built[-1])
         cfg = small_leo_config(metric=metric, candidates=candidates,
                                algorithms=["no_replica", "naive_greedy", "mtols"],
                                routing={"policies": ["closest", "weighted_round_robin"],
                                         "server_capacity_mbps": 96.0})
         out = tmp_path / "out"
         run_scenario(cfg, out)
-        assert len(built) == (1 if metric == "ideal" else 2)
-        if metric != "ideal":
-            assert built[1].metric == "ideal"
-            assert not any(built[1].has_matrix(t) for t in range(1, built[1].slot_count + 1))
+        assert calls == [((metric,), {}), (("ideal",), {"need_paths": True})]
+        assert not built[0].has_paths
+        assert not any(has_full(built[1], t) for t in range(1, built[1].slot_count + 1))
 
         sc = load_config(cfg)
         _opt, policies, links, qoe = sc_mod._settings(sc)
         b = build_scenario(sc)
-        oracle = build_distance_oracle(b.snapshots[:b.demand.slot_count], "ideal")
+        oracle = build_distance_oracle(b.snapshots[:b.demand.slot_count], "ideal",
+                                       need_paths=True)
         for name in cfg["algorithms"]:
             rows = read_csv(out / f"{name}_schedule.csv")[1:]
             T = max(int(t) for _c, t, _n in rows)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy.sparse.csgraph import dijkstra
 
-from helpers import motion_instance, schedule_cost_ref
+from helpers import has_full, motion_instance, schedule_cost_ref
 from satcdn import costmodel
 from satcdn.constellation import GroundNode, Network, o3b, starlink_phase1, viasat
 from satcdn.costmodel import (CostParams, DistanceOracle, ReplicaSchedule,
@@ -154,7 +154,7 @@ class TestLazyRows:
     @pytest.mark.parametrize("make_net", [leo_network, split_network, isolated_network])
     def test_rows_equal_full_apsp_bit_for_bit(self, metric, dtype, make_net):
         snaps = make_net().snapshots(2)
-        lazy = build_distance_oracle(snaps, metric, dtype=dtype)
+        lazy = build_distance_oracle(snaps, metric, need_paths=True, dtype=dtype)
         eager = build_distance_oracle(snaps, metric, dtype=dtype)
         n = lazy.n_nodes
         apsp = [full_apsp(snap, metric) for snap in snaps]
@@ -167,10 +167,10 @@ class TestLazyRows:
                 assert lazy.row(t, src).tobytes() == want[src].tobytes()
                 assert lazy.pred_row(t, src).tobytes() == pred[src].astype(np.int32).tobytes()
                 assert eager.row(t, src).tobytes() == want[src].tobytes()
-            assert not lazy.has_matrix(t)
+            assert not has_full(lazy, t)
         for t, (dist, pred) in enumerate(apsp, start=1):
             assert lazy.matrix(t).tobytes() == dist.astype(dtype).tobytes()
-            assert np.array_equal(np.array([eager.pred_row(t, s) for s in range(n)]), pred)
+            assert np.array_equal(lazy.predecessors(t), pred)
 
     @pytest.mark.parametrize("kind", ["rows", "eager", "lazy", "after_matrix"])
     @pytest.mark.parametrize("metric", ["hop", "ideal", "sampled"])
@@ -181,12 +181,12 @@ class TestLazyRows:
         for hop) bit for bit whatever the slot holds: rows only, the full
         matrices of a hop (breadth-first search) or small oracle built at its
         first block read, rows of a lazy weighted oracle after block reads,
-        or a full matrix built by ``matrix(t)``. Block reads store no
-        predecessor rows."""
+        or a full matrix built by ``matrix(t)``; ``predecessors(t)`` is the
+        same stack."""
         if kind in ("lazy", "after_matrix"):
             monkeypatch.setattr(costmodel, "SMALL_NETWORK_NODES", 0)
         snaps = make_net().snapshots(2)
-        oracle = build_distance_oracle(snaps, metric)
+        oracle = build_distance_oracle(snaps, metric, need_paths=True)
         users, n = oracle.users_idx, oracle.n_nodes
         if kind in ("eager", "lazy"):
             oracle.take(1, users[:, None], oracle.candidates_idx)
@@ -194,17 +194,33 @@ class TestLazyRows:
             oracle.matrix(2)
         full = {"rows": False, "eager": True, "lazy": metric == "hop",
                 "after_matrix": metric == "hop"}[kind]
-        assert [oracle.has_matrix(t) for t in (1, 2)] == \
+        assert [has_full(oracle, t) for t in (1, 2)] == \
             [full, full or kind == "after_matrix"]
-        assert all(not slot.preds for slot in oracle._slots)
         for t, snap in enumerate(snaps, start=1):
             _dist, pred = full_apsp(snap, metric)
             got = np.array([oracle.pred_row(t, s) for s in range(n)])
             assert got.dtype == np.int32 and got.tobytes() == pred.astype(np.int32).tobytes()
+            assert oracle.predecessors(t).tobytes() == got.tobytes()
+
+    @pytest.mark.parametrize("small", [True, False])
+    def test_path_oracle_keeps_the_predecessors_of_its_full_matrix(self, small, monkeypatch):
+        """The Dijkstra call that builds a weighted path oracle's full matrix
+        keeps its predecessor rows, so ``predecessors(t)`` runs no other."""
+        if not small:
+            monkeypatch.setattr(costmodel, "SMALL_NETWORK_NODES", 0)
+        snap = leo_network().snapshot(1)
+        oracle = build_distance_oracle([snap], "ideal", need_paths=True)
+        oracle.matrix(1)
+
+        def never(*_a, **_k):
+            raise AssertionError("Dijkstra ran again for the predecessors")
+
+        monkeypatch.setattr(costmodel, "dijkstra", never)
+        assert np.array_equal(oracle.predecessors(1), full_apsp(snap, "ideal")[1])
 
     def test_partitioned_rows_keep_inf_and_missing_predecessors(self):
         for metric in ("hop", "ideal"):
-            lazy = build_distance_oracle(split_network().snapshots(1), metric)
+            lazy = build_distance_oracle(split_network().snapshots(1), metric, need_paths=True)
             a, b = lazy.index["user/a"], lazy.index["user/b"]
             o = lazy.index["origin/o"]
             assert np.isinf(lazy.row(1, a)[b]) and np.isinf(lazy.row(1, b)[o])
@@ -213,7 +229,7 @@ class TestLazyRows:
             assert lazy.d(1, "user/b", "origin/o") == np.inf
 
     def test_user_row_read_computes_only_user_rows(self):
-        lazy = build_distance_oracle(leo_network().snapshots(2), "ideal")
+        lazy = build_distance_oracle(leo_network().snapshots(2), "ideal", need_paths=True)
         users = lazy.users_idx
         lazy.row(2, lazy.index["user/a"])
         slot = lazy._slots[1]
@@ -226,9 +242,17 @@ class TestLazyRows:
         assert sorted(slot.preds) == sorted(users.tolist() + [gw])
         assert np.array_equal(np.flatnonzero(slot.pos >= 0), np.sort(np.append(users, gw)))
 
-    def test_toy_oracle_without_predecessors_refuses_pred_rows(self):
-        with pytest.raises(ValueError, match="predecessors"):
-            chain_oracle().pred_row(1, 0)
+    def test_planning_oracle_has_no_paths(self):
+        """A planning oracle computes distance rows alone and refuses
+        predecessor reads, as a toy oracle given no predecessors does."""
+        planning = build_distance_oracle(leo_network().snapshots(1), "ideal")
+        planning.row(1, planning.index["user/a"])
+        assert not planning.has_paths and not planning._slots[0].preds
+        for oracle in (planning, chain_oracle()):
+            with pytest.raises(ValueError, match="predecessors"):
+                oracle.pred_row(1, 0)
+            with pytest.raises(ValueError, match="predecessors"):
+                oracle.predecessors(1)
 
 
 class TestDyadicWeights:
@@ -241,13 +265,15 @@ class TestDyadicWeights:
         eager = build_distance_oracle(snaps, metric, dtype=dtype)
         eager.build_matrices(len(snaps))
         lazy = build_distance_oracle(snaps, metric, dtype=dtype)
+        paths = build_distance_oracle(snaps, metric, need_paths=True, dtype=dtype)
         n = eager.n_nodes
         for t in range(1, len(snaps) + 1):
             D = eager.matrix(t)
             assert D.tobytes() == np.ascontiguousarray(D.T).tobytes()
-            rows = np.array([lazy.row(t, s) for s in range(n)])
-            assert rows.tobytes() == D.tobytes()
-            assert not lazy.has_matrix(t)
+            for oracle in (lazy, paths):
+                rows = np.array([oracle.row(t, s) for s in range(n)])
+                assert rows.tobytes() == D.tobytes()
+                assert not has_full(oracle, t)
 
     def test_weights_sit_on_the_grid_and_barely_move(self):
         snap = three_shell_network().snapshot(1)
@@ -315,7 +341,7 @@ class TestTake:
                     assert np.asarray(got).flags.c_contiguous
                 else:
                     assert got.strides == want.strides
-                assert not lazy.has_matrix(t)
+                assert not has_full(lazy, t)
 
     @pytest.mark.usefixtures("lazy_planning")
     def test_matrix_reuses_the_cached_rows(self, monkeypatch):
@@ -378,7 +404,7 @@ class TestHopBFS:
         assert calls == {"bfs": 4, "dijkstra": 8}
         # Rows and predecessor rows come from one Dijkstra call and never
         # build a full matrix.
-        hop = build_distance_oracle(snaps, "hop")
+        hop = build_distance_oracle(snaps, "hop", need_paths=True)
         hop.row(2, hop.users_idx[0])
         hop.pred_row(2, hop.users_idx[0])
         assert calls == {"bfs": 4, "dijkstra": 9}
@@ -407,12 +433,14 @@ class TestMemoryGuard:
     def test_lazy_oracle_serves_rows_but_refuses_full_matrix(self, monkeypatch):
         monkeypatch.setattr(costmodel, "available_memory_bytes", lambda: 10_000)
         snaps = leo_network().snapshots(2)
-        small = build_distance_oracle(snaps, "ideal")
+        small = build_distance_oracle(snaps, "ideal", need_paths=True)
         monkeypatch.setattr(costmodel, "SMALL_NETWORK_NODES", 0)
-        lazy = build_distance_oracle(snaps, "ideal")
+        lazy = build_distance_oracle(snaps, "ideal", need_paths=True)
         for oracle in (small, lazy):
             a = oracle.index["user/a"]
             assert oracle.row(1, a)[a] == 0.0 and oracle.pred_row(1, a)[a] == -9999
+            with pytest.raises(MemoryError, match="1 slot"):
+                oracle.predecessors(1)
         with pytest.raises(MemoryError, match="2 slot"):
             small.take(1, a, slice(None))
         with pytest.raises(MemoryError, match="1 slot"):
@@ -428,7 +456,7 @@ class TestMemoryGuard:
         params = CostParams.from_oracle(oracle)
         for solve in (solve_naive_greedy, solve_mtols):
             solve(demand, oracle, params)
-        assert not any(oracle.has_matrix(t) for t in (1, 2, 3))
+        assert not any(has_full(oracle, t) for t in (1, 2, 3))
 
         def never(*_a, **_k):
             raise AssertionError("Dijkstra ran for a full matrix before the memory check")

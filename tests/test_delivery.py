@@ -261,7 +261,7 @@ def network_oracles():
     ground = random_ground_sites(4, US_BBOX, seed=9) + \
         [GroundNode("origin/east", "origin", 39.0, -77.0)] + states
     snaps = Network([shell], ground, seed=5).snapshots(3)
-    lazy = build_distance_oracle(snaps, "ideal")
+    lazy = build_distance_oracle(snaps, "ideal", need_paths=True)
     full = [dijkstra(s.to_csr("ideal"), directed=False, return_predecessors=True)
             for s in snaps]
     eager = DistanceOracle.from_matrices([d for d, _ in full], lazy.ids, lazy.kind,
