@@ -27,7 +27,6 @@ GEO_ALTITUDE_KM = 35786.0
 
 # Node kind codes shared across the package.
 SAT, USER, GATEWAY, ORIGIN = 0, 1, 2, 3
-KIND_NAMES = ("satellite", "user_region", "gateway", "origin")
 GROUND_KINDS = {"user_region": USER, "gateway": GATEWAY, "origin": ORIGIN}
 
 # Floor for edge latencies so weights stay strictly positive even for

@@ -65,9 +65,8 @@ class DistanceOracle:
                  *, shell: np.ndarray | None = None, orbit: np.ndarray | None = None,
                  in_orbit: np.ndarray | None = None, orbit_key: np.ndarray | None = None,
                  metric: str = "custom", slot_seconds: float = 300.0,
-                 predecessors: Sequence[np.ndarray] | None = None,
-                 candidates: np.ndarray | None = None, graphs=None, paths: bool = False,
-                 dtype=np.float64):
+                 predecessors: Sequence[np.ndarray] | None = None, graphs=None,
+                 paths: bool = False, dtype=np.float64):
         self.ids = list(ids)
         self.kind = np.asarray(kind, dtype=np.int8)
         n = len(self.ids)
@@ -94,10 +93,7 @@ class DistanceOracle:
         self.slot_seconds = float(slot_seconds)
         self.index = {nid: i for i, nid in enumerate(self.ids)}
         self._node = np.arange(n)
-        if candidates is not None:
-            self._candidates = np.asarray(candidates, dtype=np.int64)
-        else:
-            self._candidates = np.flatnonzero((self.kind == SAT) | (self.kind == GATEWAY))
+        self._candidates = np.flatnonzero((self.kind == SAT) | (self.kind == GATEWAY))
 
     @property
     def slot_count(self) -> int:

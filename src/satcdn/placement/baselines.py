@@ -33,7 +33,7 @@ def _opening_costs(prob: ContentProblem, B, prev_set) -> np.ndarray:
     """Per-candidate opening cost at this slot: storage plus alpha-scaled
     distance to the nearest replica of the previous slot."""
     d_prev = B[:, np.asarray(prev_set, dtype=np.int64)].min(axis=1)
-    open_cost = np.full(prob.R, np.inf)
+    open_cost = np.full(prob.m, np.inf)
     open_cost[prob.cand_pos] = (prob.rate[prob.cand_pos]
                                 + prob.alpha * d_prev[prob.cand_pos].astype(np.float64))
     return open_cost
@@ -43,7 +43,7 @@ def _slot_by_slot(slot_rule):
     """Per-content rule that solves the slots in order, charging each slot's
     opening costs against the previous slot's set (the origins before slot 1).
 
-    ``slot_rule(prob, B, du, wz, prev)`` gets the slot's R x R block, user
+    ``slot_rule(prob, B, du, wz, prev)`` gets the slot's block, user
     block and demand weights and returns the slot's replica set.
     """
 
@@ -63,7 +63,7 @@ def _naive_greedy_slot(prob, B, du, wz, prev):
     chosen = list(prob.s0)
     d1u = du[:, np.asarray(chosen)].min(axis=1)
     while True:
-        in_set = np.zeros(prob.R, dtype=bool)
+        in_set = np.zeros(prob.m, dtype=bool)
         in_set[np.asarray(chosen)] = True
         cand = prob.cand_pos[~in_set[prob.cand_pos]]
         if cand.size == 0:
@@ -143,7 +143,7 @@ def _local_search_slot(prob, B, du, wz, prev):
     while True:
         ch = np.asarray(sorted(chosen), dtype=np.int64)
         members = np.array([p for p in ch if p not in prob.origin_set], dtype=np.int64)
-        in_set = np.zeros(prob.R, dtype=bool)
+        in_set = np.zeros(prob.m, dtype=bool)
         in_set[ch] = True
         cand = prob.cand_pos[~in_set[prob.cand_pos]]
         d1u, d2u, a1u = _two_smallest(du, ch)
@@ -273,7 +273,7 @@ def solve_pch(demand: DemandMatrix, oracle: DistanceOracle, params: CostParams,
             shell_dims[s] = (max(P, int(oracle.orbit[g]) + 1), max(Q, int(oracle.in_orbit[g]) + 1))
 
     def rule(c, prob, stats):
-        sat_cand = prob.cand_pos[oracle.orbit[prob.r_nodes[prob.cand_pos]] >= 0]
+        sat_cand = prob.cand_pos[oracle.orbit[prob.cand_pos] >= 0]
         first = next((t for t in range(1, prob.T + 1) if prob.dem[:, t - 1].sum() > 0), None)
         if first is None or sat_cand.size == 0:
             if sat_cand.size == 0 and first is not None:
@@ -299,8 +299,7 @@ def solve_pch(demand: DemandMatrix, oracle: DistanceOracle, params: CostParams,
             if intra_due or inter_due:
                 du = prob.user_block(t)
                 new_caches = []
-                for p in caches:
-                    g = int(prob.r_nodes[p])
+                for g in caches:
                     i, j = int(oracle.orbit[g]), int(oracle.in_orbit[g])
                     shell = int(oracle.shell[g])
                     P, Q = shell_dims[shell]
@@ -312,15 +311,13 @@ def solve_pch(demand: DemandMatrix, oracle: DistanceOracle, params: CostParams,
                             tgt = sat_lookup.get((shell, ni, j))
                             if tgt is None:
                                 continue
-                            tp = int(np.searchsorted(prob.r_nodes, tgt))
-                            score = float((wz_init[init_users]
-                                           * du[init_users, tp]).sum())
+                            score = float((wz_init[init_users] * du[init_users, tgt]).sum())
                             if best_score is None or score < best_score:
                                 best_i, best_score = ni, score
                         i = best_i
                     tgt = sat_lookup.get((shell, i, j))
                     if tgt is not None:
-                        new_caches.append(int(np.searchsorted(prob.r_nodes, tgt)))
+                        new_caches.append(tgt)
                 caches = sorted(set(new_caches)) or caches
             slots.append(tuple(sorted(set(prob.s0) | set(caches))))
         return slots

@@ -6,20 +6,18 @@ addition, one deletion, one replacement, or no change. Transition costs are
 replication costs between the chosen variants of consecutive slots; query and
 storage costs attach to each variant.
 
-Solvers read a slot's distances among the R nodes (origins plus candidates)
-from the oracle matrix in place, with no per-slot copy or gather of the R x R
-block; a slot without its full matrix (``DistanceOracle.full``: hop and
-small-network oracles build them at their first block read, others only for
-MTLS) is read through ``DistanceOracle.take``, just the entries asked for.
-Inside the DP, disconnected distances read as a large finite sentinel
-(``BIG``) so that argmin arithmetic stays NaN-free; reported costs always come
-from a clean re-evaluation against the oracle. On the default node layout the
-R nodes are one contiguous run, so their block is a view of the oracle matrix,
-read as is when it already has the DP dtype and no +inf (decided once per
-oracle and slot, and shared by every content, iteration and solver). Otherwise
-(+inf, another dtype, R nodes that are not one run, or no full matrix) the
-block is read through a wrapper that maps each read to node indices and
-sanitizes just the entries asked for.
+Solvers index the oracle by node: replica sets are tuples of node indices,
+and a slot's block holds the distances among the first ``m`` nodes, the prefix
+that holds every origin and candidate. The block is the oracle matrix's
+``[:m, :m]`` corner, read in place with no per-slot copy, when the slot has its
+full matrix (``DistanceOracle.full``: hop and small-network oracles build them
+at their first block read, others only for MTLS) and the corner already has
+the DP dtype and no +inf (decided once per oracle and slot, and shared by
+every content, iteration and solver). Otherwise it is read through
+``DistanceOracle.take``, just the entries asked for, each sanitized. Inside the
+DP, disconnected distances read as a large finite sentinel (``BIG``) so that
+argmin arithmetic stays NaN-free; reported costs always come from a clean
+re-evaluation against the oracle.
 """
 
 from __future__ import annotations
@@ -27,7 +25,7 @@ from __future__ import annotations
 import time
 import weakref
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -87,7 +85,7 @@ class MoveSet:
     """All nearby-set variants of one slot's base set, KEEP always first.
 
     Move index layout: 0 = keep, then adds, then deletions, then replacements.
-    ``adds`` are ascending R-positions.
+    ``adds`` are ascending node indices.
     """
 
     adds: np.ndarray
@@ -138,9 +136,8 @@ def _as_index(idx: np.ndarray):
 
 
 # Per-oracle state shared by every ContentProblem on that oracle: the node
-# layout (key "layout") and, per slot, row index, column index and dtype,
-# whether the sanitized block can be read in place. Entries go when the
-# oracle does.
+# layout (key "layout") and, per slot and block, whether the sanitized block
+# can be read in place. Entries go when the oracle does.
 _SHARED: "weakref.WeakKeyDictionary[DistanceOracle, dict]" = weakref.WeakKeyDictionary()
 
 
@@ -148,16 +145,13 @@ def _key(idx) -> tuple | bytes:
     return (idx.start, idx.stop) if isinstance(idx, slice) else idx.tobytes()
 
 
-def _in_place(shared: dict, t: int, rows, cols, dtype, block: np.ndarray) -> bool:
-    """Whether ``block``, slot ``t``'s ``D[rows, cols]`` read as a view, is its
-    own sanitized block: both indexes (from ``_as_index``) are slices and the
-    block already has ``dtype`` and only finite entries. Decided once per
-    oracle (``shared``), slot, index pair and dtype."""
-    key = (t, _key(rows), _key(cols), dtype)
+def _in_place(shared: dict, key: tuple, dtype, block: np.ndarray) -> bool:
+    """Whether ``block`` is its own sanitized block: it already has ``dtype``
+    and only finite entries. Decided once per oracle (``shared``) and ``key``,
+    the slot and which of its blocks."""
     ok = shared.get(key)
     if ok is None:
-        ok = shared[key] = bool(isinstance(rows, slice) and isinstance(cols, slice)
-                                and block.dtype == dtype and np.isfinite(block).all())
+        ok = shared[key] = bool(block.dtype == dtype and np.isfinite(block).all())
     return ok
 
 
@@ -172,45 +166,20 @@ def _sanitized(block: np.ndarray, dtype, out: np.ndarray | None = None) -> np.nd
     return out
 
 
-def _shifted(idx, span: range):
-    """The nodes of ``span`` at the positions ``idx`` (a nonnegative int or
-    array, or a forward slice), in the same index form."""
-    if isinstance(idx, slice):
-        sub = span[idx]
-        return slice(sub.start, sub.stop, sub.step)
-    return idx + span.start
-
-
 class _SanitizedReads:
-    """A slot's R x R block read through the oracle when it cannot be a view
-    of the oracle matrix. ``r`` indexes the R nodes: a slice when they are one
-    run, else their node indices. Each read ``[rows, cols]`` (R-positions) is
-    one ``oracle.take`` of just the entries asked for, returned as a sanitized
-    copy (see ``_sanitized``) shaped as the same read of an R x R array would
-    be. On one run the positions shift by its start and keep their index
-    form, and with it NumPy's layout of the result."""
+    """A slot's (m x m) block read through the oracle when it cannot be a view
+    of the oracle matrix. Each read ``[rows, cols]`` of node indices, slices
+    clamped to the first ``m`` nodes, is one ``oracle.take`` of just the
+    entries asked for, returned as a sanitized copy (see ``_sanitized``)."""
 
-    __slots__ = ("oracle", "t", "span", "nodes", "dtype")
+    __slots__ = ("oracle", "t", "m", "dtype")
 
-    def __init__(self, oracle: DistanceOracle, t: int, r, dtype):
-        run = isinstance(r, slice)
-        self.oracle, self.t = oracle, t
-        self.span = range(r.start, r.stop) if run else None
-        self.nodes = None if run else r
+    def __init__(self, oracle: DistanceOracle, t: int, m: int, dtype):
+        self.oracle, self.t, self.m = oracle, t, m
         self.dtype = np.dtype(dtype)
 
     def __getitem__(self, idx) -> np.ndarray:
-        rows, cols = idx
-        if self.nodes is not None:
-            # A slice maps to an array, which must keep the slice's axis apart
-            # from the other index rather than broadcast against it.
-            rows, cols = self.nodes[rows], self.nodes[cols]
-            if isinstance(idx[0], slice):
-                rows = rows.reshape(rows.shape + (1,) * np.ndim(cols))
-            elif isinstance(idx[1], slice):
-                rows = np.expand_dims(rows, -1)
-        else:
-            rows, cols = _shifted(rows, self.span), _shifted(cols, self.span)
+        rows, cols = (slice(*i.indices(self.m)) if isinstance(i, slice) else i for i in idx)
         return _sanitized(self.oracle.take(self.t, rows, cols), self.dtype)
 
 
@@ -221,29 +190,26 @@ def _read_only(a: np.ndarray) -> np.ndarray:
 
 
 def _layout(oracle: DistanceOracle) -> dict:
-    """The R-position layout of ``oracle``'s origins and candidates, which
-    every content shares; see ``ContentProblem``."""
+    """The node layout of ``oracle``'s origins and candidates, which every
+    content shares; see ``ContentProblem``."""
     origins = np.sort(np.asarray(oracle.origins_idx, dtype=np.int64))
-    cands = np.sort(np.asarray(oracle.candidates_idx, dtype=np.int64))
+    cand_pos = np.sort(np.asarray(oracle.candidates_idx, dtype=np.int64))
     if origins.size == 0:
         raise ValueError("at least one origin node is required")
-    if np.isin(origins, cands).any():
+    if np.isin(origins, cand_pos).any():
         raise ValueError("origin nodes cannot also be replica candidates")
-    r_nodes = np.sort(np.concatenate([origins, cands]))
-    r_nodes = r_nodes[np.concatenate([[True], r_nodes[1:] != r_nodes[:-1]])]
-    R = r_nodes.size
-    origin_pos = np.searchsorted(r_nodes, origins)
-    cand_pos = np.searchsorted(r_nodes, cands)
-    # Orbit labels per candidate position; ground candidates share one
-    # pseudo-orbit so gateways participate in the orbit DP.
-    orbit_of = oracle.orbit_key[r_nodes].astype(np.int64)
+    nodes = np.union1d(origins, cand_pos)
+    m = int(nodes[-1]) + 1
+    # Orbit labels per node; ground candidates share one pseudo-orbit so
+    # gateways participate in the orbit DP.
+    orbit_of = oracle.orbit_key[:m].astype(np.int64)
     ground = cand_pos[orbit_of[cand_pos] < 0]
     if ground.size:
-        orbit_of[ground] = orbit_of.max(initial=-1) + 1
+        orbit_of[ground] = orbit_of[nodes].max() + 1
     # Candidates grouped by orbit (orbit_ids ascending), id-ascending within
     # each: row o of orbit_grid holds orbit o's indexes in orbit_cands, padded
-    # with C. orbit_slot maps an R-position to its index in orbit_cands (C for
-    # the origins), and orbit_perm takes cand_pos order to orbit_cands order.
+    # with C. orbit_slot maps a node to its index in orbit_cands (C for the
+    # other nodes), and orbit_perm takes cand_pos order to orbit_cands order.
     C = cand_pos.size
     orbit_perm = np.argsort(orbit_of[cand_pos], kind="stable")
     orbit_cands = cand_pos[orbit_perm]
@@ -255,27 +221,29 @@ def _layout(oracle: DistanceOracle) -> dict:
     orbit_grid = np.full((orbit_ids.size, orbit_size.max(initial=0)), C, dtype=np.int64)
     orbit_grid[np.repeat(np.arange(orbit_ids.size), orbit_size),
                np.arange(C) - np.repeat(orbit_start, orbit_size)] = np.arange(C)
-    orbit_slot = np.full(R, C, dtype=np.int64)
+    orbit_slot = np.full(m, C, dtype=np.int64)
     orbit_slot[orbit_cands] = np.arange(C)
     return dict(
-        r_nodes=r_nodes, r_ids=r_nodes.tolist(), R=R, cand_pos=cand_pos,
-        origin_set=frozenset(origin_pos.tolist()), s0=tuple(origin_pos.tolist()),
-        dp_dtype=np.float64 if R <= SMALL_NETWORK_NODES else np.float32, orbit_cands=orbit_cands,
-        orbit_grid=orbit_grid, orbit_ids=orbit_ids, orbit_slot=orbit_slot,
+        m=m, cand_pos=cand_pos, origin_set=frozenset(origins.tolist()), s0=tuple(origins.tolist()),
+        dp_dtype=np.float64 if nodes.size <= SMALL_NETWORK_NODES else np.float32,
+        orbit_cands=orbit_cands, orbit_grid=orbit_grid, orbit_ids=orbit_ids,
+        orbit_slot=orbit_slot,
         orbit_members={o: orbit_cands[a:a + n] for o, a, n in zip(
             orbit_ids.tolist(), orbit_start.tolist(), orbit_size.tolist())},
-        _r_index=_as_index(r_nodes), _cand_cols=_as_index(cand_pos),
-        _orbit_perm=_as_index(orbit_perm))
+        _cand_cols=_as_index(cand_pos), _orbit_perm=_as_index(orbit_perm))
 
 
 class ContentProblem:
-    """One content's optimization view: demand rows, candidate universe, rates.
+    """One content's optimization view: demand rows, candidate set, rates.
 
-    Works in "R-position" space (origins + candidates sorted by global node
-    index) so that every set is a tuple of small ints and ties break toward
-    the lowest node id. The layout attributes (``r_nodes``, ``cand_pos``,
-    ``orbit_members``, ...) are shared by every problem on the same oracle
-    and must not be modified.
+    Replica sets are sorted tuples of node indices, so ties break toward the
+    lowest node id. Every origin and candidate (``s0``, ``cand_pos``) lies in
+    the node prefix ``[0, m)``: blocks, rates and orbit slots span it, and its
+    other nodes (none on the default layout; the excluded ones with restricted
+    candidates) are never members or moves. The DP dtype is float64 for at
+    most ``SMALL_NETWORK_NODES`` origins and candidates, else float32. The
+    layout attributes (``m``, ``cand_pos``, ``orbit_members``, ...) are shared
+    by every problem on the same oracle and must not be modified.
     """
 
     def __init__(self, oracle: DistanceOracle, users_global: np.ndarray, dem: np.ndarray,
@@ -291,13 +259,13 @@ class ContentProblem:
         self.dem = np.asarray(dem, dtype=float)
         self.T = self.dem.shape[1]
         self.size_c = float(size_c)
-        self.rate = params.storage_rate(oracle)[self.r_nodes] * self.size_c
+        self.rate = params.storage_rate(oracle)[:self.m] * self.size_c
         self._weights = np.ascontiguousarray(self.dem.T, dtype=self.dp_dtype)  # (T, U)
         self._u_index = _as_index(self.users)
         # Row-chunk buffers of dp_pass, reused across slots and passes.
-        self._buf = np.empty(max(_CHUNK, self.R), dtype=self.dp_dtype)
+        self._buf = np.empty(max(_CHUNK, self.m), dtype=self.dp_dtype)
         self._buf64 = np.empty(self._buf.size)
-        # Per slot: the R x R blocks, the user blocks, their demand-weighted
+        # Per slot: the blocks, the user blocks, their demand-weighted
         # copies and the latest base_costs.
         self._blocks: list[np.ndarray | _SanitizedReads | None] = [None] * self.T
         self._user_blocks: list[np.ndarray | None] = [None] * self.T
@@ -307,33 +275,33 @@ class ContentProblem:
         self._orbit_pairs: tuple[np.ndarray, np.ndarray] | None = None
 
     def block(self, t: int) -> np.ndarray:
-        """(R x R) sanitized distances among the R nodes at slot ``t``, read-only.
+        """(m x m) sanitized distances among the first ``m`` nodes at slot
+        ``t``, read-only; entry [v, a] is the distance from node v to node a.
 
-        Row and column order are R-positions; entry [v, a] is the distance
-        from R-node v to R-node a. It is a view of the oracle matrix when the
-        slot has its full matrix and the block can be read in place (see
+        It is a view of the oracle matrix's ``[:m, :m]`` corner when the slot
+        has its full matrix and the corner can be read in place (see
         ``_in_place``), else a ``_SanitizedReads`` over the oracle.
         """
         B = self._blocks[t - 1]
         if B is None:
-            r, D = self._r_index, self.oracle.full(t)
-            if D is not None and isinstance(r, slice):
-                B = D[r, r]
-                B = _read_only(B) if _in_place(self._shared, t, r, r, self.dp_dtype, B) else None
+            D = self.oracle.full(t)
+            if D is not None:
+                B = D[:self.m, :self.m]
+                B = _read_only(B) if _in_place(self._shared, (t,), self.dp_dtype, B) else None
             if B is None:
-                B = _SanitizedReads(self.oracle, t, r, self.dp_dtype)
+                B = _SanitizedReads(self.oracle, t, self.m, self.dp_dtype)
             self._blocks[t - 1] = B
         return B
 
     def user_block(self, t: int) -> np.ndarray:
-        """(U x R) sanitized user-to-R-node distances at slot ``t``, read-only:
-        a view of the users' oracle rows when it can be read in place, else a
-        copy kept for this problem."""
+        """(U x m) sanitized user-to-node distances at slot ``t``, read-only:
+        the users' oracle rows read in place when they can be, else a copy
+        kept for this problem."""
         du = self._user_blocks[t - 1]
         if du is None:
-            u, r = self._u_index, self._r_index
-            du = self.oracle.take(t, u, slice(None))[:, r]
-            if not _in_place(self._shared, t, u, r, self.dp_dtype, du):
+            u = self._u_index
+            du = self.oracle.take(t, u, slice(0, self.m))
+            if not _in_place(self._shared, (t, _key(u)), self.dp_dtype, du):
                 du = _sanitized(du, self.dp_dtype)
             du = self._user_blocks[t - 1] = _read_only(du)
         return du
@@ -350,7 +318,7 @@ class ContentProblem:
         return wd
 
     def base_costs(self, t: int, base: tuple[int, ...]):
-        """Costs of replica set ``base`` (R-positions) at slot ``t``: the query
+        """Costs of replica set ``base`` (node indices) at slot ``t``: the query
         cost (the demand-weighted distance from each user to its nearest
         member, summed), the storage cost, and each user's demand-weighted
         distance to its nearest member. The latest set of each slot is kept,
@@ -365,9 +333,9 @@ class ContentProblem:
         return kept[1:]
 
     def query_costs_with(self, t: int, base: tuple[int, ...], cols) -> np.ndarray:
-        """Query cost of ``base`` at slot ``t`` with each R-position of
-        ``cols`` (an index array or a slice) added: the column sums of the
-        (users x cols) block of weighted distances.
+        """Query cost of ``base`` at slot ``t`` with each node of ``cols`` (an
+        index array or a slice) added: the column sums of the (users x cols)
+        block of weighted distances.
 
         The sum order follows the block's layout, and the last bits with it:
         an index-array gather is laid out column by column, so NumPy sums
@@ -379,10 +347,6 @@ class ContentProblem:
     def weights(self, t: int) -> np.ndarray:
         return self._weights[t - 1]
 
-    def to_global(self, sets: Sequence[tuple[int, ...]]) -> list[tuple[int, ...]]:
-        ids = self.r_ids
-        return [tuple([ids[p] for p in st]) for st in sets]
-
 
 Rule = Callable[[str, ContentProblem, PlacementStats], list[tuple[int, ...]]]
 
@@ -392,7 +356,7 @@ def solve_per_content(algorithm: str, demand: DemandMatrix, oracle: DistanceOrac
     """Solve each content independently with ``rule`` and time the whole call.
 
     ``rule(content, problem, stats)`` returns the content's per-slot replica
-    sets in R-position space and may record counts, history and warnings in
+    sets of node indices and may record counts, history and warnings in
     ``stats``. Each content's problem is built when its turn comes and dropped
     after, so only one problem's cached blocks are alive at a time.
     """
@@ -406,7 +370,7 @@ def solve_per_content(algorithm: str, demand: DemandMatrix, oracle: DistanceOrac
     for ci, c in enumerate(demand.contents):
         size_c = catalog.size_of(c) if catalog is not None else 1.0
         prob = ContentProblem(oracle, users_global, demand.values[:, ci, :], size_c, params)
-        per_content[c] = prob.to_global(rule(c, prob, stats))
+        per_content[c] = rule(c, prob, stats)
     stats.wall_s = time.perf_counter() - t_start
     return PlacementResult(ReplicaSchedule(list(demand.contents), demand.slot_count,
                                            per_content), stats)
@@ -415,7 +379,7 @@ def solve_per_content(algorithm: str, demand: DemandMatrix, oracle: DistanceOrac
 def evaluate_content(problem: ContentProblem, content: str, users: list[str],
                      sets: list[tuple[int, ...]], catalog) -> CostBreakdown:
     """True (inf-aware) cost of one content's set sequence via the cost model."""
-    sched = ReplicaSchedule([content], problem.T, {content: problem.to_global(sets)})
+    sched = ReplicaSchedule([content], problem.T, {content: sets})
     dem = DemandMatrix(users, [content], problem.dem[:, None, :])
     return total_cost(sched, dem, catalog, problem.oracle, problem.params)
 
@@ -457,7 +421,7 @@ def _min_over_adds(B: np.ndarray, W: np.ndarray, pa: np.ndarray, w1: np.ndarray,
     is read in place: the contiguous block spanning ``W``'s rows and ``pa``'s
     columns, in row chunks written into the flat buffers ``buf`` (``B``'s
     dtype) and ``buf64`` of at least one row of ``B`` each, where a column
-    between the ``pa`` positions gets an infinite ``g`` and never wins.
+    between the ``pa`` columns gets an infinite ``g`` and never wins.
     """
     if W.size * pa.size <= buf.size:
         M = g_adds[None, :] + alpha * np.minimum(w1[:, None], B[W[:, None], pa])
@@ -517,7 +481,7 @@ def dp_pass(problem: ContentProblem, sets: list[tuple[int, ...]],
         mv = gen_moves(t, base, B)
 
         # g[b] = f(t-1, b) + alpha * sum_{v in base} nnd_b(v) for each previous
-        # variant b; group-structured so it never materializes n_prev x R.
+        # variant b; group-structured so it never materializes n_prev x m.
         pa, pd = prev_moves.adds, prev_moves.dels
         pro, pri = prev_moves.rep_out, prev_moves.rep_in
         # Second-nearest distances matter only where a variant drops a member.

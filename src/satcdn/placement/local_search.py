@@ -22,7 +22,7 @@ def _mtls_movegen(problem: ContentProblem, k: int):
 
     def gen(t: int, base: tuple[int, ...], B: np.ndarray) -> MoveSet:
         base_arr = np.asarray(base, dtype=np.int64)
-        in_base = np.zeros(problem.R, dtype=bool)
+        in_base = np.zeros(problem.m, dtype=bool)
         in_base[base_arr] = True
         adds = problem.cand_pos[~in_base[problem.cand_pos]]
         members = np.array([p for p in base if p not in problem.origin_set], dtype=np.int64)
@@ -192,8 +192,8 @@ def solve_mtls(demand: DemandMatrix, oracle: DistanceOracle, params: CostParams,
                config: OptimizerConfig | None = None, *, catalog=None) -> PlacementResult:
     """Multi-time local search with full per-iteration DP over nearby sets.
 
-    Its DP reads whole R x R blocks, so the oracle's full matrices are built
-    first; a MemoryError names every slot before the first is built."""
+    Its DP reads whole blocks, so the oracle's full matrices are built first;
+    a MemoryError names every slot before the first is built."""
     oracle.build_matrices(demand.slot_count)
     rule = _search_rule(demand.users, catalog, config or OptimizerConfig(), orbit_mode=False)
     return solve_per_content("mtls", demand, oracle, params, catalog, rule)

@@ -92,9 +92,7 @@ def test_criterion_2_dp_exactness():
                 start.append(tuple(sorted(origins | set(int(x) for x in extra))))
             users = np.array([oracle.index[u] for u in demand.users])
             prob = ContentProblem(oracle, users, demand.values[:, 0, :], 1.0, params)
-            pos = {int(g): p for p, g in enumerate(prob.r_nodes)}
-            sets_pos = [tuple(sorted(pos[v] for v in st)) for st in start]
-            new_sets, f = dp_pass(prob, sets_pos, _mtls_movegen(prob, 4), PlacementStats("mtls"))
+            new_sets, f = dp_pass(prob, start, _mtls_movegen(prob, 4), PlacementStats("mtls"))
             ref, _ = best_nearby_sequence(oracle, demand, catalog, params,
                                           {"c0": list(start)}, "c0", k=4)
             assert f == pytest.approx(ref, rel=1e-9), f"case {case}"

@@ -1,11 +1,13 @@
-"""The per-slot R x R blocks the placement solvers read, and the helpers that
-read them in place.
+"""The per-slot blocks the placement solvers read, and the helpers that read
+them in place.
 
-A block is a read-only view of the oracle matrix when the R nodes are one
-contiguous run whose block already has the DP dtype and no +inf. Otherwise
-(+inf, another dtype, or R nodes that are not one run) the solvers read the
-oracle matrix through a wrapper that sanitizes each read. Both must drive
-every solver to the same result, and no solver may write to the oracle.
+Solvers index the oracle by node. A slot's block holds the distances among
+the node prefix that contains every origin and candidate, and is a read-only
+view of the oracle matrix when that corner already has the DP dtype and no
++inf. Otherwise (+inf, another dtype) the solvers read the oracle matrix
+through a wrapper that sanitizes each read. Both must drive every solver to
+the same result, whatever nodes of the prefix are not candidates, and no
+solver may write to the oracle.
 """
 
 import numpy as np
@@ -49,7 +51,7 @@ def outcome(solver, oracle, demand, catalog, params):
 
 
 def block_kinds(oracle, demand, params):
-    """How slot 1's R x R and user blocks are read: "view" (in place),
+    """How slot 1's block and user block are read: "view" (in place),
     "reads" (through the oracle matrix, sanitizing each read) or "copy"."""
     users = np.array([oracle.index[u] for u in demand.users])
     prob = ContentProblem(oracle, users, demand.values[:, 0, :], 1.0, params)
@@ -63,7 +65,7 @@ def block_kinds(oracle, demand, params):
     return kind(prob.block(1)), kind(prob.user_block(1))
 
 
-@pytest.mark.parametrize("solver", ["mtls", "mtols", "local_search"])
+@pytest.mark.parametrize("solver", list(SOLVERS))
 class TestViewEqualsCopy:
     def test_dtype_mismatch(self, instance, solver):
         oracle, mats, demand, catalog, params = instance
@@ -90,15 +92,41 @@ class TestViewEqualsCopy:
             outcome(solver, copy, demand, catalog, params)
 
     def test_non_contiguous_candidates(self, instance, solver):
-        oracle, mats, demand, catalog, params = instance
-        full = rebuild(oracle, mats)
-        kept = full.candidates_idx[::2]
-        copy = full.with_candidates(kept)
-        view = rebuild(oracle, mats, keep=np.concatenate([kept, full.origins_idx, full.users_idx]))
-        assert block_kinds(copy, demand, params) == ("reads", "copy")
-        assert block_kinds(view, demand, params) == ("view", "view")
-        assert outcome(solver, view, demand, catalog, params) == \
-            outcome(solver, copy, demand, catalog, params)
+        oracle = instance[0]
+        assert_restricted_equals_compact(instance, solver, oracle.candidates_idx[::2])
+
+    def test_candidates_in_a_shifted_run(self, instance, solver):
+        """Gateways plus origins: one run of nodes that does not start at 0."""
+        oracle = instance[0]
+        assert_restricted_equals_compact(instance, solver, np.flatnonzero(oracle.kind == GATEWAY))
+
+
+def assert_restricted_equals_compact(instance, solver, kept):
+    """Restricting the candidates to ``kept`` solves as an oracle over just the
+    kept candidates, the origins and the users does, though every block of the
+    restricted oracle also spans the other nodes below its last candidate."""
+    oracle, mats, demand, catalog, params = instance
+    full = rebuild(oracle, mats)
+    restricted = full.with_candidates(kept)
+    compact = rebuild(oracle, mats, keep=np.concatenate([kept, full.origins_idx, full.users_idx]))
+    assert block_kinds(restricted, demand, params) == ("view", "view")
+    assert block_kinds(compact, demand, params) == ("view", "view")
+    assert outcome(solver, compact, demand, catalog, params) == \
+        outcome(solver, restricted, demand, catalog, params)
+
+
+@pytest.mark.parametrize("solver", list(SOLVERS))
+def test_solvers_reject_oracles_without_origins_or_with_origin_candidates(instance, solver):
+    oracle, mats, demand, catalog, params = instance
+    full = rebuild(oracle, mats)
+    no_origin = rebuild(oracle, mats, keep=np.setdiff1d(np.arange(full.n_nodes), full.origins_idx))
+    with pytest.raises(ValueError, match="at least one origin"):
+        SOLVERS[solver](demand, no_origin, params, OptimizerConfig(max_iterations=2),
+                        catalog=catalog)
+    origin_candidate = full.with_candidates(np.append(full.candidates_idx, full.origins_idx))
+    with pytest.raises(ValueError, match="cannot also be replica candidates"):
+        SOLVERS[solver](demand, origin_candidate, params, OptimizerConfig(max_iterations=2),
+                        catalog=catalog)
 
 
 @pytest.mark.parametrize("metric", ["hop", "ideal", "sampled"])
@@ -106,7 +134,7 @@ class TestViewEqualsCopy:
 def test_a_solver_reading_first_reads_blocks_in_place(metric, solver, monkeypatch):
     """A hop or small-network oracle builds its full matrices at its first
     block read, so a solver that reads it before anything else still reads
-    every R x R block as a view of the oracle matrix."""
+    every block as a view of the oracle matrix."""
     from satcdn.constellation import GroundNode, Network, starlink_phase1
     ground = [GroundNode("gw/g", "gateway", 45.0, -80.0),
               GroundNode("origin/o", "origin", 40.0, -90.0),
@@ -141,17 +169,16 @@ def test_solvers_leave_oracle_matrices_unchanged(instance, layout):
     assert [oracle.matrix(t).tobytes() for t in range(1, oracle.slot_count + 1)] == before
 
 
-@pytest.mark.parametrize("one_run", [True, False])
-def test_sanitized_reads_match_reads_of_the_sanitized_block(one_run):
+@pytest.mark.parametrize("m", [9, 12])
+def test_sanitized_reads_match_reads_of_the_sanitized_block(m):
     """Every read form the solvers use returns what the same read of the
-    sanitized R x R block gives, whether the R nodes are one run or not."""
+    sanitized block of the first ``m`` nodes gives, a prefix or the whole."""
     rng = np.random.default_rng(4)
     D = rng.random((12, 12))
     D[rng.random(D.shape) < 0.2] = np.inf
-    nodes = np.arange(2, 9) if one_run else np.array([0, 3, 4, 7, 10, 11])
     oracle = DistanceOracle.from_matrices([D], [f"n{i}" for i in range(12)], np.zeros(12))
-    reads = _SanitizedReads(oracle, 1, slice(2, 9) if one_run else nodes, np.float32)
-    block = _sanitized(D[np.ix_(nodes, nodes)], np.float32)
+    reads = _SanitizedReads(oracle, 1, m, np.float32)
+    block = _sanitized(D[:m, :m], np.float32)
     a, b = np.array([4, 0, 2]), np.array([[1], [3]])
     for idx in [(slice(None), a), (a, slice(1, 4)), (slice(None), slice(None)),
                 (a[:, None], a), (b, a), (2, slice(None)), (slice(None), 3), (a, 1),

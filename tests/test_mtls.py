@@ -14,11 +14,9 @@ SAT, USER, GATEWAY, ORIGIN = 0, 1, 2, 3
 def run_one_dp_pass(oracle, demand, catalog, params, start_sets, k):
     users = np.array([oracle.index[u] for u in demand.users])
     prob = ContentProblem(oracle, users, demand.values[:, 0, :], 1.0, params)
-    pos_of = {int(g): p for p, g in enumerate(prob.r_nodes)}
-    sets_pos = [tuple(sorted(pos_of[v] for v in st)) for st in start_sets]
     counters = PlacementStats("mtls")
-    new_sets, f = dp_pass(prob, sets_pos, _mtls_movegen(prob, k), counters)
-    return prob.to_global(new_sets), f, counters
+    new_sets, f = dp_pass(prob, list(start_sets), _mtls_movegen(prob, k), counters)
+    return new_sets, f, counters
 
 
 class TestDPExactness:
@@ -121,11 +119,10 @@ class TestMTLSSolver:
         params = CostParams("hop", 1.0, 0.0, 0.0, 1.0)
         users = np.array([oracle.index["user/u"]])
         prob = ContentProblem(oracle, users, demand.values[:, 0, :], 1.0, params)
-        pos = {int(g): p for p, g in enumerate(prob.r_nodes)}
-        start = [tuple(sorted((pos[0], pos[3])))]  # {z, origin}
+        start = [(0, 3)]  # {z, origin}
         counters = PlacementStats("mtls")
         new_sets, _ = dp_pass(prob, start, _mtls_movegen(prob, 1), counters)
-        moved_to = set(prob.to_global(new_sets)[0])
+        moved_to = set(new_sets[0])
         # with k=1 the replace z->w2 is not available; the DP may add w2
         # instead (add moves are unrestricted), so allow either w1-swap or
         # w2-add, but never a w2-swap that drops z without the delete move
