@@ -4,7 +4,10 @@ and per-slot quality aggregation for video scenarios.
 Download time = propagation (path latency) + transmission (chunk size over the
 bottleneck link throughput). Routing policies: closest, round robin over the n
 closest, and deterministic weighted round robin (default 4/7, 2/7, 1/7).
-Per-(user, content) routing state persists across slots.
+Per-(user, content) routing state persists across slots. The simulator routes
+the requests of each (slot, content, user) group in one step and keeps every
+floating-point accumulation (QoE, traffic, per-replica gigabytes, server
+queues) per request, in request order.
 """
 
 from __future__ import annotations
@@ -50,6 +53,8 @@ class LinkModel:
     def __post_init__(self):
         if self.terrestrial_gbps <= 0 or self.satellite_gbps <= 0:
             raise ValueError("throughputs must be positive")
+        if self.server_capacity_mbps is not None and not self.server_capacity_mbps > 0:
+            raise ValueError("server_capacity_mbps must be positive")
 
 
 @dataclass
@@ -103,25 +108,35 @@ class Router:
         """Pick the serving replica; falls back to the lowest-id origin with an
         unreachable flag when nothing is reachable."""
         user_idx = self.oracle.index[user] if isinstance(user, str) else int(user)
+        (pick,), reachable = self.picks(user_idx, content, slot, 1)
+        return pick, reachable
+
+    def picks(self, user_idx: int, content: str, slot: int, n: int) -> tuple[list[int], bool]:
+        """The serving replicas of the next ``n`` requests of one user for one
+        content at one slot, in request order, as ``n`` calls of ``route``
+        would pick them, and whether they are reachable."""
         ranked = self._ranked(user_idx, content, slot)
         if not ranked:
-            return int(np.min(self.oracle.origins_idx)), False
+            return [int(np.min(self.oracle.origins_idx))] * n, False
         if self.policy.kind == "closest" or len(ranked) == 1:
-            return ranked[0], True
+            return [ranked[0]] * n, True
         key = (user_idx, content)
         if self.policy.kind == "round_robin":
             c = self._rr.get(key, 0)
-            self._rr[key] = c + 1
-            return ranked[c % len(ranked)], True
+            self._rr[key] = c + n
+            return [ranked[i % len(ranked)] for i in range(c, c + n)], True
         # Smooth weighted round robin over proximity ranks; ties go to the nearest.
         cur = self._wrr.get(key)
         if cur is None or len(cur) != len(ranked):
             cur = [0.0] * len(ranked)
-        cur = [c + w for c, w in zip(cur, self.policy.weights)]
-        pick = cur.index(max(cur))
-        cur[pick] -= self._wrr_total[len(ranked)]
+        total, out = self._wrr_total[len(ranked)], []
+        for _ in range(n):
+            cur = [c + w for c, w in zip(cur, self.policy.weights)]
+            pick = cur.index(max(cur))
+            cur[pick] -= total
+            out.append(ranked[pick])
         self._wrr[key] = cur
-        return ranked[pick], True
+        return out, True
 
 
 def route(user, content: str, slot: int, schedule: ReplicaSchedule,
@@ -206,21 +221,29 @@ def simulate_delivery(schedule: ReplicaSchedule, demand, policy: RoutingPolicy,
     """Route every request, accumulate per-link traffic (a chunk crossing k
     links counts k times), score download times, and average QoE per slot.
 
-    Demand weights are rounded to whole requests. With a server capacity cap,
-    requests queue FIFO per (replica, slot).
+    Demand weights are rounded to whole requests. Requests are routed per
+    (slot, content, user) group, one ``Router.picks`` call each; every sum
+    that can round (QoE, traffic, per-replica gigabytes, the queue) still
+    adds one request at a time, in request order, so the report does not
+    depend on the grouping. With a server capacity cap, requests queue FIFO
+    per (replica, slot).
     """
     router = Router(schedule, oracle, policy)
+    cap_gbps = None if links.server_capacity_mbps is None else links.server_capacity_mbps / 1000.0
     # (edge count, bottleneck Gbps, distance) per (user, replica, slot)
     paths: dict[tuple[int, int, int], tuple[int, float, float]] = {}
     T = min(demand.slot_count, schedule.slot_count)
-    qoe_sum = np.zeros(T)
-    qoe_n = np.zeros(T, dtype=np.int64)
+    qoe_sum = [0.0] * T
+    qoe_n = [0] * T
     traffic_gb = 0.0
     per_replica: dict[str, dict[str, float]] = {}
     unreachable = 0
     backlog: dict[tuple[int, int], float] = {}
 
-    user_idx = np.array([oracle.index[u] for u in demand.users], dtype=np.int64)
+    user_idx = [oracle.index[u] for u in demand.users]
+
+    def record(rep: int) -> dict[str, float]:
+        return per_replica.setdefault(oracle.ids[rep], {"requests": 0.0, "gb": 0.0})
 
     for t in range(1, T + 1):
         for ci, content in enumerate(demand.contents):
@@ -228,36 +251,47 @@ def simulate_delivery(schedule: ReplicaSchedule, demand, policy: RoutingPolicy,
             size_gb = size_mb / 1000.0
             for uj, u in enumerate(user_idx):
                 n_req = int(round(demand.values[uj, ci, t - 1]))
-                for _ in range(n_req):
-                    rep, reachable = router.route(int(u), content, t)
-                    rec = per_replica.setdefault(oracle.ids[rep], {"requests": 0.0, "gb": 0.0})
-                    rec["requests"] += 1
-                    if not reachable:
-                        unreachable += 1
-                        qoe_n[t - 1] += 1
+                if n_req <= 0:
+                    continue
+                picks, reachable = router.picks(u, content, t, n_req)
+                qoe_n[t - 1] += n_req
+                if not reachable:
+                    unreachable += n_req
+                    record(picks[0])["requests"] += n_req
+                    continue
+                # per distinct replica, in first-pick order: its record, one
+                # request's traffic, propagation and transmit time and, with
+                # no queue, its score
+                served = {}
+                for rep in picks:
+                    if rep in served:
                         continue
-                    key = (int(u), rep, t)
-                    hit = paths.get(key)
+                    hit = paths.get((u, rep, t))
                     if hit is None:
-                        edges = path_links(oracle, t, int(u), rep)
-                        hit = paths[key] = (len(edges), _bottleneck_gbps(oracle, edges, links),
-                                            float(oracle.row(t, int(u))[rep]))
+                        edges = path_links(oracle, t, u, rep)
+                        hit = paths[u, rep, t] = (len(edges),
+                                                  _bottleneck_gbps(oracle, edges, links),
+                                                  float(oracle.row(t, u)[rep]))
                     n_edges, gbps, dist_ms = hit
-                    if links.server_capacity_mbps is not None:
-                        gbps = min(gbps, links.server_capacity_mbps / 1000.0)
+                    if cap_gbps is not None:
+                        gbps = min(gbps, cap_gbps)
                     transmit_s = (size_mb * 8.0e6) / (gbps * 1.0e9)
-                    wait_s = 0.0
-                    if links.server_capacity_mbps is not None:
-                        key = (rep, t)
-                        wait_s = backlog.get(key, 0.0)
-                        backlog[key] = wait_s + transmit_s
-                    dt = dist_ms / 1000.0 + wait_s + transmit_s
-                    qoe_sum[t - 1] += qoe.score(dt)
-                    qoe_n[t - 1] += 1
-                    traffic_gb += size_gb * n_edges
+                    score = None if cap_gbps is not None else \
+                        qoe.score(dist_ms / 1000.0 + transmit_s)
+                    served[rep] = (record(rep), size_gb * n_edges, dist_ms / 1000.0,
+                                   transmit_s, score)
+                for rep in picks:
+                    rec, hop_gb, prop_s, transmit_s, score = served[rep]
+                    if score is None:
+                        wait_s = backlog.get((rep, t), 0.0)
+                        backlog[rep, t] = wait_s + transmit_s
+                        score = qoe.score(prop_s + wait_s + transmit_s)
+                    qoe_sum[t - 1] += score
+                    traffic_gb += hop_gb
+                    rec["requests"] += 1
                     rec["gb"] += size_gb
 
-    mean_qoe = [float(qoe_sum[i] / qoe_n[i]) if qoe_n[i] else float("nan") for i in range(T)]
+    mean_qoe = [qoe_sum[i] / qoe_n[i] if qoe_n[i] else float("nan") for i in range(T)]
     return DeliveryReport(policy=policy.kind, slot_count=T, mean_qoe=mean_qoe,
                           traffic_gb=traffic_gb, per_replica=per_replica,
                           unreachable_requests=unreachable)

@@ -95,29 +95,26 @@ def _jms_greedy_slot(prob, B, du, wz, prev):
     Draw = du[np.ix_(clients, facilities)].astype(np.float64)
     D = Draw * wz[clients][:, None]
     # D[j, i]: demand-weighted connection cost of client j to facility i;
-    # prefixes are ordered by raw distance (cost per unit of demand).
-    order = np.argsort(Draw, axis=0, kind="stable")
-    Ds = np.take_along_axis(D, order, axis=0)
-    w_cl = wz[clients]
-    ws = w_cl[order]
+    # prefixes are ordered by raw distance (cost per unit of demand). Row i of
+    # order/Ds/ws holds facility i's unassigned clients only. Exact: x + 0.0 == x
+    # keeps their prefix sums, and an assigned position repeats its predecessor's ratio.
+    order = np.argsort(Draw.T, axis=1, kind="stable")
+    Ds = np.take_along_axis(D.T, order, axis=1)
+    ws = wz[clients][order]
 
     assigned = np.zeros(clients.size, dtype=bool)
     cur = np.full(clients.size, np.inf)
     open_mask = np.zeros(facilities.size, dtype=bool)
     opened: list[int] = []
-    while not assigned.all():
-        amask = assigned[order]  # (n_clients, n_fac) sorted rows
-        conn = np.where(amask, 0.0, Ds).cumsum(axis=0)
-        wsum = np.where(amask, 0.0, ws).cumsum(axis=0)
-        rebate = np.where(assigned[:, None], np.maximum(cur[:, None] - D, 0.0), 0.0).sum(axis=0)
+    while order.shape[1]:
+        conn = Ds.cumsum(axis=1)
+        wsum = ws.cumsum(axis=1)
+        rebate = np.maximum(cur[assigned][:, None] - D[assigned], 0.0).sum(axis=0)  # row by row
         f_eff = np.where(open_mask, 0.0, f_open)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ratio = (f_eff[None, :] - rebate[None, :] + conn) / wsum
-        ratio[wsum <= 0] = np.inf
-        flat = int(np.argmin(ratio.T))  # facility-major for lowest-id ties
-        fi, p = divmod(flat, ratio.shape[0])
-        take = order[:p + 1, fi]
-        take = take[~assigned[take]]
+        ratio = (f_eff - rebate)[:, None] + conn
+        ratio /= wsum
+        fi, p = divmod(int(np.argmin(ratio)), ratio.shape[1])  # lowest facility, then prefix
+        take = order[fi, :p + 1]
         open_mask[fi] = True
         if int(facilities[fi]) not in prob.s0 and int(facilities[fi]) not in opened:
             opened.append(int(facilities[fi]))
@@ -125,6 +122,8 @@ def _jms_greedy_slot(prob, B, du, wz, prev):
         cur[take] = D[take, fi]
         switch = assigned & (D[:, fi] < cur)
         cur[switch] = D[switch, fi]
+        keep = ~assigned[order]
+        order, Ds, ws = (x[keep].reshape(facilities.size, -1) for x in (order, Ds, ws))
     return tuple(sorted(set(prob.s0) | set(opened)))
 
 

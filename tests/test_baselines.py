@@ -7,6 +7,8 @@ from satcdn.demand import ContentCatalog, DemandMatrix
 from satcdn.placement import (OptimizerConfig, solve_jms_greedy, solve_local_search,
                               solve_naive_greedy, solve_no_replica, solve_pch,
                               solve_starfront)
+from satcdn.placement.baselines import _jms_greedy_slot, _opening_costs, _slot_by_slot
+from satcdn.placement.core import solve_per_content
 
 SAT, USER, GATEWAY, ORIGIN = 0, 1, 2, 3
 
@@ -124,6 +126,81 @@ class TestJMSGreedy:
                                              t, prev)
             assert got <= 1.61 * opt + 1e-9
             prev = cur
+
+
+def _jms_full_width_slot(prob, B, du, wz, prev):
+    """``_jms_greedy_slot`` restated full width: every opening step takes the
+    prefix sums and rebates over all clients, with 0.0 for assigned ones."""
+    clients = np.flatnonzero(wz > 0)
+    facilities = np.concatenate([np.asarray(prob.s0), prob.cand_pos])
+    f_open = np.concatenate([np.zeros(len(prob.s0)),
+                             _opening_costs(prob, B, prev)[prob.cand_pos]])
+    Draw = du[np.ix_(clients, facilities)].astype(np.float64)
+    D = Draw * wz[clients][:, None]
+    order = np.argsort(Draw, axis=0, kind="stable")
+    Ds = np.take_along_axis(D, order, axis=0)
+    ws = wz[clients][order]
+    assigned = np.zeros(clients.size, dtype=bool)
+    cur = np.full(clients.size, np.inf)
+    open_mask = np.zeros(facilities.size, dtype=bool)
+    opened = []
+    while not assigned.all():
+        amask = assigned[order]
+        conn = np.where(amask, 0.0, Ds).cumsum(axis=0)
+        wsum = np.where(amask, 0.0, ws).cumsum(axis=0)
+        rebate = np.where(assigned[:, None], np.maximum(cur[:, None] - D, 0.0), 0.0).sum(axis=0)
+        f_eff = np.where(open_mask, 0.0, f_open)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ratio = (f_eff[None, :] - rebate[None, :] + conn) / wsum
+        ratio[wsum <= 0] = np.inf
+        fi, p = divmod(int(np.argmin(ratio.T)), ratio.shape[0])
+        take = order[:p + 1, fi]
+        take = take[~assigned[take]]
+        open_mask[fi] = True
+        if int(facilities[fi]) not in prob.s0 and int(facilities[fi]) not in opened:
+            opened.append(int(facilities[fi]))
+        assigned[take] = True
+        cur[take] = D[take, fi]
+        switch = assigned & (D[:, fi] < cur)
+        cur[switch] = D[switch, fi]
+    return tuple(sorted(set(prob.s0) | set(opened)))
+
+
+def _jms_instance(seed, case):
+    oracle, demand, catalog, params = motion_instance(seed, 14, 30, 3, alpha=1.0, beta=0.1,
+                                                      gamma=0.1)
+    mats = [oracle.matrix(t) for t in range(1, 4)]
+    values = demand.values
+    if case == "hop":  # integer distances, weights and opening costs: many ratio ties
+        mats, values = [np.rint(D) for D in mats], np.rint(values)
+        params = CostParams("hop", 1.0, 1.0, 1.0, 1.0)
+    if case == "disconnected":
+        u = oracle.index[demand.users[0]]
+        for D in mats:
+            D[u, :] = D[:, u] = np.inf
+            D[u, u] = 0.0
+    oracle = DistanceOracle.from_matrices(mats, oracle.ids, oracle.kind,
+                                          metric="hop" if case == "hop" else "ideal")
+    if case == "restricted":
+        oracle = oracle.with_candidates(oracle.candidates_idx[::2])
+    return oracle, DemandMatrix(demand.users, demand.contents, values), catalog, params
+
+
+class TestJMSGreedyShrinkingColumns:
+    @pytest.mark.parametrize("case", ["hop", "ideal", "disconnected", "restricted"])
+    @pytest.mark.parametrize("seed", range(600, 604))
+    def test_same_sets_as_full_width_step(self, case, seed):
+        oracle, demand, catalog, params = _jms_instance(seed, case)
+        sets = []
+
+        def both(prob, B, du, wz, prev):
+            got = _jms_greedy_slot(prob, B, du, wz, prev)
+            assert got == _jms_full_width_slot(prob, B, du, wz, prev)
+            sets.append(got)
+            return got
+
+        solve_per_content("jms_greedy", demand, oracle, params, catalog, _slot_by_slot(both))
+        assert len(sets) == 3 and max(len(s) for s in sets) >= 3  # several openings
 
 
 class TestLocalSearch:

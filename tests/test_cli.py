@@ -548,6 +548,8 @@ class TestCLICommands:
     @pytest.mark.parametrize("field,over", [
         ("routing", {"routing": {"policies": ["closest"], "weights": [0.75, 0.25]}}),
         ("routing", {"routing": {"policies": ["closest"], "qoe_budget_s": 0}}),
+        ("routing", {"routing": {"policies": ["closest"], "server_capacity_mbps": 0}}),
+        ("routing", {"routing": {"policies": ["closest"], "server_capacity_mbps": -5}}),
         ("optimizer.max_iteration", {"optimizer": {"max_iteration": 1}}),
         ("optimizer: max_iterations", {"optimizer": {"max_iterations": 0}}),
         ("shells[0]", {"shells": [{"name": "geo", "orbits": 0, "sats_per_orbit": 1,
@@ -606,7 +608,8 @@ class TestCLICommands:
         ("users.contents: must list at least 1",
          {"users": {"mode": "population", "requests": 5, "contents": []}}),
     ] + [(field, over) for field, over, _ in SCHEMA_CASES],
-        ids=["routing_weights", "qoe_budget_zero", "optimizer_typo", "optimizer_value",
+        ids=["routing_weights", "qoe_budget_zero", "capacity_zero", "capacity_negative",
+             "optimizer_typo", "optimizer_value",
              "orbits_zero", "origin_latitude", "duplicate_shell_names", "lognormal_sigma_zero",
              "pch_inter_period_zero", "pch_intra_period_zero",
              "gateway_latitude", "duplicate_origin_names", "duplicate_gateway_names",

@@ -6,8 +6,9 @@ from scipy.sparse.csgraph import dijkstra
 
 from satcdn.constellation import GroundNode, Network, starlink_phase1
 from satcdn.costmodel import DistanceOracle, ReplicaSchedule, build_distance_oracle
-from satcdn.delivery import (LinkModel, QoEModel, Router, RoutingPolicy,
-                             chunk_download_time, path_links, route, simulate_delivery)
+from satcdn.delivery import (POLICIES, DeliveryReport, LinkModel, QoEModel, Router,
+                             RoutingPolicy, chunk_download_time, path_links, route,
+                             simulate_delivery)
 from satcdn.demand import (US_BBOX, ContentCatalog, DemandMatrix, random_ground_sites,
                            synth_population_demand, us_state_nodes)
 
@@ -44,8 +45,9 @@ def latency_oracle():
                                         predecessors=[pred, pred])
 
 
-def all_sats_oracle(dists_to_user, *, origin_dist=50.0):
-    """Star topology: every replica directly linked to the single user."""
+def all_sats_oracle(dists_to_user, *, origin_dist=50.0, slots=1):
+    """Star topology: every replica directly linked to the single user, the
+    same at each of ``slots`` slots."""
     n_rep = len(dists_to_user)
     ids = [f"sat/s/00/{i:02d}" for i in range(n_rep)] + ["origin/o", "user/u"]
     kind = np.array([SAT] * n_rep + [ORIGIN, USER], dtype=np.int8)
@@ -61,8 +63,8 @@ def all_sats_oracle(dists_to_user, *, origin_dist=50.0):
     D[n - 2, u] = D[u, n - 2] = origin_dist
     pred[u, n - 2] = u
     pred[n - 2, u] = n - 2
-    return DistanceOracle.from_matrices([D], ids, kind, metric="ideal",
-                                        predecessors=[pred])
+    return DistanceOracle.from_matrices([D] * slots, ids, kind, metric="ideal",
+                                        predecessors=[pred] * slots)
 
 
 class TestRoutingPolicies:
@@ -294,29 +296,89 @@ class TestLazyOracleDelivery:
                 assert chunk_download_time(user, rep, 4.0, 2, LinkModel(), lazy) == \
                     chunk_download_time(user, rep, 4.0, 2, LinkModel(), eager)
 
-    def test_closest_report_matches_per_request_restatement(self):
-        # routes, paths and download times recomputed for every request from
-        # the full matrices, with no memo, in the simulator's loop order
+    @pytest.mark.parametrize("kind", POLICIES)
+    @pytest.mark.parametrize("capacity", [None, 96.0])
+    def test_report_matches_per_request_restatement(self, kind, capacity):
         lazy, eager, sched, demand = network_oracles()
+        # 2.5, 3.5, 0.5 and 1.5 round half to even: 2, 4, 0 and 2 requests
+        values = demand.values.copy()
+        values[:4, 0, :] = [[2.5], [3.5], [0.5], [1.5]]
+        demand = DemandMatrix(demand.users, demand.contents, values)
+        assert (np.rint(values) >= 2).sum() > 100  # many groups of several requests
         catalog = ContentCatalog.uniform(demand.contents, 4.0)
-        T = demand.slot_count
-        qoe, qoe_sum, qoe_n, traffic, unreachable = QoEModel(), [0.0] * T, [0] * T, 0.0, 0
-        for t in range(1, T + 1):
-            D = eager.matrix(t)
-            for ci, c in enumerate(demand.contents):
-                for uj, user in enumerate(demand.users):
-                    u = eager.index[user]
-                    reach = [(D[u, r], r) for r in sched.nodes(c, t) if np.isfinite(D[u, r])]
-                    for _ in range(int(round(demand.values[uj, ci, t - 1]))):
-                        qoe_n[t - 1] += 1
-                        if not reach:
-                            unreachable += 1
-                            continue
-                        rep = min(reach)[1]
-                        dt = chunk_download_time(user, rep, 4.0, t, LinkModel(), eager)
-                        qoe_sum[t - 1] += qoe.score(dt)
-                        traffic += 0.004 * len(path_links(eager, t, u, rep))
-        got = simulate_delivery(sched, demand, RoutingPolicy(), LinkModel(), qoe, lazy, catalog)
-        assert unreachable and got.unreachable_requests == unreachable
-        assert got.traffic_gb == traffic
-        assert got.mean_qoe == [s / n for s, n in zip(qoe_sum, qoe_n)]
+        policy, links = RoutingPolicy(kind=kind), LinkModel(server_capacity_mbps=capacity)
+        want, _ = per_request_report(sched, demand, policy, links, QoEModel(), eager, catalog)
+        got = simulate_delivery(sched, demand, policy, links, QoEModel(), lazy, catalog)
+        assert want.unreachable_requests and got.unreachable_requests == want.unreachable_requests
+        assert got.traffic_gb == want.traffic_gb
+        assert got.mean_qoe == want.mean_qoe
+        assert got.per_replica == want.per_replica
+        assert sum(r["requests"] for r in got.per_replica.values()) == np.rint(values).sum()
+
+    @pytest.mark.parametrize("kind,picks", [
+        ("round_robin", [[0, 1], [0, 3, 0], [2, 0], [1, 2]]),
+        ("weighted_round_robin", [[0, 1], [0, 3, 0], [0, 1], [0, 2]]),
+    ])
+    def test_routing_state_carries_across_slots(self, kind, picks):
+        # 3, 2, 3 and 3 ranked replicas (the origin, node 3, ranks last):
+        # round robin keeps counting across slots; smooth WRR restarts when
+        # the list length changes and carries over from slot 3 to slot 4,
+        # where a fresh state would pick [0, 1]
+        oracle = all_sats_oracle([1.0, 2.0, 3.0], slots=4)
+        sched = ReplicaSchedule(["c0"], 4, {"c0": [(0, 1, 2, 3), (0, 3), (0, 1, 2, 3),
+                                                   (0, 1, 2, 3)]})
+        demand = DemandMatrix(["user/u"], ["c0"], np.array([[[2.0, 3.0, 2.0, 2.0]]]))
+        catalog = ContentCatalog.uniform(["c0"], 4.0)
+        policy, links, qoe = RoutingPolicy(kind=kind), LinkModel(), QoEModel(budget_s=0.004)
+        want, got_picks = per_request_report(sched, demand, policy, links, qoe, oracle, catalog)
+        assert got_picks == [r for slot in picks for r in slot]
+        got = simulate_delivery(sched, demand, policy, links, qoe, oracle, catalog)
+        assert (got.mean_qoe, got.traffic_gb, got.per_replica) == \
+            (want.mean_qoe, want.traffic_gb, want.per_replica)
+
+
+def per_request_report(sched, demand, policy, links, qoe, oracle, catalog):
+    """``simulate_delivery`` restated one request at a time: a ``Router.route``
+    call per request, then its path, bottleneck, FIFO wait and download time
+    from the oracle's full matrices, with no memo. Returns the report and
+    every pick in request order."""
+    router = Router(sched, oracle, policy)
+    cap = links.server_capacity_mbps
+    T = demand.slot_count
+    qoe_sum, qoe_n, traffic, unreachable = [0.0] * T, [0] * T, 0.0, 0
+    per_replica, backlog, picks = {}, {}, []
+    for t in range(1, T + 1):
+        D = oracle.matrix(t)
+        for ci, c in enumerate(demand.contents):
+            size_mb = catalog.size_of(c)
+            for uj, user in enumerate(demand.users):
+                u = oracle.index[user]
+                for _ in range(int(round(demand.values[uj, ci, t - 1]))):
+                    rep, reachable = router.route(user, c, t)
+                    picks.append(rep)
+                    rec = per_replica.setdefault(oracle.ids[rep], {"requests": 0.0, "gb": 0.0})
+                    rec["requests"] += 1
+                    qoe_n[t - 1] += 1
+                    if not reachable:
+                        unreachable += 1
+                        continue
+                    edges = path_links(oracle, t, u, rep)
+                    gbps = min((links.satellite_gbps if SAT in oracle.kind[[a, b]]
+                                else links.terrestrial_gbps for a, b in edges),
+                               default=links.terrestrial_gbps)
+                    if cap is not None:
+                        gbps = min(gbps, cap / 1000.0)
+                    transmit, wait = size_mb * 8.0e6 / (gbps * 1.0e9), 0.0
+                    if cap is not None:
+                        wait = backlog.get((rep, t), 0.0)
+                        backlog[rep, t] = wait + transmit
+                    dt = D[u, rep] / 1000.0 + wait + transmit
+                    if cap is None:
+                        assert dt == chunk_download_time(user, rep, size_mb, t, links, oracle)
+                    qoe_sum[t - 1] += qoe.score(dt)
+                    traffic += size_mb / 1000.0 * len(edges)
+                    rec["gb"] += size_mb / 1000.0
+    report = DeliveryReport(policy.kind, T, [s / n if n else math.nan for s, n in
+                                             zip(qoe_sum, qoe_n)], traffic, per_replica,
+                            unreachable)
+    return report, picks
