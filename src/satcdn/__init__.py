@@ -12,7 +12,7 @@ from .costmodel import (CostBreakdown, CostParams, DistanceOracle, ReplicaSchedu
                         build_distance_oracle, compute_c_qmin, query_cost,
                         replication_cost, storage_cost, total_cost)
 from .delivery import (DeliveryReport, LinkModel, QoEModel, Router, RoutingPolicy,
-                       chunk_download_time, route, simulate_delivery)
+                       chunk_download_time, simulate_delivery)
 from .demand import (ContentCatalog, DemandMatrix, load_trace, predict_demand, save_trace,
                      synth_grid_demand, synth_population_demand)
 from .placement import SOLVERS, OptimizerConfig, PlacementResult, solve_mtls, solve_mtols

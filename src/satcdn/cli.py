@@ -2,9 +2,13 @@
 
 Subcommands:
   run                    execute a scenario config and write result CSVs
-  gen-demand             generate synthetic demand traces (grid or population)
+  gen-demand             export a scenario config's users and demand as trace files
   inspect-constellation  print coverage / visibility / period summaries
   compare                join several result bundles into one table
+
+``satcdn gen-demand --config scenario.json --out-trace trace.csv
+[--out-nodes nodes.csv]`` writes the users and demand that ``run`` would
+build from the config, in the files a ``trace`` config reads.
 """
 
 from __future__ import annotations
@@ -33,21 +37,15 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_gen_demand(args) -> int:
-    if args.mode == "grid":
-        bbox = tuple(float(x) for x in args.bbox.split(",")) if args.bbox else dm.US_BBOX
-        users, _catalog, demand = dm.synth_grid_demand(
-            args.rows, args.cols, bbox, args.per_slot_demand, args.slots)
-    else:
-        nodes, weights = dm.us_state_nodes()
-        users = nodes
-        demand = dm.synth_population_demand(weights, args.requests, args.slots, args.seed)
+    net, _catalog, demand = build_network(load_config(args.config))
     dm.save_trace(args.out_trace, demand)
     if args.out_nodes:
         with open(args.out_nodes, "w", newline="") as fh:
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(["name", "lat_deg", "lon_deg"])
-            for n in users:
-                writer.writerow([n.node_id, n.latitude_deg, n.longitude_deg])
+            for n in net.ground_nodes:
+                if n.kind == "user_region":
+                    writer.writerow([n.node_id, n.latitude_deg, n.longitude_deg])
     print(f"wrote {demand.slot_count} slots x {len(demand.users)} users to {args.out_trace}")
     return 0
 
@@ -91,7 +89,10 @@ def _cmd_compare(args) -> int:
     rows = []
     for bundle in args.bundles:
         bundle = Path(bundle)
-        for path in sorted(bundle.glob("*_breakdown.csv")):
+        paths = sorted(bundle.glob("*_breakdown.csv"))
+        if not paths:
+            raise FileNotFoundError(f"{bundle}: no *_breakdown.csv result files")
+        for path in paths:
             with open(path, newline="") as fh:
                 reader = csv.DictReader(fh)
                 for rec in reader:
@@ -125,15 +126,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--metric", default=None, choices=METRICS)
     p_run.set_defaults(func=_cmd_run)
 
-    p_gen = sub.add_parser("gen-demand", help="generate a synthetic demand trace")
-    p_gen.add_argument("--mode", choices=["grid", "population"], required=True)
-    p_gen.add_argument("--rows", type=int, default=5)
-    p_gen.add_argument("--cols", type=int, default=10)
-    p_gen.add_argument("--bbox", default=None, help="lat_min,lon_min,lat_max,lon_max")
-    p_gen.add_argument("--per-slot-demand", type=float, default=1.0, dest="per_slot_demand")
-    p_gen.add_argument("--requests", type=int, default=10000)
-    p_gen.add_argument("--slots", type=int, default=12)
-    p_gen.add_argument("--seed", type=int, default=0)
+    p_gen = sub.add_parser("gen-demand", help="export a scenario's users and demand")
+    p_gen.add_argument("--config", required=True, help="scenario JSON path")
     p_gen.add_argument("--out-trace", required=True, dest="out_trace")
     p_gen.add_argument("--out-nodes", default=None, dest="out_nodes")
     p_gen.set_defaults(func=_cmd_gen_demand)

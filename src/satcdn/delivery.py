@@ -88,21 +88,15 @@ class Router:
         # weight total per ranked-list length; NumPy's reduction fixes the last-ulp
         # rounding the picks depend on (Python's compensated sum can differ)
         self._wrr_total = [float(np.sum(policy.weights[:k])) for k in range(policy.fanout + 1)]
-        self._ranks: dict[tuple[int, str, int], list[int]] = {}
 
     def _ranked(self, user_idx: int, content: str, slot: int) -> list[int]:
-        """Reachable replicas nearest first (ties by id), at most ``fanout``;
-        memoized per (user, content, slot)."""
-        key = (user_idx, content, slot)
-        ranked = self._ranks.get(key)
-        if ranked is None:
-            replicas = np.asarray(self.schedule.nodes(content, slot), dtype=np.int64)
-            d = np.asarray(self.oracle.row(slot, user_idx)[replicas], dtype=float)
-            finite = np.isfinite(d)
-            replicas, d = replicas[finite], d[finite]
-            order = np.lexsort((replicas, d))
-            ranked = self._ranks[key] = [int(r) for r in replicas[order[:self.policy.fanout]]]
-        return ranked
+        """Reachable replicas nearest first (ties by id), at most ``fanout``."""
+        replicas = np.asarray(self.schedule.nodes(content, slot), dtype=np.int64)
+        d = np.asarray(self.oracle.row(slot, user_idx)[replicas], dtype=float)
+        finite = np.isfinite(d)
+        replicas, d = replicas[finite], d[finite]
+        order = np.lexsort((replicas, d))
+        return [int(r) for r in replicas[order[:self.policy.fanout]]]
 
     def route(self, user, content: str, slot: int):
         """Pick the serving replica; falls back to the lowest-id origin with an
@@ -137,13 +131,6 @@ class Router:
             out.append(ranked[pick])
         self._wrr[key] = cur
         return out, True
-
-
-def route(user, content: str, slot: int, schedule: ReplicaSchedule,
-          policy: RoutingPolicy, oracle: DistanceOracle):
-    """One-shot routing decision (fresh round-robin state)."""
-    replica, _reachable = Router(schedule, oracle, policy).route(user, content, slot)
-    return replica
 
 
 def path_links(oracle: DistanceOracle, slot: int, src: int, dst: int) -> list[tuple[int, int]]:

@@ -70,13 +70,11 @@ class DemandMatrix:
 
 
 def load_trace(path, *, known_users: Sequence[str] | None = None, top_k: int | None = 10,
-               slot_window: tuple[int, int] | None = None,
                catalog: ContentCatalog | None = None) -> tuple[ContentCatalog, DemandMatrix]:
     """Read a normalized demand trace.
 
-    Rows outside ``slot_window`` (inclusive bounds) are dropped, then the
-    ``top_k`` contents by total demand are kept. When ``known_users`` is given,
-    rows naming any other user are a hard error.
+    Only the ``top_k`` contents by total demand are kept. When ``known_users``
+    is given, rows naming any other user are a hard error.
     """
     rows: list[tuple[int, str, str, float]] = []
     with open(path, newline="") as fh:
@@ -102,10 +100,6 @@ def load_trace(path, *, known_users: Sequence[str] | None = None, top_k: int | N
             if known_users is not None and user not in known_users:
                 raise ValueError(f"{path}:{line_no}: unknown user node id {user!r}")
             rows.append((slot, user, content, dem))
-
-    if slot_window is not None:
-        lo, hi = slot_window
-        rows = [(s - lo + 1, u, c, d) for (s, u, c, d) in rows if lo <= s <= hi]
 
     totals: dict[str, float] = {}
     for _, _, c, d in rows:
@@ -172,9 +166,10 @@ US_BBOX = (25.0, -125.0, 49.0, -67.0)  # lat_min, lon_min, lat_max, lon_max
 
 def synth_grid_demand(grid_rows: int, grid_cols: int, region_bbox, per_slot_demand: float,
                       horizon: int, *, active: tuple[int, int] | None = None,
-                      content_id: str = "content/0", size_mb: float = 1.0,
+                      size_mb: float = 1.0,
                       ) -> tuple[list[GroundNode], ContentCatalog, DemandMatrix]:
-    """Uniform demand from a rows x cols grid of user regions inside a bbox.
+    """Uniform demand for the one content ``content/0`` from a rows x cols
+    grid of user regions inside a bbox.
 
     ``active=(r, c)`` limits demand to the top-left r x c sub-grid; the other
     grid nodes still exist but carry zero demand.
@@ -204,8 +199,8 @@ def synth_grid_demand(grid_rows: int, grid_cols: int, region_bbox, per_slot_dema
         for c in range(act_c):
             values[r * grid_cols + c, 0, :] = per_slot_demand
 
-    catalog = ContentCatalog([content_id], np.array([size_mb]))
-    return nodes, catalog, DemandMatrix(users, [content_id], values)
+    catalog = ContentCatalog(["content/0"], np.array([size_mb]))
+    return nodes, catalog, DemandMatrix(users, ["content/0"], values)
 
 
 def synth_population_demand(population_weights: Mapping[str, float], request_count: int,
@@ -263,12 +258,11 @@ def us_state_nodes() -> tuple[list[GroundNode], dict[str, float]]:
     return nodes, weights
 
 
-def random_ground_sites(count: int, bbox, seed: int, *, kind: str = "gateway",
-                        prefix: str = "gw") -> list[GroundNode]:
+def random_ground_sites(count: int, bbox, seed: int) -> list[GroundNode]:
     """Uniformly scattered ground sites inside a bbox (for synthetic gateways)."""
     lat_min, lon_min, lat_max, lon_max = bbox
     rng = np.random.default_rng(seed)
     lats = rng.uniform(lat_min, lat_max, size=count)
     lons = rng.uniform(lon_min, lon_max, size=count)
-    return [GroundNode(f"{prefix}/s{i:02d}", kind, float(lats[i]), float(lons[i]))
+    return [GroundNode(f"gw/s{i:02d}", "gateway", float(lats[i]), float(lons[i]))
             for i in range(count)]

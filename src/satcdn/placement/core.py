@@ -155,13 +155,10 @@ def _in_place(shared: dict, key: tuple, dtype, block: np.ndarray) -> bool:
     return ok
 
 
-def _sanitized(block: np.ndarray, dtype, out: np.ndarray | None = None) -> np.ndarray:
-    """``block`` in ``dtype`` with every non-finite entry replaced by ``BIG``,
-    written into ``out`` when given."""
-    if out is None:
-        out = np.array(block, dtype=dtype)
-    else:
-        np.copyto(out, block)
+def _sanitized(block: np.ndarray, dtype) -> np.ndarray:
+    """A copy of ``block`` in ``dtype`` with every non-finite entry replaced by
+    ``BIG``."""
+    out = np.array(block, dtype=dtype)
     out[~np.isfinite(out)] = BIG
     return out
 

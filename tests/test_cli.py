@@ -10,6 +10,8 @@ import pytest
 from helpers import has_full, motion_instance, schedule_cost_ref
 from satcdn.cli import main
 from satcdn.costmodel import ReplicaSchedule, query_cost
+from satcdn.demand import (US_BBOX, load_trace, save_trace, synth_grid_demand,
+                           synth_population_demand, us_state_nodes)
 from satcdn.scenario import (_REQUIRED, _SCHEMA, F, ConfigError, Tagged, build_scenario,
                              load_config, run_scenario)
 
@@ -461,27 +463,65 @@ class TestCLICommands:
         assert rc == 0
         assert "no_replica" in capsys.readouterr().out
 
-    def test_gen_demand_grid_round_trip(self, tmp_path):
-        trace = tmp_path / "trace.csv"
-        nodes = tmp_path / "nodes.csv"
-        rc = main(["gen-demand", "--mode", "grid", "--rows", "2", "--cols", "3",
-                   "--per-slot-demand", "1.5", "--slots", "4",
+    @staticmethod
+    def gen_demand(tmp_path, config):
+        """Run ``gen-demand`` on ``config``; the exit code and the paths of
+        the trace and nodes files."""
+        cfg_path, trace, nodes = (tmp_path / n for n in ("cfg.json", "trace.csv", "nodes.csv"))
+        cfg_path.write_text(json.dumps(config))
+        rc = main(["gen-demand", "--config", str(cfg_path),
                    "--out-trace", str(trace), "--out-nodes", str(nodes)])
-        assert rc == 0
-        from satcdn.demand import load_trace
-        _, demand = load_trace(trace)
-        assert demand.slot_count == 4
-        assert demand.total() == pytest.approx(2 * 3 * 4 * 1.5)
-        assert len(read_csv(nodes)) == 7
+        return rc, trace, nodes
 
-    def test_gen_demand_population(self, tmp_path):
-        trace = tmp_path / "trace.csv"
-        rc = main(["gen-demand", "--mode", "population", "--requests", "500",
-                   "--slots", "3", "--seed", "5", "--out-trace", str(trace)])
+    @staticmethod
+    def assert_exported(tmp_path, trace, nodes, users, demand):
+        """The files hold the bytes ``save_trace`` writes for ``demand`` and
+        one ``name,lat_deg,lon_deg`` line per user node."""
+        save_trace(tmp_path / "want.csv", demand)
+        assert trace.read_bytes() == (tmp_path / "want.csv").read_bytes()
+        assert nodes.read_text() == "name,lat_deg,lon_deg\n" + "".join(
+            f"{n.node_id},{n.latitude_deg},{n.longitude_deg}\n" for n in users)
+
+    def test_gen_demand_grid_exports_the_config_demand(self, tmp_path):
+        rc, trace, nodes = self.gen_demand(tmp_path, minimal_config(
+            horizon_slots=4, users={"mode": "grid", "rows": 2, "cols": 3,
+                                    "per_slot_demand": 1.5}))
         assert rc == 0
-        from satcdn.demand import load_trace
-        _, demand = load_trace(trace, top_k=None)
-        assert demand.total() == 500
+        users, _, demand = synth_grid_demand(2, 3, US_BBOX, 1.5, 4)
+        self.assert_exported(tmp_path, trace, nodes, users, demand)
+        assert load_trace(trace)[1].total() == pytest.approx(2 * 3 * 4 * 1.5)
+
+    def test_gen_demand_population_exports_the_config_demand(self, tmp_path):
+        rc, trace, nodes = self.gen_demand(tmp_path, minimal_config(
+            seed=5, horizon_slots=3, users={"mode": "population", "requests": 500}))
+        assert rc == 0
+        users, weights = us_state_nodes()
+        self.assert_exported(tmp_path, trace, nodes, users,
+                             synth_population_demand(weights, 500, 3, 5))
+        assert load_trace(trace, top_k=None)[1].total() == 500
+
+    def test_gen_demand_exports_every_population_content(self, tmp_path):
+        contents = ["video/a", "video/b"]
+        rc, trace, nodes = self.gen_demand(tmp_path, minimal_config(
+            seed=2, horizon_slots=3,
+            users={"mode": "population", "requests": 300, "contents": contents}))
+        assert rc == 0
+        users, weights = us_state_nodes()
+        demand = synth_population_demand(weights, 300, 3, 2, contents=contents)
+        self.assert_exported(tmp_path, trace, nodes, users, demand)
+        _, back = load_trace(trace, top_k=None)
+        assert back.contents == contents and back.total() == 300
+
+    @pytest.mark.parametrize("field,over", [
+        ("users.rows", {"users": {"mode": "grid", "rows": 0, "cols": 1}}),
+        ("horizon_slots", {"horizon_slots": 0}),
+        ("users.requests", {"users": {"mode": "population", "requests": -5}}),
+        ("users.bbox", {"users": {"mode": "grid", "rows": 1, "cols": 1, "bbox": [1.0, 2.0]}}),
+    ], ids=["rows_zero", "horizon_zero", "requests_negative", "bbox_two_numbers"])
+    def test_gen_demand_bad_config_exit_code(self, tmp_path, capsys, field, over):
+        rc, trace, nodes = self.gen_demand(tmp_path, minimal_config(**over))
+        assert rc == 2 and not trace.exists() and not nodes.exists()
+        assert capsys.readouterr().err.startswith(f"config error: {field}")
 
     def test_inspect_constellation(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"
@@ -517,12 +557,22 @@ class TestCLICommands:
         assert rows[0][0] == "scenario"
         assert {r[0] for r in rows[1:]} == {"s1", "s2"}
 
+    @pytest.mark.parametrize("missing", ["no/such/dir", "empty"])
+    def test_compare_rejects_a_path_without_a_bundle(self, tmp_path, capsys, missing):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(minimal_config()))
+        main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "s1")])
+        (tmp_path / "empty").mkdir()
+        rc = main(["compare", str(tmp_path / "s1"), str(tmp_path / missing),
+                   "--out", str(tmp_path / "cmp.csv")])
+        assert rc == 2 and not (tmp_path / "cmp.csv").exists()
+        assert capsys.readouterr().err.startswith(f"missing file: {tmp_path / missing}")
+
     def test_trace_mode_end_to_end(self, tmp_path):
-        trace = tmp_path / "trace.csv"
-        nodes = tmp_path / "nodes.csv"
-        main(["gen-demand", "--mode", "grid", "--rows", "2", "--cols", "2",
-              "--per-slot-demand", "4.0", "--slots", "3",
-              "--out-trace", str(trace), "--out-nodes", str(nodes)])
+        rc, trace, nodes = self.gen_demand(tmp_path, small_leo_config(
+            horizon_slots=3, users={"mode": "grid", "rows": 2, "cols": 2,
+                                    "per_slot_demand": 4.0}))
+        assert rc == 0
         cfg = small_leo_config()
         cfg["users"] = {"mode": "trace", "trace_file": str(trace),
                         "nodes_file": str(nodes)}
@@ -535,6 +585,24 @@ class TestCLICommands:
         assert summary["mtols"] <= summary["no_replica"] + 1e-9
         meta = json.loads((out / "metadata.json").read_text())
         assert meta["node_counts"]["users"] == 4
+        again = tmp_path / "again"
+        again.mkdir()
+        rc, trace2, nodes2 = self.gen_demand(again, cfg)  # a trace config re-exports itself
+        assert rc == 0
+        assert trace2.read_bytes() == trace.read_bytes()
+        assert nodes2.read_bytes() == nodes.read_bytes()
+
+    def test_gen_demand_trace_config_keeps_its_top_k_contents(self, tmp_path):
+        (tmp_path / "n.csv").write_text(TRACE_NODES)
+        (tmp_path / "t.csv").write_text("slot,user_node,content,demand\n"
+                                        "1,user/a,small,1.0\n2,user/a,big,5.0\n")
+        users = {**TRACE_USERS, "top_k": 1}
+        config = json.loads(json.dumps(minimal_config(users=users))
+                            .replace('"@', f'"{tmp_path}/'))
+        rc, trace, _nodes = self.gen_demand(tmp_path, config)
+        assert rc == 0
+        assert read_csv(trace) == [["slot", "user_node", "content", "demand"],
+                                   ["2", "user/a", "big", "5.0"]]
 
     def test_invalid_config_exit_code(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"

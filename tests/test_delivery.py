@@ -7,8 +7,7 @@ from scipy.sparse.csgraph import dijkstra
 from satcdn.constellation import GroundNode, Network, starlink_phase1
 from satcdn.costmodel import DistanceOracle, ReplicaSchedule, build_distance_oracle
 from satcdn.delivery import (POLICIES, DeliveryReport, LinkModel, QoEModel, Router,
-                             RoutingPolicy, chunk_download_time, path_links, route,
-                             simulate_delivery)
+                             RoutingPolicy, chunk_download_time, path_links, simulate_delivery)
 from satcdn.demand import (US_BBOX, ContentCatalog, DemandMatrix, random_ground_sites,
                            synth_population_demand, us_state_nodes)
 
@@ -80,7 +79,7 @@ class TestRoutingPolicies:
         oracle = latency_oracle()
         sched = ReplicaSchedule.origin_only(["c0"], 2, oracle.origins_idx)
         for kind in ("closest", "round_robin", "weighted_round_robin"):
-            got = route("user/u", "c0", 1, sched, RoutingPolicy(kind=kind), oracle)
+            got = Router(sched, oracle, RoutingPolicy(kind=kind)).route("user/u", "c0", 1)[0]
             assert got == 3
 
     def test_wrr_exact_split_over_seven(self):
@@ -111,7 +110,7 @@ class TestRoutingPolicies:
         d = rng.uniform(1, 30, size=6).tolist()
         oracle = all_sats_oracle(d)
         sched = ReplicaSchedule(["c0"], 1, {"c0": tuple([tuple(range(7))])})
-        got = route("user/u", "c0", 1, sched, RoutingPolicy(kind="closest"), oracle)
+        got = Router(sched, oracle, RoutingPolicy(kind="closest")).route("user/u", "c0", 1)[0]
         D = oracle.matrix(1)
         u = oracle.index["user/u"]
         want = min(range(7), key=lambda v: (D[u, v], v))

@@ -68,16 +68,6 @@ class TestLoadTrace:
         cat = load_catalog(p)
         assert cat.size_of("c1") == 16.0
 
-    def test_slot_window_drops_and_rebases(self, tmp_path):
-        p = tmp_path / "t.csv"
-        write_trace(p, [(1, "user/a", "c0", 1.0), (3, "user/a", "c0", 2.0),
-                        (5, "user/a", "c0", 4.0), (9, "user/a", "c0", 8.0)])
-        _, demand = load_trace(p, slot_window=(3, 6))
-        assert demand.slot_count == 3
-        assert demand.values[0, 0, 0] == 2.0
-        assert demand.values[0, 0, 2] == 4.0
-        assert demand.total() == pytest.approx(6.0)
-
 
 class TestSynthGrid:
     def test_paper_grid_shape(self):
