@@ -492,9 +492,6 @@ class CostParams:
         Origins are exempt: they always hold every content, so charging them
         would shift all schedules by the same constant.
         """
-        cached = getattr(self, "_rate_cache", None)
-        if cached is not None and cached[0] is oracle:
-            return cached[1]
         rate = np.full(oracle.n_nodes, self.beta * self.c_qmin)
         sat = oracle.kind == SAT
         if sat.any():
@@ -503,7 +500,6 @@ class CostParams:
                 gam[oracle.shell == s] = self.gamma_for(int(s))
             rate[sat] = gam[sat] * self.c_qmin
         rate[oracle.kind == ORIGIN] = 0.0
-        object.__setattr__(self, "_rate_cache", (oracle, rate))
         return rate
 
 

@@ -131,7 +131,7 @@ def load_trace(path, *, known_users: Sequence[str] | None = None, top_k: int | N
 
 def save_trace(path, demand: DemandMatrix) -> None:
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
+        writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["slot", "user_node", "content", "demand"])
         for t in range(1, demand.slot_count + 1):
             for ui, user in enumerate(demand.users):

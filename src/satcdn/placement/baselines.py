@@ -40,58 +40,30 @@ def _opening_costs(prob: ContentProblem, B, prev_set) -> np.ndarray:
 
 
 def _slot_by_slot(slot_rule):
-    """Per-content rule that solves the slots in order, charging each slot's
-    opening costs against the previous slot's set (the origins before slot 1).
+    """Per-content rule that solves the slots in order, each against the
+    previous slot's set (the origins before slot 1).
 
-    ``slot_rule(prob, B, du, wz, prev)`` gets the slot's block, user
-    block and demand weights and returns the slot's replica set.
+    ``slot_rule(prob, t, prev)`` reads slot ``t``'s blocks and demand weights
+    from ``prob`` and returns the slot's replica set.
     """
 
     def rule(c, prob, stats):
         prev = prob.s0
         slots = []
         for t in range(1, prob.T + 1):
-            prev = slot_rule(prob, prob.block(t), prob.user_block(t), prob.weights(t), prev)
+            prev = slot_rule(prob, t, prev)
             slots.append(prev)
         return slots
 
     return rule
 
 
-def _naive_greedy_slot(prob, B, du, wz, prev):
-    open_cost = _opening_costs(prob, B, prev)
-    chosen = list(prob.s0)
-    d1u = du[:, np.asarray(chosen)].min(axis=1)
-    while True:
-        in_set = np.zeros(prob.m, dtype=bool)
-        in_set[np.asarray(chosen)] = True
-        cand = prob.cand_pos[~in_set[prob.cand_pos]]
-        if cand.size == 0:
-            break
-        new_qc = (wz[:, None] * np.minimum(d1u[:, None], du[:, cand])).sum(axis=0)
-        delta = new_qc - float((wz * d1u).sum()) + open_cost[cand]
-        j = int(np.argmin(delta))
-        if delta[j] >= -_TOL:
-            break
-        w = int(cand[j])
-        chosen.append(w)
-        d1u = np.minimum(d1u, du[:, w])
-    return tuple(sorted(chosen))
-
-
-def solve_naive_greedy(demand: DemandMatrix, oracle: DistanceOracle, params: CostParams,
-                       config: OptimizerConfig | None = None, *, catalog=None) -> PlacementResult:
-    """Per-slot greedy: repeatedly add the candidate that most reduces the
-    slot's total cost; stop when no addition helps."""
-    return solve_per_content("naive_greedy", demand, oracle, params, catalog,
-                             _slot_by_slot(_naive_greedy_slot))
-
-
-def _jms_greedy_slot(prob, B, du, wz, prev):
+def _jms_greedy_slot(prob, t, prev):
+    du, wz = prob.user_block(t), prob.weights(t)
     clients = np.flatnonzero(wz > 0)
     facilities = np.concatenate([np.asarray(prob.s0), prob.cand_pos])
     f_open = np.concatenate([np.zeros(len(prob.s0)),
-                             _opening_costs(prob, B, prev)[prob.cand_pos]])
+                             _opening_costs(prob, prob.block(t), prev)[prob.cand_pos]])
     Draw = du[np.ix_(clients, facilities)].astype(np.float64)
     D = Draw * wz[clients][:, None]
     # D[j, i]: demand-weighted connection cost of client j to facility i;
@@ -136,16 +108,16 @@ def solve_jms_greedy(demand: DemandMatrix, oracle: DistanceOracle, params: CostP
                              _slot_by_slot(_jms_greedy_slot))
 
 
-def _local_search_slot(prob, B, du, wz, prev):
-    open_cost = _opening_costs(prob, B, prev)
+def _local_search_slot(prob, t, prev, drops=True):
+    """Slot ``t``'s set by best-improvement local search from the origins:
+    additions, and with ``drops`` also deletions and swaps of non-origins."""
+    du, wz = prob.user_block(t), prob.weights(t)
+    open_cost = _opening_costs(prob, prob.block(t), prev)
     chosen = set(prob.s0)
     while True:
         ch = np.asarray(sorted(chosen), dtype=np.int64)
-        members = np.array([p for p in ch if p not in prob.origin_set], dtype=np.int64)
-        in_set = np.zeros(prob.m, dtype=bool)
-        in_set[ch] = True
-        cand = prob.cand_pos[~in_set[prob.cand_pos]]
-        d1u, d2u, a1u = _two_smallest(du, ch)
+        cand, members = prob.outside(ch)
+        d1u, d2u, a1u = _two_smallest(du, ch, second=drops)
         qc_cur = float((wz * d1u).sum())
 
         best_delta, best_op = -_TOL, None
@@ -155,7 +127,7 @@ def _local_search_slot(prob, B, du, wz, prev):
             j = int(np.argmin(deltas))
             if deltas[j] < best_delta:
                 best_delta, best_op = float(deltas[j]), ("add", int(cand[j]), -1)
-        for z in members:
+        for z in (members if drops else ()):
             dz = np.where(a1u == z, d2u, d1u)
             qc_del = float((wz * dz).sum())
             delta = qc_del - qc_cur - open_cost[z]
@@ -184,38 +156,17 @@ def solve_local_search(demand: DemandMatrix, oracle: DistanceOracle, params: Cos
                              _slot_by_slot(_local_search_slot))
 
 
+def solve_naive_greedy(demand: DemandMatrix, oracle: DistanceOracle, params: CostParams,
+                       config: OptimizerConfig | None = None, *, catalog=None) -> PlacementResult:
+    """Per-slot greedy: repeatedly add the candidate that most reduces the
+    slot's total cost; stop when no addition helps. This is local search's
+    additions alone."""
+    return solve_per_content("naive_greedy", demand, oracle, params, catalog, _slot_by_slot(
+        lambda prob, t, prev: _local_search_slot(prob, t, prev, drops=False)))
+
+
 def default_thresholds(metric: str) -> tuple[float, ...]:
     return (1.0, 2.0, 3.0, 4.0, 5.0) if metric == "hop" else (5.0, 10.0, 20.0, 40.0, 80.0)
-
-
-def _starfront_sets(prob: ContentProblem, theta: float):
-    """One content's persistent-replica sets under threshold ``theta`` and the
-    number of user-slots that no candidate within ``theta`` could cover."""
-    placed: set[int] = set()
-    slots = []
-    flagged = 0
-    for t in range(1, prob.T + 1):
-        B = prob.block(t)
-        du = prob.user_block(t)
-        wz = prob.weights(t)
-        cur = set(prob.s0) | placed
-        for uj in np.flatnonzero(wz > 0):
-            cur_arr = np.asarray(sorted(cur), dtype=np.int64)
-            if du[uj, cur_arr].min() <= theta:
-                continue
-            qual = prob.cand_pos[(du[uj, prob.cand_pos] <= theta)
-                                 & ~np.isin(prob.cand_pos, cur_arr)]
-            if qual.size == 0:
-                flagged += 1
-                continue
-            d_src = B[qual[:, None], cur_arr].min(axis=1).astype(np.float64)
-            remaining = prob.T - t + 1
-            score = prob.alpha * d_src + remaining * prob.rate[qual]
-            w = int(qual[np.argmin(score)])
-            placed.add(w)
-            cur.add(w)
-        slots.append(tuple(sorted(cur)))
-    return slots, flagged
 
 
 def solve_starfront(demand: DemandMatrix, oracle: DistanceOracle, params: CostParams,
@@ -228,15 +179,29 @@ def solve_starfront(demand: DemandMatrix, oracle: DistanceOracle, params: CostPa
     config = config or OptimizerConfig()
     best = None
     for theta in config.starfront_thresholds or default_thresholds(params.metric):
-        flagged = 0
+        flagged = 0  # user-slots that no candidate within theta could cover
 
-        def rule(c, prob, stats):
+        def slot_rule(prob, t, prev):
+            # prev holds the origins and every replica placed so far.
             nonlocal flagged
-            slots, n = _starfront_sets(prob, theta)
-            flagged += n
-            return slots
+            B, du, wz = prob.block(t), prob.user_block(t), prob.weights(t)
+            cur = set(prev)
+            for uj in np.flatnonzero(wz > 0):
+                cur_arr = np.asarray(sorted(cur), dtype=np.int64)
+                if du[uj, cur_arr].min() <= theta:
+                    continue
+                cand = prob.outside(cur_arr)[0]
+                qual = cand[du[uj, cand] <= theta]
+                if qual.size == 0:
+                    flagged += 1
+                    continue
+                d_src = B[qual[:, None], cur_arr].min(axis=1).astype(np.float64)
+                score = prob.alpha * d_src + (prob.T - t + 1) * prob.rate[qual]
+                cur.add(int(qual[np.argmin(score)]))
+            return tuple(sorted(cur))
 
-        res = solve_per_content("starfront", demand, oracle, params, catalog, rule)
+        res = solve_per_content("starfront", demand, oracle, params, catalog,
+                                _slot_by_slot(slot_rule))
         cost = total_cost(res.schedule, demand, catalog, oracle, params).total
         if best is None or cost < best[0]:
             best = (cost, theta, flagged, res)

@@ -55,6 +55,10 @@ class OptimizerConfig:
             raise ValueError("max_iterations must be >= 1")
         if self.neighbor_limit < 1:
             raise ValueError("neighbor_limit must be >= 1")
+        if self.improvement_tol < 0:
+            raise ValueError("improvement_tol must be >= 0")
+        if self.starfront_thresholds is not None and len(self.starfront_thresholds) == 0:
+            raise ValueError("starfront_thresholds must list at least 1 threshold")
 
     @property
     def inter_period_s(self) -> float:
@@ -221,7 +225,7 @@ def _layout(oracle: DistanceOracle) -> dict:
     orbit_slot = np.full(m, C, dtype=np.int64)
     orbit_slot[orbit_cands] = np.arange(C)
     return dict(
-        m=m, cand_pos=cand_pos, origin_set=frozenset(origins.tolist()), s0=tuple(origins.tolist()),
+        m=m, cand_pos=cand_pos, s0=tuple(origins.tolist()),
         dp_dtype=np.float64 if nodes.size <= SMALL_NETWORK_NODES else np.float32,
         orbit_cands=orbit_cands, orbit_grid=orbit_grid, orbit_ids=orbit_ids,
         orbit_slot=orbit_slot,
@@ -343,6 +347,14 @@ class ContentProblem:
 
     def weights(self, t: int) -> np.ndarray:
         return self._weights[t - 1]
+
+    def outside(self, base) -> tuple[np.ndarray, np.ndarray]:
+        """The nearby moves of replica set ``base``: the candidates not in it
+        and its members that are not origins (its candidates), both ascending."""
+        in_base = np.zeros(self.m, dtype=bool)
+        in_base[np.asarray(base, dtype=np.int64)] = True
+        out = ~in_base[self.cand_pos]
+        return self.cand_pos[out], self.cand_pos[~out]
 
 
 Rule = Callable[[str, ContentProblem, PlacementStats], list[tuple[int, ...]]]

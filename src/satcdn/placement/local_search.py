@@ -21,11 +21,7 @@ def _mtls_movegen(problem: ContentProblem, k: int):
     of the replaced node in the slot's graph."""
 
     def gen(t: int, base: tuple[int, ...], B: np.ndarray) -> MoveSet:
-        base_arr = np.asarray(base, dtype=np.int64)
-        in_base = np.zeros(problem.m, dtype=bool)
-        in_base[base_arr] = True
-        adds = problem.cand_pos[~in_base[problem.cand_pos]]
-        members = np.array([p for p in base if p not in problem.origin_set], dtype=np.int64)
+        adds, members = problem.outside(base)
         rep_out: list[int] = []
         rep_in: list[int] = []
         if adds.size and members.size:

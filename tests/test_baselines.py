@@ -4,10 +4,10 @@ import pytest
 from helpers import (exhaustive_slot_optimum, motion_instance, slot_cost_given_prev)
 from satcdn.costmodel import CostParams, DistanceOracle, total_cost
 from satcdn.demand import ContentCatalog, DemandMatrix
-from satcdn.placement import (OptimizerConfig, solve_jms_greedy, solve_local_search,
-                              solve_naive_greedy, solve_no_replica, solve_pch,
-                              solve_starfront)
-from satcdn.placement.baselines import _jms_greedy_slot, _opening_costs, _slot_by_slot
+from satcdn.placement import (OptimizerConfig, default_thresholds, solve_jms_greedy,
+                              solve_local_search, solve_naive_greedy, solve_no_replica,
+                              solve_pch, solve_starfront)
+from satcdn.placement.baselines import _TOL, _jms_greedy_slot, _opening_costs, _slot_by_slot
 from satcdn.placement.core import solve_per_content
 
 SAT, USER, GATEWAY, ORIGIN = 0, 1, 2, 3
@@ -167,13 +167,16 @@ def _jms_full_width_slot(prob, B, du, wz, prev):
 
 
 def _jms_instance(seed, case):
-    oracle, demand, catalog, params = motion_instance(seed, 14, 30, 3, alpha=1.0, beta=0.1,
-                                                      gamma=0.1)
+    n_gw = 8 if case == "gateways" else 0
+    oracle, demand, catalog, params = motion_instance(seed, 14, 30 - n_gw, 3, n_gateways=n_gw,
+                                                      alpha=1.0, beta=0.1, gamma=0.1)
     mats = [oracle.matrix(t) for t in range(1, 4)]
     values = demand.values
     if case == "hop":  # integer distances, weights and opening costs: many ratio ties
         mats, values = [np.rint(D) for D in mats], np.rint(values)
         params = CostParams("hop", 1.0, 1.0, 1.0, 1.0)
+    if case == "gateways":  # satellites store at 20x the gateways' rate
+        params = CostParams("hop", 1.0, 0.05, 1.0, 1.0)
     if case == "disconnected":
         u = oracle.index[demand.users[0]]
         for D in mats:
@@ -186,21 +189,119 @@ def _jms_instance(seed, case):
     return oracle, DemandMatrix(demand.users, demand.contents, values), catalog, params
 
 
+JMS_CASES = pytest.mark.parametrize("case", ["hop", "ideal", "disconnected", "restricted",
+                                              "gateways"])
+
+
+def _slot_reads(prob, t):
+    return prob.block(t), prob.user_block(t), prob.weights(t)
+
+
+def _naive_greedy_ref(prob, B, du, wz, prev):
+    """Per-slot greedy additions restated on their own: the nearest distances
+    are kept up to date one addition at a time."""
+    open_cost = _opening_costs(prob, B, prev)
+    chosen = list(prob.s0)
+    d1u = du[:, np.asarray(chosen)].min(axis=1)
+    while True:
+        in_set = np.zeros(prob.m, dtype=bool)
+        in_set[np.asarray(chosen)] = True
+        cand = prob.cand_pos[~in_set[prob.cand_pos]]
+        if cand.size == 0:
+            break
+        new_qc = (wz[:, None] * np.minimum(d1u[:, None], du[:, cand])).sum(axis=0)
+        delta = new_qc - float((wz * d1u).sum()) + open_cost[cand]
+        j = int(np.argmin(delta))
+        if delta[j] >= -_TOL:
+            break
+        w = int(cand[j])
+        chosen.append(w)
+        d1u = np.minimum(d1u, du[:, w])
+    return tuple(sorted(chosen))
+
+
+def _starfront_sets_ref(prob, theta):
+    """One content's StarFront sets under ``theta``, restated as its own loop
+    over slots with the placed replicas carried across them, and the number
+    of user-slots that no candidate within ``theta`` could cover."""
+    placed = set()
+    slots = []
+    flagged = 0
+    for t in range(1, prob.T + 1):
+        B, du, wz = _slot_reads(prob, t)
+        cur = set(prob.s0) | placed
+        for uj in np.flatnonzero(wz > 0):
+            cur_arr = np.asarray(sorted(cur), dtype=np.int64)
+            if du[uj, cur_arr].min() <= theta:
+                continue
+            qual = prob.cand_pos[(du[uj, prob.cand_pos] <= theta)
+                                 & ~np.isin(prob.cand_pos, cur_arr)]
+            if qual.size == 0:
+                flagged += 1
+                continue
+            d_src = B[qual[:, None], cur_arr].min(axis=1).astype(np.float64)
+            score = prob.alpha * d_src + (prob.T - t + 1) * prob.rate[qual]
+            w = int(qual[np.argmin(score)])
+            placed.add(w)
+            cur.add(w)
+        slots.append(tuple(sorted(cur)))
+    return slots, flagged
+
+
 class TestJMSGreedyShrinkingColumns:
-    @pytest.mark.parametrize("case", ["hop", "ideal", "disconnected", "restricted"])
+    @JMS_CASES
     @pytest.mark.parametrize("seed", range(600, 604))
     def test_same_sets_as_full_width_step(self, case, seed):
         oracle, demand, catalog, params = _jms_instance(seed, case)
         sets = []
 
-        def both(prob, B, du, wz, prev):
-            got = _jms_greedy_slot(prob, B, du, wz, prev)
-            assert got == _jms_full_width_slot(prob, B, du, wz, prev)
+        def both(prob, t, prev):
+            got = _jms_greedy_slot(prob, t, prev)
+            assert got == _jms_full_width_slot(prob, *_slot_reads(prob, t), prev)
             sets.append(got)
             return got
 
         solve_per_content("jms_greedy", demand, oracle, params, catalog, _slot_by_slot(both))
         assert len(sets) == 3 and max(len(s) for s in sets) >= 3  # several openings
+
+
+class TestNaiveGreedyIsLocalSearchAdds:
+    @JMS_CASES
+    @pytest.mark.parametrize("seed", range(600, 604))
+    def test_same_sets_as_add_only_greedy(self, case, seed):
+        oracle, demand, catalog, params = _jms_instance(seed, case)
+        got = solve_naive_greedy(demand, oracle, params, catalog=catalog)
+        ref = solve_per_content("ref", demand, oracle, params, catalog, _slot_by_slot(
+            lambda prob, t, prev: _naive_greedy_ref(prob, *_slot_reads(prob, t), prev)))
+        assert got.schedule.sets == ref.schedule.sets
+        assert max(len(s) for s in got.schedule.sets["c0"]) >= 3  # several additions
+
+
+class TestStarFrontSlotRule:
+    @JMS_CASES
+    @pytest.mark.parametrize("seed", range(600, 604))
+    def test_same_sets_and_flags_as_carried_loop(self, case, seed):
+        oracle, demand, catalog, params = _jms_instance(seed, case)
+        placed = flagged_any = False
+        for theta in default_thresholds(params.metric):
+            got = solve_starfront(demand, oracle, params,
+                                  OptimizerConfig(starfront_thresholds=(theta,)), catalog=catalog)
+            flagged = 0
+
+            def rule(c, prob, stats):
+                nonlocal flagged
+                slots, n = _starfront_sets_ref(prob, theta)
+                flagged += n
+                return slots
+
+            ref = solve_per_content("ref", demand, oracle, params, catalog, rule)
+            assert got.schedule.sets == ref.schedule.sets
+            assert got.stats.warnings == ([f"threshold {theta}: {flagged} user-slot(s) left "
+                                           "beyond the threshold and served by the nearest "
+                                           "existing replica"] if flagged else [])
+            placed |= len(got.schedule.sets["c0"][-1]) > 1
+            flagged_any |= flagged > 0
+        assert placed and (flagged_any or case not in ("disconnected", "restricted"))
 
 
 class TestLocalSearch:

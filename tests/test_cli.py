@@ -512,6 +512,17 @@ class TestCLICommands:
         _, back = load_trace(trace, top_k=None)
         assert back.contents == contents and back.total() == 300
 
+    def test_gen_demand_trace_has_unix_line_ends_and_round_trips(self, tmp_path):
+        rc, trace, _nodes = self.gen_demand(tmp_path, minimal_config(
+            seed=4, horizon_slots=3, users={"mode": "population", "requests": 200}))
+        assert rc == 0
+        data = trace.read_bytes()
+        assert b"\r" not in data and data.endswith(b"\n")
+        _, back = load_trace(trace, top_k=None)
+        save_trace(tmp_path / "again.csv", back)  # the same rows, in load_trace's user order
+        assert sorted((tmp_path / "again.csv").read_bytes().split(b"\n")) == \
+            sorted(data.split(b"\n"))
+
     @pytest.mark.parametrize("field,over", [
         ("users.rows", {"users": {"mode": "grid", "rows": 0, "cols": 1}}),
         ("horizon_slots", {"horizon_slots": 0}),
@@ -620,6 +631,8 @@ class TestCLICommands:
         ("routing", {"routing": {"policies": ["closest"], "server_capacity_mbps": -5}}),
         ("optimizer.max_iteration", {"optimizer": {"max_iteration": 1}}),
         ("optimizer: max_iterations", {"optimizer": {"max_iterations": 0}}),
+        ("optimizer: improvement_tol", {"optimizer": {"improvement_tol": -0.5}}),
+        ("optimizer: starfront_thresholds", {"optimizer": {"starfront_thresholds": []}}),
         ("shells[0]", {"shells": [{"name": "geo", "orbits": 0, "sats_per_orbit": 1,
                                    "altitude_km": 35786.0, "gamma": 10.0}]}),
         ("origins[0]: latitude", {"origins": [{"name": "main", "lat_deg": 200.0,
@@ -677,7 +690,8 @@ class TestCLICommands:
          {"users": {"mode": "population", "requests": 5, "contents": []}}),
     ] + [(field, over) for field, over, _ in SCHEMA_CASES],
         ids=["routing_weights", "qoe_budget_zero", "capacity_zero", "capacity_negative",
-             "optimizer_typo", "optimizer_value",
+             "optimizer_typo", "optimizer_value", "improvement_tol_negative",
+             "starfront_thresholds_empty",
              "orbits_zero", "origin_latitude", "duplicate_shell_names", "lognormal_sigma_zero",
              "pch_inter_period_zero", "pch_intra_period_zero",
              "gateway_latitude", "duplicate_origin_names", "duplicate_gateway_names",
