@@ -7,7 +7,7 @@ searches plus a set of baselines.
 
 from .constellation import (Constellation, GroundNode, LatencySampler, Network, ShellSpec,
                             SnapshotGraph, build_shell, elevation_angle, o3b,
-                            orbital_period_s, propagate, snapshot, starlink_phase1, viasat)
+                            orbital_period_s, propagate, starlink_phase1, viasat)
 from .costmodel import (CostBreakdown, CostParams, DistanceOracle, ReplicaSchedule,
                         build_distance_oracle, compute_c_qmin, query_cost,
                         replication_cost, storage_cost, total_cost)

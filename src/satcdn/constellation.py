@@ -337,11 +337,6 @@ class NodeTable:
     def origins_idx(self) -> np.ndarray:
         return self.idx_of_kind(ORIGIN)
 
-    @property
-    def candidates_idx(self) -> np.ndarray:
-        """Replica candidates: every satellite and gateway."""
-        return np.flatnonzero((self.kind == SAT) | (self.kind == GATEWAY))
-
 
 def build_node_table(constellations: Sequence[Constellation], ground_nodes: Sequence[GroundNode]) -> NodeTable:
     names = [c.spec.name for c in constellations]
@@ -479,6 +474,8 @@ def dyadic_weights(w: np.ndarray, n: int) -> np.ndarray:
 class Network:
     """A set of shells plus ground nodes, sliceable into per-slot snapshot graphs.
 
+    Nodes are indexed by the node table alone (satellites shell by shell, then
+    gateways, origins and users), whatever order ``ground_nodes`` comes in.
     Slot ``t`` (1-based) is sampled at time ``(t - 1) * slot_seconds``.
     Snapshots are pure functions of the construction arguments, so they can be
     built concurrently and cached freely.
@@ -487,46 +484,31 @@ class Network:
     def __init__(self, constellations, ground_nodes, *, slot_seconds: float = 300.0,
                  latency_sampler: LatencySampler | None = None, seed: int = 0):
         self.constellations = [c if isinstance(c, Constellation) else build_shell(c) for c in constellations]
-        self.ground_nodes = list(ground_nodes)
         self.slot_seconds = float(slot_seconds)
         self.latency_sampler = latency_sampler or LatencySampler.lognormal()
         self.seed = int(seed)
-        self.nodes = build_node_table(self.constellations, self.ground_nodes)
-        self._isl_pairs = self._build_isl_pairs()
-        self._mesh_pairs = self._build_ground_mesh_pairs()
+        self.nodes = nt = build_node_table(self.constellations, ground_nodes)
+        self.ground_nodes = nt.ground_nodes
+        self._min_elevation = np.array([c.spec.min_elevation_deg for c in self.constellations],
+                                       dtype=float)[nt.shell[:nt.n_sats]]
 
-    def _build_isl_pairs(self) -> np.ndarray:
-        """Static +grid: each satellite links to j+-1 in its orbit and i+-1 same index."""
-        pairs = set()
-        offset = 0
-        for con in self.constellations:
-            P, Q = con.spec.orbit_count, con.spec.sats_per_orbit
-            if not con.spec.isl:
-                offset += P * Q
-                continue
-            for i in range(P):
-                for j in range(Q):
-                    a = offset + i * Q + j
-                    for b in (offset + i * Q + (j + 1) % Q,
-                              offset + ((i + 1) % P) * Q + j):
-                        if a != b:
-                            pairs.add((min(a, b), max(a, b)))
-            offset += P * Q
-        if not pairs:
-            return np.empty((0, 2), dtype=np.int32)
-        return np.asarray(sorted(pairs), dtype=np.int32)
+        # Static +grid ISLs: satellite j of orbit i links to j+1 in its orbit
+        # and to j in orbit i+1 (both wrapping); each pair once, no self-links.
+        isl = [np.empty((0, 2), dtype=np.int64)]
+        for s, con in enumerate(self.constellations):
+            if con.spec.isl:
+                grid = np.flatnonzero(nt.shell == s).reshape(con.spec.orbit_count,
+                                                             con.spec.sats_per_orbit)
+                for nb in (np.roll(grid, -1, axis=1), np.roll(grid, -1, axis=0)):
+                    isl.append(np.column_stack([grid.ravel(), nb.ravel()]))
+        isl = np.sort(np.concatenate(isl), axis=1)
+        self._isl = np.unique(isl[isl[:, 0] != isl[:, 1]], axis=0)
 
-    def _build_ground_mesh_pairs(self) -> np.ndarray:
-        """Terrestrial Internet underlay: full mesh among gateways and origins.
-
-        User regions reach the network only through satellites.
-        """
-        nt = self.nodes
-        ground = np.flatnonzero((nt.kind == GATEWAY) | (nt.kind == ORIGIN))
-        pairs = [(int(a), int(b)) for ai, a in enumerate(ground) for b in ground[ai + 1:]]
-        if not pairs:
-            return np.empty((0, 2), dtype=np.int32)
-        return np.asarray(pairs, dtype=np.int32)
+        # Terrestrial Internet underlay: full mesh among gateways and origins.
+        # User regions reach the network only through satellites.
+        hubs = np.flatnonzero((nt.kind == GATEWAY) | (nt.kind == ORIGIN))
+        a, b = np.triu_indices(hubs.size, k=1)
+        self._mesh = np.column_stack([hubs[a], hubs[b]])
 
     def slot_time(self, slot: int) -> float:
         if slot < 1:
@@ -536,53 +518,22 @@ class Network:
     def snapshot(self, slot: int) -> SnapshotGraph:
         nt = self.nodes
         t_s = self.slot_time(slot)
-        sat_pos = (np.vstack([c.positions(t_s) for c in self.constellations])
-                   if self.constellations else np.empty((0, 3)))
-        grd_pos = (ground_positions(self.ground_nodes, t_s)
-                   if self.ground_nodes else np.empty((0, 3)))
-        all_pos = np.vstack([sat_pos, grd_pos]) if nt.n_nodes else np.empty((0, 3))
+        pos = np.vstack([c.positions(t_s) for c in self.constellations]
+                        + [ground_positions(nt.ground_nodes, t_s)])
+        elev = elevation_angles(pos[:nt.n_sats], pos[nt.n_sats:])
+        g_idx, s_idx = np.nonzero(elev >= self._min_elevation)
+        # Every block lists its edges with u < v: ISL and mesh pairs are
+        # sorted, and satellites come before ground nodes.
+        edges = np.concatenate([self._isl, np.column_stack([s_idx, nt.n_sats + g_idx]), self._mesh])
+        u, v = edges[:, 0].astype(np.int32), edges[:, 1].astype(np.int32)
+        ideal = np.maximum(np.linalg.norm(pos[u] - pos[v], axis=1) / C_KM_PER_MS, _MIN_LATENCY_MS)
 
-        edge_u: list[np.ndarray] = []
-        edge_v: list[np.ndarray] = []
-        gs_edge_count = 0
+        sampled = np.full(u.size, np.nan)
+        start = self._isl.shape[0]
+        rng = np.random.default_rng((self.seed, slot))
+        sampled[start:start + g_idx.size] = self.latency_sampler.draw(rng, g_idx.size)
 
-        if self._isl_pairs.size:
-            edge_u.append(self._isl_pairs[:, 0])
-            edge_v.append(self._isl_pairs[:, 1])
-
-        if nt.n_sats and grd_pos.size:
-            elev = elevation_angles(sat_pos, grd_pos)
-            masks = np.concatenate([
-                np.full(c.n_sats, c.spec.min_elevation_deg) for c in self.constellations
-            ])
-            g_idx, s_idx = np.nonzero(elev >= masks[None, :])
-            gs_edge_count = g_idx.size
-            edge_u.append(s_idx.astype(np.int32))
-            edge_v.append((nt.n_sats + g_idx).astype(np.int32))
-
-        if self._mesh_pairs.size:
-            edge_u.append(self._mesh_pairs[:, 0])
-            edge_v.append(self._mesh_pairs[:, 1])
-
-        if edge_u:
-            u = np.concatenate(edge_u)
-            v = np.concatenate(edge_v)
-        else:
-            u = np.empty(0, dtype=np.int32)
-            v = np.empty(0, dtype=np.int32)
-        lo, hi = np.minimum(u, v), np.maximum(u, v)
-
-        dist = np.linalg.norm(all_pos[lo] - all_pos[hi], axis=1) if lo.size else np.empty(0)
-        ideal = np.maximum(dist / C_KM_PER_MS, _MIN_LATENCY_MS)
-
-        sampled = np.full(lo.size, np.nan)
-        if gs_edge_count:
-            start = self._isl_pairs.shape[0]
-            rng = np.random.default_rng((self.seed, slot))
-            sampled[start:start + gs_edge_count] = self.latency_sampler.draw(rng, gs_edge_count)
-
-        snap = SnapshotGraph(slot=slot, time_s=t_s, nodes=nt,
-                             edge_u=lo.astype(np.int32), edge_v=hi.astype(np.int32),
+        snap = SnapshotGraph(slot=slot, time_s=t_s, nodes=nt, edge_u=u, edge_v=v,
                              ideal_ms=ideal, sampled_ms=sampled)
         deg = snap.degrees()
         snap.isolated_users = [nt.ids[ui] for ui in nt.users_idx if deg[ui] == 0]
@@ -593,11 +544,3 @@ class Network:
 
     def snapshots(self, horizon: int) -> list[SnapshotGraph]:
         return [self.snapshot(t) for t in range(1, horizon + 1)]
-
-
-def snapshot(constellations, ground_nodes, slot: int, *, slot_seconds: float = 300.0,
-             latency_sampler: LatencySampler | None = None, seed: int = 0) -> SnapshotGraph:
-    """One-shot snapshot assembly; prefer Network when building many slots."""
-    net = Network(constellations, ground_nodes, slot_seconds=slot_seconds,
-                  latency_sampler=latency_sampler, seed=seed)
-    return net.snapshot(slot)

@@ -76,6 +76,7 @@ def load_trace(path, *, known_users: Sequence[str] | None = None, top_k: int | N
     Only the ``top_k`` contents by total demand are kept. When ``known_users``
     is given, rows naming any other user are a hard error.
     """
+    known = None if known_users is None else set(known_users)
     rows: list[tuple[int, str, str, float]] = []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -97,7 +98,7 @@ def load_trace(path, *, known_users: Sequence[str] | None = None, top_k: int | N
             if dem < 0:
                 raise ValueError(f"{path}:{line_no}: demand must be >= 0")
             user, content = row[1].strip(), row[2].strip()
-            if known_users is not None and user not in known_users:
+            if known is not None and user not in known:
                 raise ValueError(f"{path}:{line_no}: unknown user node id {user!r}")
             rows.append((slot, user, content, dem))
 

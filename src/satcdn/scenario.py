@@ -290,6 +290,8 @@ def _build_users_demand(sc: Scenario):
     with _field("users.trace_file"):
         catalog, demand = dm.load_trace(u["trace_file"], known_users=[n.node_id for n in users],
                                         top_k=u["top_k"], catalog=catalog)
+        if demand.slot_count == 0:
+            raise ValueError(f"{u['trace_file']}: no data rows")
     return users, catalog, demand
 
 

@@ -678,6 +678,8 @@ class TestCLICommands:
             "n.csv": TRACE_NODES, "t.csv": "slot,user_node,content,demand\n1,user/a,c\n"}}),
         ("users.trace_file: ", {"users": TRACE_USERS, "_files": {
             "n.csv": TRACE_NODES, "t.csv": "slot,user_node,content,demand\n1,user/zz,c,1\n"}}),
+        ("users.trace_file: ", {"users": TRACE_USERS, "_files": {
+            "n.csv": TRACE_NODES, "t.csv": "slot,user_node,content,demand\n"}}),
         ("users.catalog_file: ", {"users": {**TRACE_USERS, "catalog_file": "@c.csv"}, "_files": {
             "n.csv": TRACE_NODES, "c.csv": "content,size_mb\nc,big\n"}}),
         ("latency_samples_file: ", {"latency_samples_file": "@lat.csv",
@@ -699,7 +701,8 @@ class TestCLICommands:
              "top_level_list", "horizon_as_string", "beta_null", "algorithms_as_string",
              "users_typo", "nodes_file_header", "nodes_file_short_row", "nodes_file_not_a_number",
              "nodes_file_latitude", "nodes_file_short_weighted_row", "trace_short_row",
-             "trace_unknown_user", "catalog_not_a_number", "latency_not_a_number",
+             "trace_unknown_user", "trace_no_rows",
+             "catalog_not_a_number", "latency_not_a_number",
              "latency_file_empty", "negative_seed", "top_k_zero", "no_contents"] + [case_id for *_, case_id in SCHEMA_CASES])
     def test_bad_settings_exit_code_before_any_solver(self, tmp_path, capsys, monkeypatch,
                                                       field, over):

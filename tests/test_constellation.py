@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -6,8 +7,8 @@ import pytest
 from satcdn.constellation import (C_KM_PER_MS, GEO_ALTITUDE_KM, R_EARTH_KM,
                                   GroundNode, LatencySampler, Network, ShellSpec,
                                   build_shell, elevation_angle, ground_positions,
-                                  orbital_period_s, propagate, snapshot,
-                                  starlink_phase1, viasat)
+                                  orbital_period_s, propagate, starlink_phase1,
+                                  viasat)
 
 MU = 398600.4418
 
@@ -132,10 +133,54 @@ class TestSnapshot:
         deg = snap.isl_degrees()[net.nodes.satellites_idx]
         assert set(deg.tolist()) == {4}
 
+    @pytest.mark.parametrize("P,Q,pairs", [
+        (1, 1, []),
+        (1, 2, [(0, 1)]),
+        (2, 1, [(0, 1)]),
+        (1, 3, [(0, 1), (0, 2), (1, 2)]),
+        (2, 2, [(0, 1), (0, 2), (1, 3), (2, 3)]),
+    ])
+    def test_small_shell_isl_pairs_have_no_self_links_or_duplicates(self, P, Q, pairs):
+        net = Network([ShellSpec(P, Q, 550.0, name="s")], [])
+        snap = net.snapshot(1)
+        assert sorted(zip(snap.edge_u.tolist(), snap.edge_v.tolist())) == pairs
+
+    def test_ground_node_order_does_not_change_the_network(self):
+        # Nodes are indexed satellites, gateways, origins, users; each kind keeps
+        # the order it is given in, so only the two users' order may matter.
+        shell = starlink_phase1(orbit_count=6, sats_per_orbit=6, name="s")
+        ground = [GroundNode("user/a", "user_region", 40.0, -100.0),
+                  GroundNode("gw/b", "gateway", -30.0, 20.0),
+                  GroundNode("origin/c", "origin", 10.0, 100.0),
+                  GroundNode("user/d", "user_region", 35.0, -90.0)]
+        seen = {}
+        for order in itertools.permutations(ground):
+            net = Network([shell], list(order), seed=1, latency_sampler=LatencySampler.lognormal())
+            users = tuple(n.node_id for n in order if n.kind == "user_region")
+            assert net.nodes.ids[36:] == ["gw/b", "origin/c", *users]
+            assert [n.node_id for n in net.ground_nodes] == net.nodes.ids[36:]
+            arrays = [net.nodes.kind, net.nodes.shell, net.nodes.orbit_key]
+            for t in (1, 2):
+                snap = net.snapshot(t)
+                arrays += [snap.edge_u, snap.edge_v, snap.ideal_ms, snap.sampled_ms]
+                sat_pos = net.constellations[0].positions(net.slot_time(t))
+                for node in ground:
+                    g = ground_positions([node], net.slot_time(t))[0]
+                    visible = {si for si in range(36) if elevation_angle(sat_pos[si], g) >= 10.0}
+                    gi = net.nodes.index[node.node_id]
+                    linked = set(snap.edge_u[snap.edge_v == gi].tolist()) & set(range(36))
+                    assert linked == visible
+            if users in seen:
+                for x, y in zip(seen[users], arrays):
+                    assert np.array_equal(x, y, equal_nan=True)
+            else:
+                seen[users] = arrays
+        assert len(seen) == 2
+
     def test_single_geo_single_ground_one_edge(self):
         shell = viasat(longitudes_deg=(-75.0,))
         ground = [GroundNode("user/x", "user_region", 0.0, -75.0)]
-        snap = snapshot([shell], ground, 1)
+        snap = Network([shell], ground).snapshot(1)
         assert snap.n_edges == 1
         assert snap.weights("hop").tolist() == [1.0]
 
@@ -145,7 +190,8 @@ class TestSnapshot:
         ground = [GroundNode("user/a", "user_region", 10.0, -20.0),
                   GroundNode("gw/b", "gateway", -5.0, 40.0)]
         net = Network([shell], ground, slot_seconds=300.0, seed=3)
-        for t in (1, 2, 5):
+        linked = 0
+        for t in (1, 10, 20, 30):  # slots 10, 20 and 30 have links, slot 1 has none
             snap = net.snapshot(t)
             con = net.constellations[0]
             sat_pos = con.positions(net.slot_time(t))
@@ -154,10 +200,12 @@ class TestSnapshot:
             for gi in range(2):
                 for si in range(4):
                     if elevation_angle(sat_pos[si], grd_pos[gi]) >= 10.0:
-                        expected.add((si, 4 + gi))
+                        expected.add((si, net.nodes.index[ground[gi].node_id]))
             gs_edges = {(u, v) for u, v in zip(snap.edge_u.tolist(), snap.edge_v.tolist())
                         if snap.nodes.kind[u] == 0 or snap.nodes.kind[v] == 0}
             assert gs_edges == expected
+            linked += len(expected)
+        assert linked
 
     def test_snapshots_deterministic(self):
         args = dict(slot_seconds=300.0, seed=9)
@@ -205,13 +253,13 @@ class TestSnapshot:
     def test_ideal_latency_is_distance_over_c(self):
         shell = viasat(longitudes_deg=(0.0,))
         ground = [GroundNode("user/x", "user_region", 0.0, 0.0)]
-        snap = snapshot([shell], ground, 1)
+        snap = Network([shell], ground).snapshot(1)
         assert snap.ideal_ms[0] == pytest.approx(GEO_ALTITUDE_KM / C_KM_PER_MS, rel=1e-9)
 
     def test_isolated_user_warns_not_fails(self):
         shell = viasat(longitudes_deg=(0.0,))
         ground = [GroundNode("user/far", "user_region", 0.0, 180.0)]
-        snap = snapshot([shell], ground, 1)
+        snap = Network([shell], ground).snapshot(1)
         assert snap.isolated_users == ["user/far"]
 
 
