@@ -313,50 +313,93 @@ class DistanceOracle:
         return cls([np.asarray(m, dtype=float) for m in matrices], ids, kind, **kw)
 
 
-def _unpack(words: np.ndarray, n: int) -> np.ndarray:
-    """(rows, n) uint8 0/1 array of the first ``n`` bits of each bitset row."""
-    return np.unpackbits(words.view(np.uint8), axis=1, count=n, bitorder="little")
+# Row b holds the bits of byte b, least significant first, one byte each.
+_BYTE_BITS = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1, bitorder="little")
 
 
 def _hop_matrix(graph, dtype) -> np.ndarray:
     """All-pairs hop counts of a symmetric CSR graph by one breadth-first
     search from every source at once.
 
-    Row ``v`` of ``seen`` is a bitset (little-endian ``uint64`` words) of the
-    sources that have reached node ``v``; bit ``s`` lives in word ``s // 64``
-    at position ``s % 64``. Each level ORs the neighbours' frontier bitsets
-    (nodes of degree 0 are skipped: ``reduceat`` would copy a neighbour's row
-    into an empty segment) and keeps the bits not seen before. The level
-    number of each new bit is recorded in binary across ``planes``, plane
-    ``k`` holding bit ``k``, and the planes are unpacked once at the end,
-    most significant first, doubling the sum before each. Distances are
-    symmetric, so entry ``(v, s)`` is also the distance from ``s`` to ``v``.
-    The diagonal is 0 and unreached pairs are +inf, as with Dijkstra.
+    Row ``v`` of ``unseen`` is a bitset (little-endian ``uint64`` words) of
+    the sources that have not reached node ``v`` yet; bit ``s`` lives in word
+    ``s // 64`` at position ``s % 64``. Each level ORs the neighbours'
+    frontier bitsets and keeps the bits still unseen, updating whole arrays
+    in place.
+
+    - *Sentinel.* Every node of degree 0 gets one edge to node ``n``, whose
+      frontier row stays all zero, so every node has at least one neighbour.
+    - *Lanes.* With ``d`` the smallest degree after that, lane ``k < d``
+      holds every node's ``k``-th neighbour: a level ORs ``d`` whole-array
+      gathers of frontier rows.
+    - *Tail.* The neighbours past the first ``d`` of higher-degree nodes are
+      ORed per node by ``np.bitwise_or.reduceat`` and added to those nodes.
+
+    The level of each new bit is recorded in binary across ``planes``, plane
+    ``k`` holding bit ``k``. At the end each plane's bytes go through a
+    256-entry table, shifted left by the plane index, that spreads the 8 bits
+    of a byte over 8 accumulator lanes, one per pair, and is ORed into one
+    accumulator (``uint8`` per pair up to 255 levels, wider above), which
+    holds the levels and is cast to ``dtype`` once. Distances are symmetric,
+    so entry ``(v, s)`` is also the distance from ``s`` to ``v``. The
+    diagonal is 0 and unreached pairs are +inf, as with Dijkstra.
     """
     n = graph.shape[0]
-    nz = np.flatnonzero(np.diff(graph.indptr))
+    deg = np.diff(graph.indptr)
+    indices = np.insert(graph.indices.astype(np.intp), graph.indptr[:-1][deg == 0], n)
+    deg = np.maximum(deg, 1)
+    indptr = np.concatenate(([0], np.cumsum(deg)))
+    d = deg.min()
+    lanes = [indices[indptr[:-1] + k] for k in range(d)]
+    tail = np.flatnonzero(deg > d)
+    tail_idx = indices[np.arange(indices.size) - np.repeat(indptr[:-1], deg) >= d]
+    extra = deg[tail] - d
+    starts = np.cumsum(extra) - extra
+
+    w = (n + 63) // 64
     node = np.arange(n)
-    seen = np.zeros((n, (n + 63) // 64), dtype="<u8")
-    seen[node, node >> 6] = np.left_shift(np.uint64(1), (node & 63).astype(np.uint64))
-    frontier, planes, level = seen, [], 0
+    frontier = np.zeros((n + 1, w), dtype="<u8")
+    frontier[node, node >> 6] = np.left_shift(np.uint64(1), (node & 63).astype(np.uint64))
+    unseen = ~frontier[:n]
+    nxt, gathered = np.zeros_like(frontier), np.empty_like(unseen)
+    tail_rows = np.empty((tail_idx.size, w), dtype="<u8")
+    planes, level = [], 0
     while True:
-        new = np.bitwise_or.reduceat(frontier[graph.indices], graph.indptr[nz], axis=0) & ~seen[nz]
+        # mode="clip" lets take write to ``out`` unbuffered; every index is valid
+        new = np.take(frontier, lanes[0], axis=0, out=nxt[:n], mode="clip")
+        for lane in lanes[1:]:
+            new |= np.take(frontier, lane, axis=0, out=gathered, mode="clip")
+        if tail.size:
+            np.take(frontier, tail_idx, axis=0, out=tail_rows, mode="clip")
+            new[tail] |= np.bitwise_or.reduceat(tail_rows, starts, axis=0)
+        new &= unseen
         if not new.any():
             break
         level += 1
-        seen[nz] |= new
-        frontier = np.zeros_like(seen)
-        frontier[nz] = new
+        unseen ^= new
         for k in range(level.bit_length()):
             if k == len(planes):
-                planes.append(np.zeros_like(seen))
+                planes.append(np.zeros_like(unseen))
             if level >> k & 1:
-                planes[k][nz] |= new
-    out = np.zeros((n, n), dtype=dtype)
-    for plane in reversed(planes):
-        out *= 2
-        out += _unpack(plane, n)
-    out[_unpack(seen, n) == 0] = np.inf
+                planes[k] |= new
+        frontier, nxt = nxt, frontier
+    del frontier, nxt, gathered, tail_rows, unseen
+
+    acc_t = np.min_scalar_type(level)
+    table = _BYTE_BITS.astype(acc_t).view("<u8")
+    # Zeroed: taking plane 0 into a new array instead raised the peak RSS of
+    # the paper_hop_mtls benchmark by about 4 MiB.
+    acc = np.zeros((n, w * 8, table.shape[1]), dtype="<u8")
+    part = np.empty_like(acc)
+    for k, plane in enumerate(planes):
+        acc |= np.take(table << np.uint64(k), plane.view(np.uint8), axis=0, out=part,
+                       mode="clip")
+    del part, planes
+    levels = acc.view(acc_t).reshape(n, -1)[:, :n]
+    out = levels.astype(dtype)
+    if np.count_nonzero(levels) < n * (n - 1):
+        out[levels == 0] = np.inf
+        np.fill_diagonal(out, 0)
     return out
 
 
@@ -384,8 +427,13 @@ def check_fits(n: int, slots: int, itemsize: int) -> None:
     that would not fit in memory.
 
     The estimate adds one slot's float64 Dijkstra output, which exists while
-    it is cast to the stored dtype. The hop breadth-first search allocates no
-    such output, so for it the estimate is an upper bound.
+    it is cast to the stored dtype. Besides its output, the hop breadth-first
+    search allocates bitset rows of n/8 bytes (``unseen``, two frontiers, one
+    plane per bit of the largest level, and one gathered row per tail edge)
+    and the level accumulator together with either one plane's table lookup
+    or, when some pair is unreached, the +inf mask: 2 bytes per pair up to
+    255 levels, 4 up to 65,535. On sparse graphs such as the snapshots, with
+    a few tail edges per node, that stays within the 8 bytes per pair added.
     """
     need = n * n * (slots * itemsize + 8)
     avail = available_memory_bytes()

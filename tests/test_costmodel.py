@@ -1,8 +1,10 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import dijkstra
 
 from helpers import has_full, motion_instance, schedule_cost_ref
@@ -151,7 +153,7 @@ def full_apsp(snap, metric):
 class TestLazyRows:
     @pytest.mark.parametrize("metric", ["hop", "ideal", "sampled"])
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
-    @pytest.mark.parametrize("make_net", [leo_network, split_network, isolated_network])
+    @pytest.mark.parametrize("make_net", NETWORKS)
     def test_rows_equal_full_apsp_bit_for_bit(self, metric, dtype, make_net):
         snaps = make_net().snapshots(2)
         lazy = build_distance_oracle(snaps, metric, need_paths=True, dtype=dtype)
@@ -361,6 +363,39 @@ class TestTake:
         assert D.tobytes() == eager.matrix(1).tobytes()
 
 
+def edge_graph(n, edges):
+    """Symmetric unweighted CSR graph of ``n`` nodes over undirected ``edges``."""
+    u, v = np.asarray(edges, dtype=np.int64).reshape(-1, 2).T
+    return csr_matrix((np.ones(2 * u.size), (np.r_[u, v], np.r_[v, u])), shape=(n, n))
+
+
+def random_graph(n, seed, mean_degree=3.0):
+    """Random graph whose degrees vary and which leaves some nodes isolated
+    and some pairs in different components."""
+    rng = np.random.default_rng(seed)
+    u, v = np.triu_indices(n, 1)
+    keep = rng.random(u.size) < mean_degree / n
+    return edge_graph(n, np.c_[u[keep], v[keep]])
+
+
+def path_graph(n):
+    return edge_graph(n, [(i, i + 1) for i in range(n - 1)])
+
+
+# Graphs that cross bitset words, take more than 8 level planes, have a
+# high-degree tail, or have nodes of degree 0 at the ends and the middle.
+BFS_GRAPHS = {
+    **{f"random{n}": (lambda n=n: random_graph(n, seed=n)) for n in (63, 64, 65, 130)},
+    "path300": lambda: path_graph(300),
+    "star200": lambda: edge_graph(200, [(0, leaf) for leaf in range(1, 200)]),
+    "isolated_first_middle_last": lambda: edge_graph(
+        70, [(i, i + 1) for i in range(1, 68) if 35 not in (i, i + 1)] + [(34, 36)]),
+    "edgeless1": lambda: edge_graph(1, []),
+    "edgeless5": lambda: edge_graph(5, []),
+    "three_shell": lambda: three_shell_network().snapshot(1).to_csr("hop"),
+}
+
+
 class TestHopBFS:
     def test_isolated_user_stays_inf(self):
         snap = isolated_network().snapshot(1)
@@ -371,6 +406,34 @@ class TestHopBFS:
         assert np.isinf(np.delete(D[:, z], z)).all()
         a, o = snap.nodes.ids.index("user/a"), snap.nodes.ids.index("origin/o")
         assert D[a, o] == D[o, a] == 2.0
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("name", BFS_GRAPHS)
+    def test_equals_unweighted_dijkstra_bit_for_bit(self, name, dtype):
+        graph = BFS_GRAPHS[name]()
+        want = dijkstra(graph, directed=False, unweighted=True).astype(dtype)
+        got = costmodel._hop_matrix(graph, dtype)
+        assert got.dtype == dtype and got.tobytes() == want.tobytes()
+
+    def test_graphs_cover_every_branch(self):
+        degrees = {name: np.diff(make().indptr) for name, make in BFS_GRAPHS.items()}
+        assert all((degrees[f"random{n}"] == 0).any() for n in (63, 64, 65, 130))
+        assert dijkstra(path_graph(300), indices=0, unweighted=True).max() == 299
+        assert sorted(degrees["star200"])[-2:] == [1, 199]
+        assert np.flatnonzero(degrees["isolated_first_middle_last"] == 0).tolist() == [0, 35, 69]
+
+    def test_transient_memory_fits_the_estimate(self):
+        """Besides its output, the search allocates at most the 8 bytes per
+        pair that ``check_fits`` adds for one slot."""
+        graph = random_graph(1000, seed=1)
+        tracemalloc.start()
+        try:
+            out = costmodel._hop_matrix(graph, np.float32)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.isinf(out).any()
+        assert peak - out.nbytes <= 8 * 1000 * 1000
 
     def test_only_the_eager_hop_oracle_skips_dijkstra(self, monkeypatch):
         calls = {"bfs": 0, "dijkstra": 0}
