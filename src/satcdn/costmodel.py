@@ -4,8 +4,10 @@ The distance oracle gives, for every slot, shortest-path distances (and, on
 an oracle built for routing, predecessors) over the snapshot graph under one
 metric (hop count, ideal latency, or sampled latency). It stores what is
 read: per-source rows computed on demand, and full matrices where block
-reads or MTLS need them. Disconnected pairs are +inf. An oracle caches what
-it computes as it is read, so it is not thread-safe.
+reads or MTLS need them. Disconnected pairs are +inf. A hop slot whose pairs
+are all reached within 255 hops stores its full matrix as ``uint8`` hop
+counts, one byte per pair. An oracle caches what it computes as it is read,
+so it is not thread-safe.
 """
 
 from __future__ import annotations
@@ -59,6 +61,14 @@ class DistanceOracle:
     matrices as ``full`` says. The node ordering follows the snapshot's node
     table: satellites, gateways, origins, users — so candidate and user
     blocks are contiguous slices.
+
+    Rows and full matrices are stored in ``dtype``, but for the full matrix
+    of a ``hop`` slot in which every pair is reached within 255 hops: that
+    one holds the hop counts as ``uint8`` (see ``_hop_matrix``). ``matrix``
+    and ``full`` hand out what is stored, for readers that read the counts in
+    place and convert them before any arithmetic, as ``uint8`` arithmetic
+    wraps; ``take`` and ``row`` cast the counts they read to ``dtype``, which
+    holds every count exactly.
     """
 
     def __init__(self, matrices: Sequence[np.ndarray] | None, ids: Sequence[str], kind: np.ndarray,
@@ -176,7 +186,7 @@ class DistanceOracle:
         from each user in turn)."""
         slot = self._slot(t)
         if slot.full is not None:
-            return slot.full[src]
+            return _widened(slot.full[src], self.dtype)
         if slot.pos[src] < 0:
             self._cache(slot, np.append(self.users_idx, src))
         return slot.rows[slot.pos[src]]
@@ -211,9 +221,10 @@ class DistanceOracle:
     def take(self, t: int, rows, cols):
         """``matrix(t)[rows, cols]`` for NumPy indexes ``rows`` and ``cols``
         (each an int, a slice or an integer array): the same values, shape and
-        dtype and, for every read that gathers, the same memory layout, which
-        fixes the order NumPy sums in. A read of slices and ints alone, a view
-        of the full matrix, may come back as a C-contiguous copy.
+        dtype, but for ``uint8`` counts, which come in the oracle's dtype,
+        and, for every read that gathers, the same memory layout, which fixes
+        the order NumPy sums in. A read of slices and ints alone, a view of
+        the full matrix, may come back as a C-contiguous copy.
 
         Without the full matrix (see ``full``) the read is made of cached
         Dijkstra rows: of the ``rows`` side when they are all cached, else of
@@ -223,7 +234,7 @@ class DistanceOracle:
         """
         full = self.full(t)
         if full is not None:
-            return full[rows, cols]
+            return _widened(full[rows, cols], self.dtype)
         slot = self._slots[t - 1]
         if isinstance(rows, slice) and np.ndim(cols):
             # NumPy lays a (slice, array) read out array-major: D[A, s] moved.
@@ -291,11 +302,6 @@ class DistanceOracle:
                 slot.full = full
             slot.rows = slot.pos = None
 
-    def d(self, t: int, u, v) -> float:
-        ui = self.index[u] if isinstance(u, str) else int(u)
-        vi = self.index[v] if isinstance(v, str) else int(v)
-        return float(self.row(t, ui)[vi])
-
     def with_candidates(self, candidates: np.ndarray) -> "DistanceOracle":
         """Shallow view sharing distances but with a restricted candidate set."""
         out = DistanceOracle.__new__(DistanceOracle)
@@ -315,6 +321,12 @@ class DistanceOracle:
 
 # Row b holds the bits of byte b, least significant first, one byte each.
 _BYTE_BITS = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1, bitorder="little")
+
+
+def _widened(values, dtype):
+    """``values`` read from a full matrix, with ``uint8`` hop counts cast to
+    ``dtype``."""
+    return values.astype(dtype) if values.dtype == np.uint8 else values
 
 
 def _hop_matrix(graph, dtype) -> np.ndarray:
@@ -340,9 +352,15 @@ def _hop_matrix(graph, dtype) -> np.ndarray:
     256-entry table, shifted left by the plane index, that spreads the 8 bits
     of a byte over 8 accumulator lanes, one per pair, and is ORed into one
     accumulator (``uint8`` per pair up to 255 levels, wider above), which
-    holds the levels and is cast to ``dtype`` once. Distances are symmetric,
-    so entry ``(v, s)`` is also the distance from ``s`` to ``v``. The
-    diagonal is 0 and unreached pairs are +inf, as with Dijkstra.
+    holds the levels. Distances are symmetric, so entry ``(v, s)`` is also
+    the distance from ``s`` to ``v``; the diagonal is 0.
+
+    When every pair is reached within 255 levels the ``uint8`` levels are the
+    result, one byte per pair: a view of the accumulator, whose rows are
+    padded to a multiple of 64 pairs, so it keeps up to 63 more bytes per
+    row alive than its ``nbytes`` says (0.5% more at n = 1655, almost twice
+    as much at n = 65). Otherwise they are cast to ``dtype`` once and unreached pairs
+    are +inf, as with Dijkstra.
     """
     n = graph.shape[0]
     deg = np.diff(graph.indptr)
@@ -396,8 +414,11 @@ def _hop_matrix(graph, dtype) -> np.ndarray:
                        mode="clip")
     del part, planes
     levels = acc.view(acc_t).reshape(n, -1)[:, :n]
+    reached = np.count_nonzero(levels) == n * (n - 1)
+    if reached and acc_t == np.uint8:
+        return levels
     out = levels.astype(dtype)
-    if np.count_nonzero(levels) < n * (n - 1):
+    if not reached:
         out[levels == 0] = np.inf
         np.fill_diagonal(out, 0)
     return out
@@ -426,14 +447,18 @@ def check_fits(n: int, slots: int, itemsize: int) -> None:
     """Raise MemoryError before building ``slots`` full (n, n) distance arrays
     that would not fit in memory.
 
-    The estimate adds one slot's float64 Dijkstra output, which exists while
-    it is cast to the stored dtype. Besides its output, the hop breadth-first
-    search allocates bitset rows of n/8 bytes (``unseen``, two frontiers, one
-    plane per bit of the largest level, and one gathered row per tail edge)
-    and the level accumulator together with either one plane's table lookup
-    or, when some pair is unreached, the +inf mask: 2 bytes per pair up to
-    255 levels, 4 up to 65,535. On sparse graphs such as the snapshots, with
-    a few tail edges per node, that stays within the 8 bytes per pair added.
+    Each slot is charged ``itemsize`` bytes per pair, the oracle's dtype.
+    For ``hop`` that is an upper bound: a slot whose pairs are all reached
+    within 255 hops stores one byte per pair (``uint8``), but any other slot
+    falls back to the oracle's dtype. The estimate adds one slot's float64
+    Dijkstra output, which exists while it is cast to the stored dtype.
+    Besides its output, the hop breadth-first search allocates bitset rows
+    of n/8 bytes (``unseen``, two frontiers, one plane per bit of the
+    largest level, and one gathered row per tail edge) and the level
+    accumulator together with either one plane's table lookup or, when some
+    pair is unreached, the +inf mask: 2 bytes per pair up to 255 levels, 4 up
+    to 65,535. On sparse graphs such as the snapshots, with a few tail edges
+    per node, that stays within the 8 bytes per pair added.
     """
     need = n * n * (slots * itemsize + 8)
     avail = available_memory_bytes()

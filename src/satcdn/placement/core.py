@@ -11,13 +11,18 @@ and a slot's block holds the distances among the first ``m`` nodes, the prefix
 that holds every origin and candidate. The block is the oracle matrix's
 ``[:m, :m]`` corner, read in place with no per-slot copy, when the slot has its
 full matrix (``DistanceOracle.full``: hop and small-network oracles build them
-at their first block read, others only for MTLS) and the corner already has
-the DP dtype and no +inf (decided once per oracle and slot, and shared by
-every content, iteration and solver). Otherwise it is read through
-``DistanceOracle.take``, just the entries asked for, each sanitized. Inside the
-DP, disconnected distances read as a large finite sentinel (``BIG``) so that
-argmin arithmetic stays NaN-free; reported costs always come from a clean
-re-evaluation against the oracle.
+at their first block read, others only for MTLS) and the corner holds
+``uint8`` hop counts or already has the DP dtype and no +inf (decided once per
+oracle and slot, and shared by every content, iteration and solver).
+Otherwise it is read through ``DistanceOracle.take``, just the entries asked
+for, each sanitized. Inside the DP, disconnected distances read as a large
+finite sentinel (``BIG``) so that argmin arithmetic stays NaN-free; reported
+costs always come from a clean re-evaluation against the oracle.
+
+``uint8`` arithmetic wraps, so the DP computes in its dtype only: every count
+read from a ``uint8`` block is converted first, exactly, by an explicit cast or
+as a ufunc operand next to one in the DP dtype. Minimums, comparisons and sorts
+of the raw counts give what those of the converted values would.
 """
 
 from __future__ import annotations
@@ -280,15 +285,18 @@ class ContentProblem:
         ``t``, read-only; entry [v, a] is the distance from node v to node a.
 
         It is a view of the oracle matrix's ``[:m, :m]`` corner when the slot
-        has its full matrix and the corner can be read in place (see
-        ``_in_place``), else a ``_SanitizedReads`` over the oracle.
+        has its full matrix and the corner holds ``uint8`` hop counts, which
+        readers convert to the DP dtype (see the module docstring), or can be
+        read in place as it is (see ``_in_place``). Else it is a
+        ``_SanitizedReads`` over the oracle.
         """
         B = self._blocks[t - 1]
         if B is None:
             D = self.oracle.full(t)
             if D is not None:
                 B = D[:self.m, :self.m]
-                B = _read_only(B) if _in_place(self._shared, (t,), self.dp_dtype, B) else None
+                in_place = B.dtype == np.uint8 or _in_place(self._shared, (t,), self.dp_dtype, B)
+                B = _read_only(B) if in_place else None
             if B is None:
                 B = _SanitizedReads(self.oracle, t, self.m, self.dp_dtype)
             self._blocks[t - 1] = B
@@ -393,23 +401,27 @@ def evaluate_content(problem: ContentProblem, content: str, users: list[str],
     return total_cost(sched, dem, catalog, problem.oracle, problem.params)
 
 
-def _two_smallest(mat: np.ndarray, members: np.ndarray, rows=slice(None), second=True):
+def _two_smallest(mat: np.ndarray, members: np.ndarray, rows=slice(None), second=True,
+                  dtype=None):
     """Per-row nearest and second-nearest entries of ``mat[rows]`` over the
     ``members`` columns (the second is ``BIG`` for one member) plus the
     nearest member (first occurrence, i.e. lowest id). Without ``second``
     only the nearest entries are computed and the other two are None.
 
-    The second-nearest fold runs over the member columns in order, so its
-    values are those a per-row sort would give.
+    The entries come back in ``dtype`` (``mat``'s by default), which a
+    ``uint8`` block needs to be given. The second-nearest fold runs over the
+    member columns in order, so its values are those a per-row sort would
+    give.
     """
+    dtype = mat.dtype if dtype is None else dtype
     if not second:
         block = mat[rows, members] if isinstance(rows, slice) else mat[rows[:, None], members]
-        return block.min(axis=1), None, None
-    c0 = mat[rows, members[0]]
+        return block.min(axis=1).astype(dtype, copy=False), None, None
+    c0 = mat[rows, members[0]].astype(dtype)
     if members.size == 1:
-        return (np.array(c0), np.full(c0.shape, BIG, dtype=mat.dtype),
+        return (c0, np.full(c0.shape, BIG, dtype=c0.dtype),
                 np.full(c0.shape, members[0], dtype=np.int64))
-    c1 = mat[rows, members[1]]
+    c1 = mat[rows, members[1]].astype(dtype, copy=False)
     d1, d2 = np.minimum(c0, c1), np.maximum(c0, c1)
     a1 = np.where(c1 < c0, members[1], members[0])
     for m in members[2:]:
@@ -428,9 +440,10 @@ def _min_over_adds(B: np.ndarray, W: np.ndarray, pa: np.ndarray, w1: np.ndarray,
 
     A (W x pa) block of at most ``buf.size`` entries is gathered. A larger one
     is read in place: the contiguous block spanning ``W``'s rows and ``pa``'s
-    columns, in row chunks written into the flat buffers ``buf`` (``B``'s
-    dtype) and ``buf64`` of at least one row of ``B`` each, where a column
-    between the ``pa`` columns gets an infinite ``g`` and never wins.
+    columns, in row chunks written into the flat buffers ``buf`` (the DP
+    dtype, which ``np.minimum`` converts ``B``'s entries to as it writes them)
+    and ``buf64`` of at least one row of ``B`` each, where a column between
+    the ``pa`` columns gets an infinite ``g`` and never wins.
     """
     if W.size * pa.size <= buf.size:
         M = g_adds[None, :] + alpha * np.minimum(w1[:, None], B[W[:, None], pa])
@@ -440,7 +453,7 @@ def _min_over_adds(B: np.ndarray, W: np.ndarray, pa: np.ndarray, w1: np.ndarray,
     nr, nc = sub.shape
     g = np.full(nc, np.inf)
     g[pa - c0] = g_adds
-    d1 = np.zeros(nr, dtype=B.dtype)
+    d1 = np.zeros(nr, dtype=buf.dtype)
     d1[W - r0] = w1
     vals, cols = [], []
     step = buf.size // nc
@@ -477,6 +490,7 @@ def dp_pass(problem: ContentProblem, sets: list[tuple[int, ...]],
     T = problem.T
     alpha = problem.alpha
     rate = problem.rate
+    dt = problem.dp_dtype
 
     prev_moves = MoveSet.keep_only()
     prev_f = np.zeros(1, dtype=np.float64)
@@ -495,7 +509,7 @@ def dp_pass(problem: ContentProblem, sets: list[tuple[int, ...]],
         pro, pri = prev_moves.rep_out, prev_moves.rep_in
         # Second-nearest distances matter only where a variant drops a member.
         prev_drops = bool(pd.size or pro.size)
-        b1, b2, ba1 = _two_smallest(B, prev_arr, base_arr, second=prev_drops)
+        b1, b2, ba1 = _two_smallest(B, prev_arr, base_arr, second=prev_drops, dtype=dt)
         base_keep = float(b1.sum())
         g_keep = prev_f[0] + alpha * base_keep
 
@@ -522,7 +536,7 @@ def dp_pass(problem: ContentProblem, sets: list[tuple[int, ...]],
 
         def trans_nnd(targets: np.ndarray) -> np.ndarray:
             """nnd_b(x) for every previous variant b (rows) and target x (cols)."""
-            x1, x2, xa1 = _two_smallest(B, prev_arr, targets, second=prev_drops)
+            x1, x2, xa1 = _two_smallest(B, prev_arr, targets, second=prev_drops, dtype=dt)
             rows = [x1[None, :]]
             if pa.size:
                 rows.append(np.minimum(x1[None, :], B[targets[:, None], pa].T))
@@ -547,7 +561,7 @@ def dp_pass(problem: ContentProblem, sets: list[tuple[int, ...]],
         # --- ADD moves (vectorized over the add targets W)
         if mv.adds.size:
             W = mv.adds
-            w1, w2, wa1 = _two_smallest(B, prev_arr, W, second=prev_drops)
+            w1, w2, wa1 = _two_smallest(B, prev_arr, W, second=prev_drops, dtype=dt)
             best = g_keep + np.multiply(alpha, w1, dtype=np.float64)
             ptr = np.zeros(W.size, dtype=np.int64)
             if pa.size:
@@ -610,3 +624,4 @@ def dp_pass(problem: ContentProblem, sets: list[tuple[int, ...]],
         new_sets[t - 1] = apply_move(sets[t - 1], op, removed, inserted)
         sel = int(bp[sel])
     return new_sets, f_best
+

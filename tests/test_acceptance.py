@@ -328,15 +328,17 @@ def test_criterion_9_determinism(tmp_path):
 def test_paper_scale_hop_oracle_equals_dijkstra(starlink_env):
     """The shared 48-slot hop oracle (float32, n=1655) equals undirected
     Dijkstra bit for bit on its first and last slots, whose longest shortest
-    paths take 34 hops."""
-    from test_costmodel import full_apsp
+    paths take 34 hops. Every pair is connected, so both slots hold uint8
+    counts."""
+    from test_costmodel import full_apsp, stored_dtype
     env = starlink_env
     for t in (1, 48):
         snap = env["net"].snapshot(t)
-        want = full_apsp(snap, "hop")[0].astype(np.float32)
+        dist = full_apsp(snap, "hop")[0]
         got = env["oracle"].matrix(t)
-        assert got.tobytes() == want.tobytes()
-        assert got.max() == 34.0
+        assert got.dtype == stored_dtype(dist, "hop", np.float32) == np.uint8
+        assert got.astype(np.float32).tobytes() == dist.astype(np.float32).tobytes()
+        assert got.max() == 34
 
 
 def test_paper_scale_ideal_rows_equal_undirected_dijkstra(starlink_env):

@@ -3,11 +3,11 @@ them in place.
 
 Solvers index the oracle by node. A slot's block holds the distances among
 the node prefix that contains every origin and candidate, and is a read-only
-view of the oracle matrix when that corner already has the DP dtype and no
-+inf. Otherwise (+inf, another dtype) the solvers read the oracle matrix
-through a wrapper that sanitizes each read. Both must drive every solver to
-the same result, whatever nodes of the prefix are not candidates, and no
-solver may write to the oracle.
+view of the oracle matrix when that corner holds uint8 hop counts or already
+has the DP dtype and no +inf. Otherwise (+inf, another float dtype) the
+solvers read the oracle matrix through a wrapper that sanitizes each read.
+All must drive every solver to the same result, whatever nodes of the prefix
+are not candidates, and no solver may write to the oracle.
 """
 
 import numpy as np
@@ -24,13 +24,16 @@ from satcdn.placement.core import (BIG, ContentProblem, _min_over_adds, _sanitiz
 
 def rebuild(oracle, mats, dtype=np.float64, keep=None):
     """An oracle over the ``keep`` nodes (all by default, in that order) of
-    ``oracle`` with the given per-slot matrices stored in ``dtype``."""
+    ``oracle`` with the given per-slot matrices stored in ``dtype``, the
+    oracle's dtype; when None, each matrix keeps its own and the oracle takes
+    ``oracle``'s."""
     keep = np.arange(oracle.n_nodes) if keep is None else np.asarray(keep)
     return DistanceOracle([np.asarray(m[np.ix_(keep, keep)], dtype=dtype) for m in mats],
                           [oracle.ids[i] for i in keep], oracle.kind[keep],
                           shell=oracle.shell[keep], orbit=oracle.orbit[keep],
                           in_orbit=oracle.in_orbit[keep], orbit_key=oracle.orbit_key[keep],
-                          metric=oracle.metric, slot_seconds=oracle.slot_seconds, dtype=dtype)
+                          metric=oracle.metric, slot_seconds=oracle.slot_seconds,
+                          dtype=oracle.dtype if dtype is None else dtype)
 
 
 @pytest.fixture(scope="module")
@@ -151,6 +154,11 @@ def test_a_solver_reading_first_reads_blocks_in_place(metric, solver, monkeypatc
     SOLVERS[solver](demand, oracle, params, OptimizerConfig(max_iterations=2))
     assert blocks and all(isinstance(B, np.ndarray) and np.shares_memory(B, oracle.matrix(t))
                           for t, B in blocks)
+    # user/a sees no satellite at slot 2: that hop slot stays float, with +inf
+    # outside the block; the connected slots hold uint8 counts.
+    stored = [oracle.matrix(t).dtype for t in (1, 2, 3)]
+    assert stored == ([np.uint8, np.float64, np.uint8] if metric == "hop" else [np.float64] * 3)
+    assert {B.dtype for _t, B in blocks} == set(stored)
 
 
 @pytest.mark.parametrize("layout", ["view", "inf", "not_one_run"])
@@ -252,13 +260,16 @@ def test_two_smallest_matches_partition(dtype, k, rows):
     assert np.array_equal(near, ref[0]) and none1 is None and none2 is None
 
 
+@pytest.mark.parametrize("counts", [False, True])
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-def test_min_over_adds_gather_and_chunks_match_restatement(dtype):
+def test_min_over_adds_gather_and_chunks_match_restatement(dtype, counts):
+    """Also over a block of uint8 counts, whose entries are read into the
+    ``dtype`` buffers."""
     rng = np.random.default_rng(5)
     B = rng.integers(0, 6, size=(60, 60)).astype(dtype)
     W = np.sort(rng.choice(np.arange(5, 55), size=30, replace=False))
     pa = np.sort(rng.choice(np.arange(2, 58), size=25, replace=False))
-    w1 = rng.integers(0, 6, size=W.size).astype(dtype)
+    w1 = (rng.integers(0, 12, size=W.size) / 2).astype(dtype)
     g_adds = rng.integers(0, 3, size=pa.size) * 0.5 + 100.0  # ties across columns
     M = g_adds[None, :] + 2.5 * np.minimum(w1[:, None], B[np.ix_(W, pa)])
     j_ref = M.argmin(axis=1)
@@ -266,7 +277,9 @@ def test_min_over_adds_gather_and_chunks_match_restatement(dtype):
     # Gathered; one row per chunk (buffers hold at least a row of B); a few rows.
     for size in (W.size * pa.size, B.shape[1], 200):
         buf, buf64 = np.empty(size, dtype=dtype), np.empty(size)
-        vals, j = _min_over_adds(B, W, pa, w1, g_adds, 2.5, buf, buf64)
+        vals, j = _min_over_adds(B.astype(np.uint8) if counts else B, W, pa, w1, g_adds, 2.5,
+                                 buf, buf64)
+        assert vals.dtype == ref[0].dtype
         assert np.array_equal(vals, ref[0]) and np.array_equal(j, ref[1])
 
 
@@ -346,3 +359,107 @@ def test_solvers_match_on_lazy_and_eager_oracles(network, metric, dtype, restric
             assert all(has_full(oracle, t) == (full or solver == "mtls") for t in range(1, 5))
         got[full] = runs
     assert got[False] == got[True]
+
+
+def wide_hop_instance():
+    """Hop snapshots of a 36x22 LEO shell over US gateways, an origin and
+    users: 804 nodes, so the DP runs in float32, and every pair is connected
+    within 26 hops on each of 3 slots. Two contents of random demand."""
+    from satcdn.constellation import GroundNode, Network, starlink_phase1
+    rng = np.random.default_rng(12)
+    ground = [GroundNode(f"gw/g{i}", "gateway", lat, lon)
+              for i, (lat, lon) in enumerate([(45.0, -80.0), (35.0, -100.0), (40.0, -120.0)])]
+    ground.append(GroundNode("origin/o", "origin", 40.0, -90.0))
+    ground += [GroundNode(f"user/u{i}", "user_region", float(lat), float(lon))
+               for i, (lat, lon) in enumerate(zip(rng.uniform(28, 46, 8),
+                                                  rng.uniform(-120, -75, 8)))]
+    net = Network([starlink_phase1(orbit_count=36, sats_per_orbit=22, name="s")], ground,
+                  seed=4)
+    T = 3
+    users = [g.node_id for g in ground if g.kind == "user_region"]
+    demand = DemandMatrix(users, ["a", "b"], rng.uniform(20.0, 80.0, size=(len(users), 2, T)))
+    return net.snapshots(T), demand, ContentCatalog(["a", "b"], [1.0, 2.5])
+
+
+@pytest.fixture(scope="module")
+def wide_hop():
+    snaps, demand, catalog = wide_hop_instance()
+    oracle = build_distance_oracle(snaps, "hop")
+    levels = [oracle.matrix(t) for t in range(1, oracle.slot_count + 1)]
+    assert all(D.dtype == np.uint8 for D in levels)
+    return oracle, levels, demand, catalog
+
+
+def full_outcome(solver, oracle, demand, catalog):
+    """``outcome`` plus c_qmin and the schedule's total cost."""
+    params = CostParams.from_oracle(oracle, alpha=4.7, beta=1.0, gamma=2.0)
+    res = SOLVERS[solver](demand, oracle, params, OptimizerConfig(max_iterations=3),
+                          catalog=catalog)
+    st = res.stats
+    return (params.c_qmin, res.schedule.sets, st.iterations, st.relaxations,
+            st.orbit_relaxations, st.history, st.orbit_sequence, st.warnings,
+            total_cost(res.schedule, demand, catalog, oracle, params))
+
+
+@pytest.fixture
+def chunk_sizes(monkeypatch):
+    """The (targets x previous additions) sizes of every ``_min_over_adds``
+    call, next to its buffer size."""
+    from satcdn.placement import core
+    sizes, run = [], core._min_over_adds
+
+    def spy(B, W, pa, *args):
+        sizes.append((W.size * pa.size, args[-2].size))
+        return run(B, W, pa, *args)
+
+    monkeypatch.setattr(core, "_min_over_adds", spy)
+    return sizes
+
+
+@pytest.mark.parametrize("mixed", [False, True])
+@pytest.mark.parametrize("solver", list(SOLVERS))
+def test_uint8_hop_counts_solve_as_float32_does(wide_hop, solver, mixed, chunk_sizes):
+    """The same hop distances stored as uint8 counts and as float32 give
+    every solver the same schedules, counts, costs and warnings bit for bit.
+    uint8 blocks are read in place, by MTLS in row chunks too. ``mixed``
+    cuts a candidate and a user off from every other node at slot 2, which
+    then stays float with +inf (its block read through ``_SanitizedReads``)
+    between two uint8 slots."""
+    oracle, levels, demand, catalog = wide_hop
+    mats = list(levels)
+    if mixed:
+        mats[1] = mats[1].astype(np.float32)
+        for x in (5, oracle.index["user/u3"]):
+            mats[1][x, :] = mats[1][:, x] = np.inf
+            mats[1][x, x] = 0.0
+    counts = rebuild(oracle, mats, dtype=None)
+    floats = rebuild(oracle, [D.astype(np.float32) for D in mats], dtype=None)
+    assert counts.dtype == floats.dtype == np.float32
+    params = CostParams("hop", 4.7, 1.0, 2.0, 1.0)
+    assert ContentProblem(counts, counts.users_idx, demand.values[:, 0, :], 1.0,
+                          params).dp_dtype == np.float32
+    assert block_kinds(counts, demand, params) == ("view", "copy")
+    assert block_kinds(floats, demand, params) == ("view", "view")
+    assert [counts.matrix(t).dtype for t in (1, 2, 3)] == \
+        [np.uint8, np.float32 if mixed else np.uint8, np.uint8]
+    assert full_outcome(solver, counts, demand, catalog) == \
+        full_outcome(solver, floats, demand, catalog)
+    if solver == "mtls":
+        assert any(pairs > buf for pairs, buf in chunk_sizes)
+
+
+def test_two_smallest_of_one_member_over_uint8_counts():
+    """Over uint8 counts, the nearest entries come back in the dtype asked
+    for and the second-nearest of a one-member set is ``BIG``, which uint8
+    cannot hold."""
+    rng = np.random.default_rng(2)
+    counts = rng.integers(0, 40, size=(12, 12)).astype(np.uint8)
+    rows = np.array([1, 4, 7])
+    for dtype in (np.float32, np.float64):
+        for idx in (slice(None), rows):
+            d1, d2, a1 = _two_smallest(counts, np.array([5]), idx, dtype=dtype)
+            assert d1.dtype == d2.dtype == dtype
+            assert np.array_equal(d1, counts[idx, 5].astype(dtype))
+            assert (d2 == BIG).all() and (a1 == 5).all()
+            near = _two_smallest(counts, np.array([5]), idx, second=False, dtype=dtype)[0]
+            assert near.dtype == dtype and np.array_equal(near, d1)

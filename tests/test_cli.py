@@ -419,6 +419,41 @@ class TestDeterminism:
             assert masked_bytes(tmp_path / "a" / name) == \
                 masked_bytes(tmp_path / "b" / name), name
 
+    def test_uint8_hop_storage_bundle_equals_float32_storage(self, tmp_path, monkeypatch):
+        """A hop run over an 804-node network, every slot connected, so each
+        slot's matrix is stored as uint8 hop counts, writes the bundle that
+        storing the same counts in float32 (the oracle's dtype) writes."""
+        from satcdn import costmodel
+        from satcdn.placement import SOLVERS
+        cfg = small_leo_config(
+            horizon_slots=3, alpha=4.7, beta=1.0, algorithms=list(SOLVERS),
+            routing={"policies": ["closest", "weighted_round_robin"]},
+            shells=[{"name": "leo", "orbits": 36, "sats_per_orbit": 22, "altitude_km": 550.0,
+                     "inclination_deg": 53.0, "gamma": 2.0}],
+            users={"mode": "grid", "rows": 2, "cols": 3, "bbox": [28.0, -120.0, 45.0, -75.0],
+                   "per_slot_demand": 40.0})
+        bfs, stored = costmodel._hop_matrix, []
+
+        def as_float32(graph, dtype):
+            stored.append(bfs(graph, dtype))
+            return stored[-1].astype(dtype)
+
+        run_scenario(cfg, tmp_path / "counts")
+        monkeypatch.setattr(costmodel, "_hop_matrix", as_float32)
+        run_scenario(cfg, tmp_path / "floats")
+        assert [D.dtype for D in stored] == [np.uint8] * 3
+        names = sorted(p.name for p in (tmp_path / "counts").glob("*.csv"))
+        assert len(names) == 5 * len(SOLVERS)
+        for name in names:
+            assert masked_bytes(tmp_path / "counts" / name) == \
+                masked_bytes(tmp_path / "floats" / name), name
+        meta = [json.loads((tmp_path / d / "metadata.json").read_text())
+                for d in ("counts", "floats")]
+        for m in meta:
+            for alg in m["algorithms"].values():
+                alg.pop("runtime_seconds")
+        assert meta[0] == meta[1]
+
 
 class TestCandidateRestrictionCost:
     def test_both_beats_gateways_only_on_satellite_favorable_instance(self, tmp_path):

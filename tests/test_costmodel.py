@@ -42,11 +42,11 @@ class TestDistanceOracle:
         ground = [GroundNode("user/x", "user_region", 0.0, 0.0)]
         net = Network([shell], ground)
         oracle = build_distance_oracle(net.snapshots(1), "hop")
-        assert oracle.d(1, "sat/viasat/00/00", "user/x") == 1.0
+        assert oracle.row(1, oracle.index["sat/viasat/00/00"])[oracle.index["user/x"]] == 1.0
 
     def test_chain_hop_distance(self):
         oracle = chain_oracle()
-        assert oracle.d(1, "user/u", "gw/g") == 3.0
+        assert oracle.row(1, oracle.index["user/u"])[oracle.index["gw/g"]] == 3.0
 
     def test_matches_floyd_warshall_oracle(self):
         rng = np.random.default_rng(5)
@@ -133,7 +133,28 @@ def three_shell_network():
     return Network(shells, ground, seed=3)
 
 
-NETWORKS = [leo_network, split_network, isolated_network, three_shell_network]
+def connected_network():
+    """A LEO shell low enough in the sky for every ground node to see a
+    satellite: each slot's pairs are all connected, so a hop oracle stores
+    them as uint8 counts. 69 nodes, so bitsets span two words."""
+    shell = starlink_phase1(orbit_count=8, sats_per_orbit=8, name="s", min_elevation_deg=10.0)
+    ground = [GroundNode("gw/b", "gateway", 45.0, -80.0),
+              GroundNode("origin/o", "origin", 40.0, -90.0),
+              GroundNode("user/a", "user_region", 30.0, -100.0),
+              GroundNode("user/c", "user_region", 35.0, -85.0),
+              GroundNode("user/d", "user_region", 42.0, -110.0)]
+    return Network([shell], ground, seed=2)
+
+
+NETWORKS = [leo_network, split_network, isolated_network, three_shell_network,
+            connected_network]
+
+
+def stored_dtype(dist, metric, dtype):
+    """The dtype an oracle stores the full matrix ``dist`` in: uint8 for a
+    hop slot whose pairs are all reached within 255 hops, else ``dtype``."""
+    counts = metric == "hop" and np.isfinite(dist).all() and dist.max() <= 255
+    return np.dtype(np.uint8 if counts else dtype)
 
 
 @pytest.fixture
@@ -161,8 +182,9 @@ class TestLazyRows:
         n = lazy.n_nodes
         apsp = [full_apsp(snap, metric) for snap in snaps]
         for t, (dist, pred) in enumerate(apsp, start=1):
-            want = dist.astype(dtype)
-            assert eager.matrix(t).tobytes() == want.tobytes()
+            want, kept = dist.astype(dtype), stored_dtype(dist, metric, dtype)
+            D = eager.matrix(t)
+            assert D.dtype == kept and D.astype(dtype).tobytes() == want.tobytes()
             # user sources first (the batched call), then every other source
             sources = list(lazy.users_idx) + [s for s in range(n) if s not in lazy.users_idx]
             for src in sources:
@@ -171,7 +193,9 @@ class TestLazyRows:
                 assert eager.row(t, src).tobytes() == want[src].tobytes()
             assert not has_full(lazy, t)
         for t, (dist, pred) in enumerate(apsp, start=1):
-            assert lazy.matrix(t).tobytes() == dist.astype(dtype).tobytes()
+            D = lazy.matrix(t)
+            assert D.dtype == stored_dtype(dist, metric, dtype)
+            assert D.astype(dtype).tobytes() == dist.astype(dtype).tobytes()
             assert np.array_equal(lazy.predecessors(t), pred)
 
     @pytest.mark.parametrize("kind", ["rows", "eager", "lazy", "after_matrix"])
@@ -228,7 +252,7 @@ class TestLazyRows:
             assert np.isinf(lazy.row(1, a)[b]) and np.isinf(lazy.row(1, b)[o])
             assert lazy.pred_row(1, a)[b] == -9999 and lazy.pred_row(1, b)[o] == -9999
             assert np.isfinite(lazy.row(1, a)[o]) and lazy.pred_row(1, a)[o] >= 0
-            assert lazy.d(1, "user/b", "origin/o") == np.inf
+            assert lazy.row(1, b)[o] == np.inf
 
     def test_user_row_read_computes_only_user_rows(self):
         lazy = build_distance_oracle(leo_network().snapshots(2), "ideal", need_paths=True)
@@ -345,6 +369,25 @@ class TestTake:
                     assert got.strides == want.strides
                 assert not has_full(lazy, t)
 
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_reads_of_uint8_counts_come_in_the_oracle_dtype(self, dtype):
+        """A hop slot stored as uint8 counts: ``take`` and ``row`` return the
+        oracle's dtype, with the values and, for a gather, the memory layout
+        of the matrix read cast to it."""
+        oracle = build_distance_oracle(connected_network().snapshots(2), "hop", dtype=dtype)
+        for t in (1, 2):
+            D = oracle.matrix(t)
+            assert D.dtype == np.uint8
+            for idx in read_forms(oracle):
+                want, got = D[idx].astype(dtype), oracle.take(t, *idx)
+                assert np.asarray(got).dtype == dtype and np.shape(got) == want.shape
+                assert np.asarray(got).tobytes() == np.ascontiguousarray(want).tobytes()
+                if not _basic(idx):
+                    assert got.strides == want.strides
+            for src in (0, oracle.n_nodes - 1):
+                row = oracle.row(t, src)
+                assert row.dtype == dtype and row.tobytes() == D[src].astype(dtype).tobytes()
+
     @pytest.mark.usefixtures("lazy_planning")
     def test_matrix_reuses_the_cached_rows(self, monkeypatch):
         snaps = leo_network().snapshots(1)
@@ -383,10 +426,17 @@ def path_graph(n):
 
 
 # Graphs that cross bitset words, take more than 8 level planes, have a
-# high-degree tail, or have nodes of degree 0 at the ends and the middle.
+# high-degree tail, or have nodes of degree 0 at the ends and the middle; and
+# connected graphs, whose levels are stored as uint8 counts up to 255 levels
+# (path256) but not past them (path257).
 BFS_GRAPHS = {
     **{f"random{n}": (lambda n=n: random_graph(n, seed=n)) for n in (63, 64, 65, 130)},
+    "path256": lambda: path_graph(256),
+    "path257": lambda: path_graph(257),
     "path300": lambda: path_graph(300),
+    "ring130_chords": lambda: edge_graph(
+        130, [(i, (i + 1) % 130) for i in range(130)] + [(i, (7 * i + 3) % 130)
+                                                         for i in range(0, 130, 9)]),
     "star200": lambda: edge_graph(200, [(0, leaf) for leaf in range(1, 200)]),
     "isolated_first_middle_last": lambda: edge_graph(
         70, [(i, i + 1) for i in range(1, 68) if 35 not in (i, i + 1)] + [(34, 36)]),
@@ -410,30 +460,45 @@ class TestHopBFS:
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     @pytest.mark.parametrize("name", BFS_GRAPHS)
     def test_equals_unweighted_dijkstra_bit_for_bit(self, name, dtype):
+        """uint8 counts if and only if every pair is reached within 255
+        levels, else ``dtype`` with +inf; either way the values of Dijkstra
+        cast to ``dtype``, bit for bit."""
         graph = BFS_GRAPHS[name]()
-        want = dijkstra(graph, directed=False, unweighted=True).astype(dtype)
+        dist = dijkstra(graph, directed=False, unweighted=True)
         got = costmodel._hop_matrix(graph, dtype)
-        assert got.dtype == dtype and got.tobytes() == want.tobytes()
+        assert got.dtype == stored_dtype(dist, "hop", dtype)
+        assert got.astype(dtype).tobytes() == dist.astype(dtype).tobytes()
 
     def test_graphs_cover_every_branch(self):
         degrees = {name: np.diff(make().indptr) for name, make in BFS_GRAPHS.items()}
         assert all((degrees[f"random{n}"] == 0).any() for n in (63, 64, 65, 130))
         assert dijkstra(path_graph(300), indices=0, unweighted=True).max() == 299
+        # Stored as counts: connected within 255 levels, the last at 255.
+        counts = [name for name, make in BFS_GRAPHS.items() if stored_dtype(
+            dijkstra(make(), directed=False, unweighted=True), "hop", np.float32) == np.uint8]
+        assert counts == ["path256", "ring130_chords", "star200", "edgeless1"]
+        assert dijkstra(path_graph(256), indices=0, unweighted=True).max() == 255
         assert sorted(degrees["star200"])[-2:] == [1, 199]
         assert np.flatnonzero(degrees["isolated_first_middle_last"] == 0).tolist() == [0, 35, 69]
 
-    def test_transient_memory_fits_the_estimate(self):
+    @pytest.mark.parametrize("connected", [False, True])
+    def test_transient_memory_fits_the_estimate(self, connected):
         """Besides its output, the search allocates at most the 8 bytes per
-        pair that ``check_fits`` adds for one slot."""
-        graph = random_graph(1000, seed=1)
+        pair that ``check_fits`` adds for one slot. A connected graph's
+        output takes 1 byte per pair, a disconnected one's 4 (float32)."""
+        n = 1000
+        graph = random_graph(n, seed=1)
+        if connected:
+            graph = graph + path_graph(n)
         tracemalloc.start()
         try:
             out = costmodel._hop_matrix(graph, np.float32)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert np.isinf(out).any()
-        assert peak - out.nbytes <= 8 * 1000 * 1000
+        assert out.dtype == (np.uint8 if connected else np.float32)
+        assert out.nbytes == out.itemsize * n * n and np.isinf(out).any() != connected
+        assert peak - out.nbytes <= 8 * n * n
 
     def test_only_the_eager_hop_oracle_skips_dijkstra(self, monkeypatch):
         calls = {"bfs": 0, "dijkstra": 0}
