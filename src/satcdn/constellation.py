@@ -305,7 +305,6 @@ class NodeTable:
     shell: np.ndarray
     orbit: np.ndarray
     in_orbit: np.ndarray
-    orbit_key: np.ndarray
     ground_nodes: list[GroundNode]
     n_sats: int
     index: dict[str, int] = field(default_factory=dict)
@@ -348,9 +347,7 @@ def build_node_table(constellations: Sequence[Constellation], ground_nodes: Sequ
     shell: list[int] = []
     orbit: list[int] = []
     in_orbit: list[int] = []
-    orbit_key: list[int] = []
 
-    key_base = 0
     for s_idx, con in enumerate(constellations):
         for i, j in zip(con.orbit_index, con.in_orbit_index):
             ids.append(f"sat/{con.spec.name}/{i:02d}/{j:02d}")
@@ -358,8 +355,6 @@ def build_node_table(constellations: Sequence[Constellation], ground_nodes: Sequ
             shell.append(s_idx)
             orbit.append(int(i))
             in_orbit.append(int(j))
-            orbit_key.append(key_base + int(i))
-        key_base += con.spec.orbit_count
 
     # Gateways, then origins, then user regions; each block stays contiguous.
     ordered = sorted(ground_nodes, key=lambda n: {GATEWAY: 0, ORIGIN: 1, USER: 2}[GROUND_KINDS[n.kind]])
@@ -373,7 +368,6 @@ def build_node_table(constellations: Sequence[Constellation], ground_nodes: Sequ
         shell.append(-1)
         orbit.append(-1)
         in_orbit.append(-1)
-        orbit_key.append(-1)
 
     return NodeTable(
         ids=ids,
@@ -381,7 +375,6 @@ def build_node_table(constellations: Sequence[Constellation], ground_nodes: Sequ
         shell=np.asarray(shell, dtype=np.int16),
         orbit=np.asarray(orbit, dtype=np.int16),
         in_orbit=np.asarray(in_orbit, dtype=np.int16),
-        orbit_key=np.asarray(orbit_key, dtype=np.int32),
         ground_nodes=list(ordered),
         n_sats=int(sum(c.n_sats for c in constellations)),
     )

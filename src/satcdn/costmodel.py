@@ -34,7 +34,10 @@ class _Slot:
     ``pred``), or the slot graph, the predecessor rows computed from it by
     source (``preds``) and, until ``full`` is built, the distance rows:
     source ``s``'s is row ``pos[s]`` of ``rows`` (-1: not computed yet), and
-    the first ``count`` rows are in use."""
+    the first ``count`` rows are in use. On an oracle with paths, which
+    needs a latency metric, a source has a predecessor row exactly when it
+    has a distance row, cached or in ``full``: one Dijkstra call computes
+    both."""
 
     __slots__ = ("graph", "full", "pred", "rows", "pos", "count", "preds")
 
@@ -56,7 +59,9 @@ class DistanceOracle:
     1-based slot ``t``. ``row(t, src)`` is the distance row of source ``src``
     and ``pred_row(t, src)`` its shortest-path predecessor row (-9999 where
     unreachable) on an oracle with paths (``has_paths``): one built with
-    ``need_paths`` or given predecessors. Built from snapshot graphs, an
+    ``need_paths`` under a latency metric, or given predecessors. A
+    predecessor row comes with its distance row: the Dijkstra call that
+    computes one computes the other. Built from snapshot graphs, an
     oracle stores what is read: Dijkstra rows computed on demand, and full
     matrices as ``full`` says. The node ordering follows the snapshot's node
     table: satellites, gateways, origins, users — so candidate and user
@@ -73,7 +78,7 @@ class DistanceOracle:
 
     def __init__(self, matrices: Sequence[np.ndarray] | None, ids: Sequence[str], kind: np.ndarray,
                  *, shell: np.ndarray | None = None, orbit: np.ndarray | None = None,
-                 in_orbit: np.ndarray | None = None, orbit_key: np.ndarray | None = None,
+                 in_orbit: np.ndarray | None = None,
                  metric: str = "custom", slot_seconds: float = 300.0,
                  predecessors: Sequence[np.ndarray] | None = None, graphs=None,
                  paths: bool = False, dtype=np.float64):
@@ -98,7 +103,6 @@ class DistanceOracle:
         self.shell = np.asarray(shell, dtype=np.int32) if shell is not None else fill.copy()
         self.orbit = np.asarray(orbit, dtype=np.int32) if orbit is not None else fill.copy()
         self.in_orbit = np.asarray(in_orbit, dtype=np.int32) if in_orbit is not None else fill.copy()
-        self.orbit_key = np.asarray(orbit_key, dtype=np.int32) if orbit_key is not None else fill.copy()
         self.metric = metric
         self.slot_seconds = float(slot_seconds)
         self.index = {nid: i for i, nid in enumerate(self.ids)}
@@ -147,17 +151,15 @@ class DistanceOracle:
         slot.preds.update(zip(sources.tolist(), pred.astype(np.int32, copy=False)))
         return dist
 
-    def _cache(self, slot: _Slot, sources, dist=None) -> None:
-        """Keep the rows of every source in ``sources`` not cached yet: rows
-        ``dist`` of sorted unique ``sources`` when given, else computed in one
-        Dijkstra call. The row array grows by doubling, up to one row per
-        node."""
+    def _cache(self, slot: _Slot, sources) -> None:
+        """Keep the rows of every source in ``sources`` not cached yet,
+        computed in one Dijkstra call. The row array grows by doubling, up to
+        one row per node."""
         new = np.unique(sources)
-        miss = slot.pos[new] < 0
-        new = new[miss]
+        new = new[slot.pos[new] < 0]
         if not new.size:
             return
-        dist = self._solve(slot, new) if dist is None else dist[miss]
+        dist = self._solve(slot, new)
         k, end = slot.count, slot.count + new.size
         if end > len(slot.rows):
             cap = min(max(end, 2 * len(slot.rows)), self.n_nodes)
@@ -167,18 +169,6 @@ class DistanceOracle:
         slot.rows[k:end] = dist
         slot.pos[new] = np.arange(k, end)
         slot.count = end
-
-    def _route(self, slot: _Slot, sources) -> None:
-        """Keep the predecessor rows of ``sources`` and of every user that has
-        none yet, from one Dijkstra call, and their distance rows while the
-        slot has no full matrix. Rows computed before came with theirs, but
-        for a ``hop`` full matrix: its breadth-first search gives none."""
-        new = np.unique(np.append(self.users_idx, sources))
-        new = new[[s not in slot.preds for s in new.tolist()]]
-        if new.size:
-            dist = self._solve(slot, new)
-            if slot.full is None:
-                self._cache(slot, new, dist)
 
     def row(self, t: int, src: int) -> np.ndarray:
         """Source ``src``'s distance row; a missing one is computed together
@@ -192,13 +182,13 @@ class DistanceOracle:
         return slot.rows[slot.pos[src]]
 
     def pred_row(self, t: int, src: int) -> np.ndarray:
-        """Source ``src``'s predecessor row; a missing one is computed by
-        ``_route``."""
+        """Source ``src``'s predecessor row. It comes with the source's
+        distance row, so a missing one is computed by ``row``."""
         slot = self._pred_slot(t)
         if slot.graph is None:
             return slot.pred[src]
         if int(src) not in slot.preds:
-            self._route(slot, src)
+            self.row(t, src)
         return slot.preds[int(src)]
 
     def predecessors(self, t: int) -> np.ndarray:
@@ -209,7 +199,8 @@ class DistanceOracle:
             return slot.pred
         # the cached distance and predecessor rows and the stacked copy
         check_fits(self.n_nodes, 1, self.dtype.itemsize + 8)
-        self._route(slot, self._node)
+        if slot.full is None:
+            self._cache(slot, self._node)
         return np.stack([slot.preds[s] for s in range(self.n_nodes)])
 
     def _pred_slot(self, t: int) -> _Slot:
@@ -288,7 +279,7 @@ class DistanceOracle:
         next to the cached rows, which the full matrix then replaces."""
         todo = [slot for slot in slots if slot.full is None]
         if todo:
-            check_fits(self.n_nodes, len(todo), self.dtype.itemsize)
+            check_fits(self.n_nodes, len(todo), self.dtype.itemsize + 4 * self.has_paths)
         for slot in todo:
             if self.metric == "hop":
                 slot.full = _hop_matrix(slot.graph, self.dtype)
@@ -447,7 +438,8 @@ def check_fits(n: int, slots: int, itemsize: int) -> None:
     """Raise MemoryError before building ``slots`` full (n, n) distance arrays
     that would not fit in memory.
 
-    Each slot is charged ``itemsize`` bytes per pair, the oracle's dtype.
+    Each slot is charged ``itemsize`` bytes per pair: the oracle's dtype,
+    plus 4 on an oracle with paths, whose int32 predecessor rows stay alive.
     For ``hop`` that is an upper bound: a slot whose pairs are all reached
     within 255 hops stores one byte per pair (``uint8``), but any other slot
     falls back to the oracle's dtype. The estimate adds one slot's float64
@@ -473,8 +465,11 @@ def build_distance_oracle(snapshots, metric: str, *, need_paths: bool = False,
     """Shortest paths per slot over snapshot graphs, computed as they are
     read: nothing is built up front (see ``DistanceOracle.full``). With
     ``need_paths`` the oracle also answers ``pred_row`` and
-    ``predecessors``: every Dijkstra row it computes comes with its
-    predecessor row.
+    ``predecessors``: every Dijkstra row it computes, and so every distance
+    row, comes with its predecessor row. Paths need a latency metric
+    (``ideal`` or ``sampled``): a ``hop`` full matrix comes from a
+    breadth-first search that keeps no predecessors, so ``need_paths`` with
+    ``hop`` raises ``ValueError``.
 
     Small networks (``SMALL_NETWORK_NODES``) default to float64 storage,
     large ones to float32. Latency edge weights are snapped to a dyadic grid
@@ -485,11 +480,13 @@ def build_distance_oracle(snapshots, metric: str, *, need_paths: bool = False,
         raise ValueError(f"metric must be one of {METRICS}")
     if not snapshots:
         raise ValueError("at least one snapshot required")
+    if need_paths and metric == "hop":
+        raise ValueError("paths need a latency metric (ideal or sampled), not hop")
     nt = snapshots[0].nodes
     if dtype is None:
         dtype = np.float64 if nt.n_nodes <= SMALL_NETWORK_NODES else np.float32
     return DistanceOracle(None, nt.ids, nt.kind, shell=nt.shell, orbit=nt.orbit,
-                          in_orbit=nt.in_orbit, orbit_key=nt.orbit_key, metric=metric,
+                          in_orbit=nt.in_orbit, metric=metric,
                           slot_seconds=_infer_slot_seconds(snapshots),
                           graphs=[snap.to_csr(metric) for snap in snapshots],
                           paths=need_paths, dtype=dtype)

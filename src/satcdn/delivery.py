@@ -213,8 +213,10 @@ def simulate_delivery(schedule: ReplicaSchedule, demand, policy: RoutingPolicy,
     that can round (QoE, traffic, per-replica gigabytes, the queue) still
     adds one request at a time, in request order, so the report does not
     depend on the grouping. With a server capacity cap, requests queue FIFO
-    per (replica, slot).
+    per (replica, slot). A ``hop`` oracle is refused, as hops are not ms.
     """
+    if oracle.metric == "hop":
+        raise ValueError("download times need a latency-metric oracle (ideal or sampled)")
     router = Router(schedule, oracle, policy)
     cap_gbps = None if links.server_capacity_mbps is None else links.server_capacity_mbps / 1000.0
     # (edge count, bottleneck Gbps, distance) per (user, replica, slot)

@@ -206,9 +206,15 @@ def _layout(oracle: DistanceOracle) -> dict:
         raise ValueError("origin nodes cannot also be replica candidates")
     nodes = np.union1d(origins, cand_pos)
     m = int(nodes[-1]) + 1
-    # Orbit labels per node; ground candidates share one pseudo-orbit so
-    # gateways participate in the orbit DP.
-    orbit_of = oracle.orbit_key[:m].astype(np.int64)
+    # Orbit labels per node: the dense rank of each satellite's (shell,
+    # orbit) pair, counted over pair codes (np.unique's argsort raised the
+    # paper_ideal_delivery peak RSS by about 0.15 MiB). Ground candidates
+    # share one pseudo-orbit so gateways participate in the orbit DP.
+    orbit_of = oracle.orbit[:m].astype(np.int64)
+    sat = np.flatnonzero(orbit_of >= 0)
+    pair = oracle.shell[:m].astype(np.int64)[sat] * (orbit_of.max() + 1) + orbit_of[sat]
+    pair -= pair.min(initial=0)
+    orbit_of[sat] = np.cumsum(np.bincount(pair) > 0)[pair] - 1
     ground = cand_pos[orbit_of[cand_pos] < 0]
     if ground.size:
         orbit_of[ground] = orbit_of[nodes].max() + 1

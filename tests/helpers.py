@@ -39,15 +39,13 @@ def motion_instance(seed, n_users, n_cands, T, *, n_origins=1, n_gateways=0,
            + [f"user/u{i}" for i in range(n_users)])
     kind = np.array([SAT] * n_cands + [GATEWAY] * n_gateways
                     + [ORIGIN] * n_origins + [USER] * n_users, dtype=np.int8)
-    orbit_key = np.full(n, -1, dtype=np.int32)
     orbit = np.full(n, -1, dtype=np.int32)
     in_orbit = np.full(n, -1, dtype=np.int32)
     shell = np.full(n, -1, dtype=np.int32)
     if orbit_rows:
         per = max(1, n_cands // orbit_rows)
         for i in range(n_cands):
-            orbit_key[i] = min(i // per, orbit_rows - 1)
-            orbit[i] = orbit_key[i]
+            orbit[i] = min(i // per, orbit_rows - 1)
             in_orbit[i] = i % per
             shell[i] = 0
 
@@ -60,8 +58,7 @@ def motion_instance(seed, n_users, n_cands, T, *, n_origins=1, n_gateways=0,
         pts = pts + rng.uniform(-speed, speed, size=(n, 2))
 
     oracle = DistanceOracle.from_matrices(mats, ids, kind, shell=shell, orbit=orbit,
-                                          in_orbit=in_orbit, orbit_key=orbit_key,
-                                          metric="hop", slot_seconds=300.0)
+                                          in_orbit=in_orbit, metric="hop", slot_seconds=300.0)
     dem = rng.uniform(0.0, 3.0, size=(n_users, T))
     users = [ids[i] for i in range(n) if kind[i] == USER]
     demand = DemandMatrix(users, ["c0"], dem[:, None, :])

@@ -31,8 +31,8 @@ def rebuild(oracle, mats, dtype=np.float64, keep=None):
     return DistanceOracle([np.asarray(m[np.ix_(keep, keep)], dtype=dtype) for m in mats],
                           [oracle.ids[i] for i in keep], oracle.kind[keep],
                           shell=oracle.shell[keep], orbit=oracle.orbit[keep],
-                          in_orbit=oracle.in_orbit[keep], orbit_key=oracle.orbit_key[keep],
-                          metric=oracle.metric, slot_seconds=oracle.slot_seconds,
+                          in_orbit=oracle.in_orbit[keep], metric=oracle.metric,
+                          slot_seconds=oracle.slot_seconds,
                           dtype=oracle.dtype if dtype is None else dtype)
 
 

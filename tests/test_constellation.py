@@ -159,7 +159,7 @@ class TestSnapshot:
             users = tuple(n.node_id for n in order if n.kind == "user_region")
             assert net.nodes.ids[36:] == ["gw/b", "origin/c", *users]
             assert [n.node_id for n in net.ground_nodes] == net.nodes.ids[36:]
-            arrays = [net.nodes.kind, net.nodes.shell, net.nodes.orbit_key]
+            arrays = [net.nodes.kind, net.nodes.shell, net.nodes.orbit]
             for t in (1, 2):
                 snap = net.snapshot(t)
                 arrays += [snap.edge_u, snap.edge_v, snap.ideal_ms, snap.sampled_ms]

@@ -176,8 +176,11 @@ class TestLazyRows:
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     @pytest.mark.parametrize("make_net", NETWORKS)
     def test_rows_equal_full_apsp_bit_for_bit(self, metric, dtype, make_net):
+        """Distance rows, and on a latency oracle with paths predecessor
+        rows, equal an undirected Dijkstra bit for bit."""
         snaps = make_net().snapshots(2)
-        lazy = build_distance_oracle(snaps, metric, need_paths=True, dtype=dtype)
+        paths = metric != "hop"
+        lazy = build_distance_oracle(snaps, metric, need_paths=paths, dtype=dtype)
         eager = build_distance_oracle(snaps, metric, dtype=dtype)
         n = lazy.n_nodes
         apsp = [full_apsp(snap, metric) for snap in snaps]
@@ -189,26 +192,28 @@ class TestLazyRows:
             sources = list(lazy.users_idx) + [s for s in range(n) if s not in lazy.users_idx]
             for src in sources:
                 assert lazy.row(t, src).tobytes() == want[src].tobytes()
-                assert lazy.pred_row(t, src).tobytes() == pred[src].astype(np.int32).tobytes()
+                if paths:
+                    assert lazy.pred_row(t, src).tobytes() == \
+                        pred[src].astype(np.int32).tobytes()
                 assert eager.row(t, src).tobytes() == want[src].tobytes()
             assert not has_full(lazy, t)
         for t, (dist, pred) in enumerate(apsp, start=1):
             D = lazy.matrix(t)
             assert D.dtype == stored_dtype(dist, metric, dtype)
             assert D.astype(dtype).tobytes() == dist.astype(dtype).tobytes()
-            assert np.array_equal(lazy.predecessors(t), pred)
+            if paths:
+                assert np.array_equal(lazy.predecessors(t), pred)
 
     @pytest.mark.parametrize("kind", ["rows", "eager", "lazy", "after_matrix"])
-    @pytest.mark.parametrize("metric", ["hop", "ideal", "sampled"])
+    @pytest.mark.parametrize("metric", ["ideal", "sampled"])
     @pytest.mark.parametrize("make_net", [leo_network, split_network, isolated_network])
     def test_pred_rows_equal_full_apsp_on_every_oracle_kind(self, kind, metric, make_net,
                                                            monkeypatch):
-        """Predecessor rows, stacked, equal an undirected Dijkstra (unweighted
-        for hop) bit for bit whatever the slot holds: rows only, the full
-        matrices of a hop (breadth-first search) or small oracle built at its
-        first block read, rows of a lazy weighted oracle after block reads,
-        or a full matrix built by ``matrix(t)``; ``predecessors(t)`` is the
-        same stack."""
+        """Predecessor rows, stacked, equal an undirected Dijkstra bit for
+        bit whatever the slot holds: rows only, the full matrices of a small
+        oracle built at its first block read, rows of a lazy oracle after
+        block reads, or a full matrix built by ``matrix(t)``;
+        ``predecessors(t)`` is the same stack."""
         if kind in ("lazy", "after_matrix"):
             monkeypatch.setattr(costmodel, "SMALL_NETWORK_NODES", 0)
         snaps = make_net().snapshots(2)
@@ -218,10 +223,8 @@ class TestLazyRows:
             oracle.take(1, users[:, None], oracle.candidates_idx)
         elif kind == "after_matrix":
             oracle.matrix(2)
-        full = {"rows": False, "eager": True, "lazy": metric == "hop",
-                "after_matrix": metric == "hop"}[kind]
         assert [has_full(oracle, t) for t in (1, 2)] == \
-            [full, full or kind == "after_matrix"]
+            [kind == "eager", kind in ("eager", "after_matrix")]
         for t, snap in enumerate(snaps, start=1):
             _dist, pred = full_apsp(snap, metric)
             got = np.array([oracle.pred_row(t, s) for s in range(n)])
@@ -246,13 +249,72 @@ class TestLazyRows:
 
     def test_partitioned_rows_keep_inf_and_missing_predecessors(self):
         for metric in ("hop", "ideal"):
-            lazy = build_distance_oracle(split_network().snapshots(1), metric, need_paths=True)
+            paths = metric != "hop"
+            lazy = build_distance_oracle(split_network().snapshots(1), metric, need_paths=paths)
             a, b = lazy.index["user/a"], lazy.index["user/b"]
             o = lazy.index["origin/o"]
             assert np.isinf(lazy.row(1, a)[b]) and np.isinf(lazy.row(1, b)[o])
-            assert lazy.pred_row(1, a)[b] == -9999 and lazy.pred_row(1, b)[o] == -9999
-            assert np.isfinite(lazy.row(1, a)[o]) and lazy.pred_row(1, a)[o] >= 0
+            assert np.isfinite(lazy.row(1, a)[o])
             assert lazy.row(1, b)[o] == np.inf
+            if paths:
+                assert lazy.pred_row(1, a)[b] == -9999 and lazy.pred_row(1, b)[o] == -9999
+                assert lazy.pred_row(1, a)[o] >= 0
+
+    def test_paths_need_a_latency_metric(self):
+        """A hop oracle's full matrices come from a breadth-first search
+        that keeps no predecessors, so it is refused paths."""
+        snaps = leo_network().snapshots(1)
+        with pytest.raises(ValueError, match="latency metric"):
+            build_distance_oracle(snaps, "hop", need_paths=True)
+        assert not build_distance_oracle(snaps, "hop").has_paths
+
+    @pytest.mark.parametrize("read", ["row", "take", "small_take", "matrix"])
+    def test_pred_rows_come_with_their_distance_rows(self, read, monkeypatch):
+        """Every source with a distance row, cached or in the full matrix,
+        has its predecessor row: ``pred_row`` runs no Dijkstra for it."""
+        if read != "small_take":
+            monkeypatch.setattr(costmodel, "SMALL_NETWORK_NODES", 0)
+        snap = leo_network().snapshot(1)
+        oracle = build_distance_oracle([snap], "ideal", need_paths=True)
+        gw = oracle.index["gw/b"]
+        if read == "row":
+            oracle.row(1, gw)
+        elif read in ("take", "small_take"):
+            oracle.take(1, oracle.users_idx[:, None], oracle.candidates_idx)
+        else:
+            oracle.matrix(1)
+        slot = oracle._slots[0]
+        assert has_full(oracle, 1) == (read in ("small_take", "matrix"))
+        have = np.arange(oracle.n_nodes) if slot.full is not None else \
+            np.flatnonzero(slot.pos >= 0)
+        assert set(oracle.users_idx) <= set(have.tolist())
+        assert sorted(slot.preds) == have.tolist()
+        pred = full_apsp(snap, "ideal")[1]
+
+        def never(*_a, **_k):
+            raise AssertionError("Dijkstra ran for a source with a distance row")
+
+        monkeypatch.setattr(costmodel, "dijkstra", never)
+        for s in have.tolist():
+            assert oracle.pred_row(1, s).tobytes() == pred[s].astype(np.int32).tobytes()
+
+    def test_predecessors_of_cached_rows_run_no_dijkstra(self, monkeypatch):
+        """A lazy slot whose rows are all cached stacks their predecessor
+        rows without building a full matrix or running Dijkstra."""
+        monkeypatch.setattr(costmodel, "SMALL_NETWORK_NODES", 0)
+        snap = leo_network().snapshot(1)
+        oracle = build_distance_oracle([snap], "ideal", need_paths=True)
+        for s in range(oracle.n_nodes):
+            oracle.row(1, s)
+        assert (oracle._slots[0].pos >= 0).all()
+
+        def never(*_a, **_k):
+            raise AssertionError("Dijkstra ran for cached rows")
+
+        monkeypatch.setattr(costmodel, "dijkstra", never)
+        got = oracle.predecessors(1)
+        assert got.tobytes() == full_apsp(snap, "ideal")[1].astype(np.int32).tobytes()
+        assert not has_full(oracle, 1)
 
     def test_user_row_read_computes_only_user_rows(self):
         lazy = build_distance_oracle(leo_network().snapshots(2), "ideal", need_paths=True)
@@ -530,11 +592,10 @@ class TestHopBFS:
         for oracle in weighted:
             oracle.build_matrices(2)
         assert calls == {"bfs": 4, "dijkstra": 8}
-        # Rows and predecessor rows come from one Dijkstra call and never
-        # build a full matrix.
-        hop = build_distance_oracle(snaps, "hop", need_paths=True)
+        # Rows come from one Dijkstra call and never build a full matrix.
+        hop = build_distance_oracle(snaps, "hop")
         hop.row(2, hop.users_idx[0])
-        hop.pred_row(2, hop.users_idx[0])
+        hop.row(2, hop.users_idx[-1])
         assert calls == {"bfs": 4, "dijkstra": 9}
         hop.matrix(1)
         assert calls == {"bfs": 6, "dijkstra": 9}
@@ -573,6 +634,23 @@ class TestMemoryGuard:
             small.take(1, a, slice(None))
         with pytest.raises(MemoryError, match="1 slot"):
             lazy.matrix(1)
+
+    @pytest.mark.parametrize("small", [True, False])
+    def test_full_path_slot_is_charged_its_predecessor_rows(self, small, monkeypatch):
+        """With paths, every source's int32 predecessor row stays alive next
+        to the full matrix: 4 bytes per pair more than the distances alone."""
+        if not small:
+            monkeypatch.setattr(costmodel, "SMALL_NETWORK_NODES", 0)
+        snaps = leo_network().snapshots(2)
+        planning = build_distance_oracle(snaps, "ideal")
+        paths = build_distance_oracle(snaps, "ideal", need_paths=True)
+        n, item, slots = planning.n_nodes, planning.dtype.itemsize, 2 if small else 1
+        # enough for the distances of the slots matrix(1) builds, not for both
+        monkeypatch.setattr(costmodel, "available_memory_bytes",
+                            lambda: n * n * (slots * item + 8))
+        planning.matrix(1)
+        with pytest.raises(MemoryError, match=str(n * n * (slots * (item + 4) + 8))):
+            paths.matrix(1)
 
     @pytest.mark.usefixtures("lazy_planning")
     def test_lazy_planning_oracle_solves_until_mtls_asks_for_full_matrices(self, monkeypatch):

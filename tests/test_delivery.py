@@ -179,6 +179,16 @@ class TestPathLinks:
 
 
 class TestSimulateDelivery:
+    def test_hop_oracle_rejected(self):
+        """Hop counts are not milliseconds: delivery refuses them as
+        ``chunk_download_time`` does."""
+        oracle = latency_oracle()
+        oracle.metric = "hop"
+        sched = ReplicaSchedule.origin_only(["c0"], 1, oracle.origins_idx)
+        demand = DemandMatrix(["user/u"], ["c0"], np.full((1, 1, 1), 5.0))
+        with pytest.raises(ValueError, match="latency"):
+            simulate_delivery(sched, demand, RoutingPolicy(), LinkModel(), QoEModel(), oracle)
+
     def test_zero_demand_empty_report(self):
         oracle = latency_oracle()
         sched = ReplicaSchedule.origin_only(["c0"], 2, oracle.origins_idx)

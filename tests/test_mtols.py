@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 
 from helpers import motion_instance
+from satcdn.constellation import GroundNode, build_node_table, build_shell, starlink_phase1
 from satcdn.costmodel import CostParams, DistanceOracle
 from satcdn.demand import DemandMatrix
 from satcdn.placement import OptimizerConfig, local_search, solve_mtls, solve_mtols
-from satcdn.placement.core import ContentProblem, PlacementStats
+from satcdn.placement.core import ContentProblem, PlacementStats, _layout
+from test_costmodel import three_shell_network
 
 SAT, USER, GATEWAY, ORIGIN = 0, 1, 2, 3
 
@@ -56,13 +58,38 @@ def orbit_scoring_reference(oracle, demand, params, orbit_of):
     return best_seq, best_cost
 
 
+class TestOrbitKeys:
+    @pytest.mark.parametrize("table", ["three_shell", "starlink_72x22"])
+    def test_dense_ranks_equal_per_shell_offsets(self, table):
+        """On full shells the orbit of each candidate, the dense rank of its
+        ``(shell, orbit)`` pair, is its orbit index offset by the orbit counts
+        of the shells before it; the gateways' pseudo-orbit comes last."""
+        if table == "three_shell":
+            net = three_shell_network()
+            nodes, shells = net.nodes, net.constellations
+        else:
+            shells = [build_shell(starlink_phase1())]
+            nodes = build_node_table(shells, [GroundNode("gw/g", "gateway", 0.0, 0.0),
+                                              GroundNode("origin/o", "origin", 1.0, 1.0),
+                                              GroundNode("user/u", "user_region", 2.0, 2.0)])
+        oracle = DistanceOracle([], nodes.ids, nodes.kind, shell=nodes.shell, orbit=nodes.orbit)
+        got = np.full(nodes.n_nodes, -1)
+        for o, members in _layout(oracle)["orbit_members"].items():
+            got[members] = o
+        base = np.cumsum([0] + [con.spec.orbit_count for con in shells])
+        want = np.where(nodes.orbit >= 0, base[nodes.shell] + nodes.orbit, -1)
+        want[nodes.gateways_idx] = base[-1]
+        assert len(shells) == nodes.shell.max() + 1 and nodes.gateways_idx.size
+        assert np.array_equal(got, want)
+
+
 class TestOrbitSelection:
     def test_dominant_orbit_chosen_every_slot(self):
         # orbit 0 hovers over the single user; orbit 1 is far away
         ids = ["sat/s/00/00", "sat/s/00/01", "sat/s/01/00", "sat/s/01/01",
                "origin/o", "user/u"]
         kind = np.array([SAT, SAT, SAT, SAT, ORIGIN, USER], dtype=np.int8)
-        orbit_key = np.array([0, 0, 1, 1, -1, -1], dtype=np.int32)
+        orbit = np.array([0, 0, 1, 1, -1, -1], dtype=np.int32)
         shell = np.array([0, 0, 0, 0, -1, -1], dtype=np.int32)
         mats = []
         for t in range(3):
@@ -75,7 +102,7 @@ class TestOrbitSelection:
             D[1, 4] = D[4, 1] = 2.0
             D[0, 1] = D[1, 0] = 1.5
             mats.append(np.minimum(D, D.T))
-        oracle = DistanceOracle.from_matrices(mats, ids, kind, orbit_key=orbit_key,
+        oracle = DistanceOracle.from_matrices(mats, ids, kind, orbit=orbit,
                                               shell=shell)
         demand = DemandMatrix(["user/u"], ["c0"], np.full((1, 1, 3), 4.0))
         params = CostParams("hop", 1.0, 0.0, 0.0, 1.0)
@@ -86,7 +113,7 @@ class TestOrbitSelection:
     def test_toy_orbit_sequence_matches_bruteforce(self, seed):
         oracle, demand, catalog, params = motion_instance(
             600 + seed, 2, 4, 2, orbit_rows=2, alpha=1.5, beta=0.0, gamma=0.5)
-        orbit_of = {int(g): int(oracle.orbit_key[g]) for g in oracle.candidates_idx}
+        orbit_of = {int(g): int(oracle.orbit[g]) for g in oracle.candidates_idx}
         ref_seq, _ = orbit_scoring_reference(oracle, demand, params, orbit_of)
         res = solve_mtols(demand, oracle, params, OptimizerConfig(max_iterations=1))
         assert tuple(res.stats.orbit_sequence["c0"]) == ref_seq
@@ -111,7 +138,7 @@ class TestMTOLSSolver:
         # only a gateway improves cost; MTOLS must find it via the pseudo-orbit
         ids = ["sat/s/00/00", "gw/g", "origin/o", "user/u"]
         kind = np.array([SAT, GATEWAY, ORIGIN, USER], dtype=np.int8)
-        orbit_key = np.array([0, -1, -1, -1], dtype=np.int32)
+        orbit = np.array([0, -1, -1, -1], dtype=np.int32)
         shell = np.array([0, -1, -1, -1], dtype=np.int32)
         D = np.array([
             [0.0, 9.0, 9.0, 9.0],
@@ -119,7 +146,7 @@ class TestMTOLSSolver:
             [9.0, 1.0, 0.0, 8.0],
             [9.0, 1.0, 8.0, 0.0],
         ])
-        oracle = DistanceOracle.from_matrices([D, D], ids, kind, orbit_key=orbit_key,
+        oracle = DistanceOracle.from_matrices([D, D], ids, kind, orbit=orbit,
                                               shell=shell)
         demand = DemandMatrix(["user/u"], ["c0"], np.full((1, 1, 2), 5.0))
         params = CostParams("hop", 1.0, 0.1, 0.1, 1.0)
@@ -200,7 +227,7 @@ class TestOperationCounters:
         ids = ([f"sat/s/{i // Q:02d}/{i % Q:02d}" for i in range(N)]
                + ["origin/o"] + [f"user/u{i}" for i in range(n_users)])
         kind = np.array([SAT] * N + [ORIGIN] + [USER] * n_users, dtype=np.int8)
-        orbit_key = np.array([i // Q for i in range(N)] + [-1] * (1 + n_users),
+        orbit = np.array([i // Q for i in range(N)] + [-1] * (1 + n_users),
                              dtype=np.int32)
         shell = np.array([0] * N + [-1] * (1 + n_users), dtype=np.int32)
         n = N + 1 + n_users
@@ -210,7 +237,7 @@ class TestOperationCounters:
             D = np.linalg.norm(pts[:, None, :] - pts[None, :, :], axis=2)
             np.fill_diagonal(D, 0.0)
             mats.append(D)
-        oracle = DistanceOracle.from_matrices(mats, ids, kind, orbit_key=orbit_key,
+        oracle = DistanceOracle.from_matrices(mats, ids, kind, orbit=orbit,
                                               shell=shell)
         demand = DemandMatrix([f"user/u{i}" for i in range(n_users)], ["c0"],
                               rng.uniform(1, 5, size=(n_users, 1, T)))

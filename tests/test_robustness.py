@@ -61,7 +61,7 @@ class TestOrbitSaturation:
         # offers no additions and the orbit DP must fall back gracefully
         ids = ["sat/s/00/00", "sat/s/01/00", "origin/o", "user/a", "user/b"]
         kind = np.array([SAT, SAT, ORIGIN, USER, USER], dtype=np.int8)
-        orbit_key = np.array([0, 1, -1, -1, -1], dtype=np.int32)
+        orbit = np.array([0, 1, -1, -1, -1], dtype=np.int32)
         shell = np.array([0, 0, -1, -1, -1], dtype=np.int32)
         D = np.array([
             [0.0, 4.0, 3.0, 1.0, 5.0],
@@ -71,7 +71,7 @@ class TestOrbitSaturation:
             [5.0, 1.0, 4.0, 8.0, 0.0],
         ])
         oracle = DistanceOracle.from_matrices([D, D], ids, kind,
-                                              orbit_key=orbit_key, shell=shell)
+                                              orbit=orbit, shell=shell)
         demand = DemandMatrix(["user/a", "user/b"], ["c0"], np.full((2, 1, 2), 10.0))
         params = CostParams("hop", 1.0, 0.1, 0.1, 1.0)
         res = solve_mtols(demand, oracle, params, OptimizerConfig(max_iterations=6))
