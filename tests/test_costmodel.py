@@ -205,7 +205,7 @@ class TestLazyRows:
                 assert np.array_equal(lazy.predecessors(t), pred)
 
     @pytest.mark.parametrize("kind", ["rows", "eager", "lazy", "after_matrix"])
-    @pytest.mark.parametrize("metric", ["ideal", "sampled"])
+    @pytest.mark.parametrize("metric", ["hop", "ideal", "sampled"])
     @pytest.mark.parametrize("make_net", [leo_network, split_network, isolated_network])
     def test_pred_rows_equal_full_apsp_on_every_oracle_kind(self, kind, metric, make_net,
                                                            monkeypatch):
@@ -213,20 +213,34 @@ class TestLazyRows:
         bit whatever the slot holds: rows only, the full matrices of a small
         oracle built at its first block read, rows of a lazy oracle after
         block reads, or a full matrix built by ``matrix(t)``;
-        ``predecessors(t)`` is the same stack."""
+        ``predecessors(t)`` is the same stack. A hop oracle, whose full
+        matrices (a breadth-first search, built at its first block read)
+        keep no predecessors, has none on any kind: both reads refuse, and
+        its distance rows still equal an unweighted Dijkstra."""
         if kind in ("lazy", "after_matrix"):
             monkeypatch.setattr(costmodel, "SMALL_NETWORK_NODES", 0)
         snaps = make_net().snapshots(2)
-        oracle = build_distance_oracle(snaps, metric, need_paths=True)
+        paths = metric != "hop"
+        oracle = build_distance_oracle(snaps, metric, need_paths=paths)
         users, n = oracle.users_idx, oracle.n_nodes
         if kind in ("eager", "lazy"):
             oracle.take(1, users[:, None], oracle.candidates_idx)
         elif kind == "after_matrix":
             oracle.matrix(2)
+        full = {"rows": False, "eager": True, "lazy": not paths,
+                "after_matrix": not paths}[kind]
         assert [has_full(oracle, t) for t in (1, 2)] == \
-            [kind == "eager", kind in ("eager", "after_matrix")]
+            [full, full or kind == "after_matrix"]
         for t, snap in enumerate(snaps, start=1):
-            _dist, pred = full_apsp(snap, metric)
+            dist, pred = full_apsp(snap, metric)
+            if not paths:
+                with pytest.raises(ValueError, match="without path predecessors"):
+                    oracle.pred_row(t, users[0])
+                with pytest.raises(ValueError, match="without path predecessors"):
+                    oracle.predecessors(t)
+                got = np.array([oracle.row(t, s) for s in range(n)])
+                assert got.tobytes() == dist.astype(oracle.dtype).tobytes()
+                continue
             got = np.array([oracle.pred_row(t, s) for s in range(n)])
             assert got.dtype == np.int32 and got.tobytes() == pred.astype(np.int32).tobytes()
             assert oracle.predecessors(t).tobytes() == got.tobytes()
