@@ -193,15 +193,20 @@ class DistanceOracle:
 
     def predecessors(self, t: int) -> np.ndarray:
         """Slot ``t``'s full (n, n) predecessor matrix: every source's
-        ``pred_row`` stacked, the missing ones computed in one Dijkstra call."""
+        ``pred_row`` stacked, the missing ones computed in one Dijkstra call.
+        It fails before allocating when what it allocates would not fit."""
         slot = self._pred_slot(t)
         if slot.graph is None:
             return slot.pred
-        # the cached distance and predecessor rows and the stacked copy
-        check_fits(self.n_nodes, 1, self.dtype.itemsize + 8)
+        n = self.n_nodes
         if slot.full is None:
+            # the cached distance and predecessor rows and the stacked copy
+            check_fits(n, 1, self.dtype.itemsize + 8)
             self._cache(slot, self._node)
-        return np.stack([slot.preds[s] for s in range(self.n_nodes)])
+        else:
+            # every row is there, so only the stacked copy is new
+            _require_memory(4 * n * n, f"predecessor matrix for n={n} nodes")
+        return np.stack([slot.preds[s] for s in range(n)])
 
     def _pred_slot(self, t: int) -> _Slot:
         """Slot ``t`` of an oracle with paths."""
@@ -452,12 +457,17 @@ def check_fits(n: int, slots: int, itemsize: int) -> None:
     to 65,535. On sparse graphs such as the snapshots, with a few tail edges
     per node, that stays within the 8 bytes per pair added.
     """
-    need = n * n * (slots * itemsize + 8)
+    _require_memory(n * n * (slots * itemsize + 8),
+                    f"distance oracle for n={n} nodes over {slots} slot(s)")
+
+
+def _require_memory(need: int, what: str) -> None:
+    """Raise MemoryError when ``need`` bytes for ``what`` exceed the physical
+    memory still available (no check when that is unknown)."""
     avail = available_memory_bytes()
     if avail is not None and need > avail:
-        raise MemoryError(
-            f"distance oracle for n={n} nodes over {slots} slot(s) needs about {need} bytes "
-            f"of full matrices, but only {avail} bytes of physical memory are available")
+        raise MemoryError(f"{what} needs about {need} bytes, but only {avail} bytes of "
+                          "physical memory are available")
 
 
 def build_distance_oracle(snapshots, metric: str, *, need_paths: bool = False,

@@ -16,7 +16,7 @@ import numpy as np
 
 from ..costmodel import CostParams, DistanceOracle, total_cost
 from ..demand import DemandMatrix
-from .core import (ContentProblem, OptimizerConfig, PlacementResult, _two_smallest,
+from .core import (BIG, ContentProblem, OptimizerConfig, PlacementResult, _two_smallest,
                    solve_per_content)
 
 _TOL = 1e-12
@@ -32,7 +32,8 @@ def solve_no_replica(demand: DemandMatrix, oracle: DistanceOracle, params: CostP
 def _opening_costs(prob: ContentProblem, B, prev_set) -> np.ndarray:
     """Per-candidate opening cost at this slot: storage plus alpha-scaled
     distance to the nearest replica of the previous slot."""
-    d_prev = B[:, np.asarray(prev_set, dtype=np.int64)].min(axis=1)
+    d_prev = np.minimum(B[:, np.asarray(prev_set, dtype=np.int64)].min(axis=1), BIG,
+                        dtype=prob.dp_dtype)
     open_cost = np.full(prob.m, np.inf)
     open_cost[prob.cand_pos] = (prob.rate[prob.cand_pos]
                                 + prob.alpha * d_prev[prob.cand_pos].astype(np.float64))
@@ -64,7 +65,7 @@ def _jms_greedy_slot(prob, t, prev):
     facilities = np.concatenate([np.asarray(prob.s0), prob.cand_pos])
     f_open = np.concatenate([np.zeros(len(prob.s0)),
                              _opening_costs(prob, prob.block(t), prev)[prob.cand_pos]])
-    Draw = du[np.ix_(clients, facilities)].astype(np.float64)
+    Draw = np.minimum(du[np.ix_(clients, facilities)], BIG, dtype=prob.dp_dtype).astype(np.float64)
     D = Draw * wz[clients][:, None]
     # D[j, i]: demand-weighted connection cost of client j to facility i;
     # prefixes are ordered by raw distance (cost per unit of demand). Row i of
@@ -117,7 +118,7 @@ def _local_search_slot(prob, t, prev, drops=True):
     while True:
         ch = np.asarray(sorted(chosen), dtype=np.int64)
         cand, members = prob.outside(ch)
-        d1u, d2u, a1u = _two_smallest(du, ch, second=drops)
+        d1u, d2u, a1u = _two_smallest(du, ch, second=drops, dtype=prob.dp_dtype)
         qc_cur = float((wz * d1u).sum())
 
         best_delta, best_op = -_TOL, None
@@ -195,7 +196,8 @@ def solve_starfront(demand: DemandMatrix, oracle: DistanceOracle, params: CostPa
                 if qual.size == 0:
                     flagged += 1
                     continue
-                d_src = B[qual[:, None], cur_arr].min(axis=1).astype(np.float64)
+                d_src = np.minimum(B[qual[:, None], cur_arr].min(axis=1), BIG,
+                                   dtype=prob.dp_dtype).astype(np.float64)
                 score = prob.alpha * d_src + (prob.T - t + 1) * prob.rate[qual]
                 cur.add(int(qual[np.argmin(score)]))
             return tuple(sorted(cur))
@@ -275,7 +277,8 @@ def solve_pch(demand: DemandMatrix, oracle: DistanceOracle, params: CostParams,
                             tgt = sat_lookup.get((shell, ni, j))
                             if tgt is None:
                                 continue
-                            score = float((wz_init[init_users] * du[init_users, tgt]).sum())
+                            score = float((wz_init[init_users] * np.minimum(
+                                du[init_users, tgt], BIG, dtype=prob.dp_dtype)).sum())
                             if best_score is None or score < best_score:
                                 best_i, best_score = ni, score
                         i = best_i

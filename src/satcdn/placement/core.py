@@ -8,21 +8,23 @@ storage costs attach to each variant.
 
 Solvers index the oracle by node: replica sets are tuples of node indices,
 and a slot's block holds the distances among the first ``m`` nodes, the prefix
-that holds every origin and candidate. The block is the oracle matrix's
-``[:m, :m]`` corner, read in place with no per-slot copy, when the slot has its
-full matrix (``DistanceOracle.full``: hop and small-network oracles build them
-at their first block read, others only for MTLS) and the corner holds
-``uint8`` hop counts or already has the DP dtype and no +inf (decided once per
-oracle and slot, and shared by every content, iteration and solver).
-Otherwise it is read through ``DistanceOracle.take``, just the entries asked
-for, each sanitized. Inside the DP, disconnected distances read as a large
-finite sentinel (``BIG``) so that argmin arithmetic stays NaN-free; reported
-costs always come from a clean re-evaluation against the oracle.
+that holds every origin and candidate. When the slot has its full matrix
+(``DistanceOracle.full``: hop and small-network oracles build them at their
+first block read, others only for MTLS) in a dtype no wider than the DP's, the
+block and the user block are raw read-only views of its ``[:m, :m]`` corner
+and ``[users, :m]`` rows, ``uint8`` hop counts or floats, +inf included.
+Otherwise (no full matrix, or float64 under a float32 DP, whose reads NumPy
+would promote) they are read through ``DistanceOracle.take``, cast to the DP
+dtype. Inside the DP a distance is clipped to a large finite sentinel
+(``np.minimum(x, BIG, dtype=dp_dtype)``) wherever it is scaled, summed or
+weighted by demand before any minimum, so the arithmetic stays NaN-free;
+reported costs always come from a clean re-evaluation against the oracle.
+Minimums, first argmins, sorts and ``<=`` tests of raw distances need no
+clip: the clip is monotone and ``BIG`` exceeds every finite distance.
 
 ``uint8`` arithmetic wraps, so the DP computes in its dtype only: every count
 read from a ``uint8`` block is converted first, exactly, by an explicit cast or
-as a ufunc operand next to one in the DP dtype. Minimums, comparisons and sorts
-of the raw counts give what those of the converted values would.
+as a ufunc operand next to one in the DP dtype.
 """
 
 from __future__ import annotations
@@ -144,39 +146,17 @@ def _as_index(idx: np.ndarray):
     return idx
 
 
-# Per-oracle state shared by every ContentProblem on that oracle: the node
-# layout (key "layout") and, per slot and block, whether the sanitized block
-# can be read in place. Entries go when the oracle does.
-_SHARED: "weakref.WeakKeyDictionary[DistanceOracle, dict]" = weakref.WeakKeyDictionary()
+# The node layout of each oracle, which every ContentProblem on that oracle
+# shares. Entries go when the oracle does.
+_LAYOUTS: "weakref.WeakKeyDictionary[DistanceOracle, dict]" = weakref.WeakKeyDictionary()
 
 
-def _key(idx) -> tuple | bytes:
-    return (idx.start, idx.stop) if isinstance(idx, slice) else idx.tobytes()
-
-
-def _in_place(shared: dict, key: tuple, dtype, block: np.ndarray) -> bool:
-    """Whether ``block`` is its own sanitized block: it already has ``dtype``
-    and only finite entries. Decided once per oracle (``shared``) and ``key``,
-    the slot and which of its blocks."""
-    ok = shared.get(key)
-    if ok is None:
-        ok = shared[key] = bool(block.dtype == dtype and np.isfinite(block).all())
-    return ok
-
-
-def _sanitized(block: np.ndarray, dtype) -> np.ndarray:
-    """A copy of ``block`` in ``dtype`` with every non-finite entry replaced by
-    ``BIG``."""
-    out = np.array(block, dtype=dtype)
-    out[~np.isfinite(out)] = BIG
-    return out
-
-
-class _SanitizedReads:
-    """A slot's (m x m) block read through the oracle when it cannot be a view
-    of the oracle matrix. Each read ``[rows, cols]`` of node indices, slices
+class _ConvertingReads:
+    """A slot's (m x m) block read through the oracle when it cannot be a raw
+    view of the oracle matrix: the slot has no full matrix, or stores a dtype
+    wider than the DP's. Each read ``[rows, cols]`` of node indices, slices
     clamped to the first ``m`` nodes, is one ``oracle.take`` of just the
-    entries asked for, returned as a sanitized copy (see ``_sanitized``)."""
+    entries asked for, cast to the DP dtype, +inf kept."""
 
     __slots__ = ("oracle", "t", "m", "dtype")
 
@@ -186,7 +166,7 @@ class _SanitizedReads:
 
     def __getitem__(self, idx) -> np.ndarray:
         rows, cols = (slice(*i.indices(self.m)) if isinstance(i, slice) else i for i in idx)
-        return _sanitized(self.oracle.take(self.t, rows, cols), self.dtype)
+        return self.oracle.take(self.t, rows, cols).astype(self.dtype, copy=False)
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -260,10 +240,9 @@ class ContentProblem:
 
     def __init__(self, oracle: DistanceOracle, users_global: np.ndarray, dem: np.ndarray,
                  size_c: float, params: CostParams):
-        self._shared = _SHARED.setdefault(oracle, {})
-        if "layout" not in self._shared:
-            self._shared["layout"] = _layout(oracle)
-        self.__dict__.update(self._shared["layout"])
+        if oracle not in _LAYOUTS:
+            _LAYOUTS[oracle] = _layout(oracle)
+        self.__dict__.update(_LAYOUTS[oracle])
         self.oracle = oracle
         self.params = params
         self.alpha = float(params.alpha)
@@ -279,57 +258,63 @@ class ContentProblem:
         self._buf64 = np.empty(self._buf.size)
         # Per slot: the blocks, the user blocks, their demand-weighted
         # copies and the latest base_costs.
-        self._blocks: list[np.ndarray | _SanitizedReads | None] = [None] * self.T
+        self._blocks: list[np.ndarray | _ConvertingReads | None] = [None] * self.T
         self._user_blocks: list[np.ndarray | None] = [None] * self.T
         self._weighted: list[np.ndarray | None] = [None] * self.T
         self._base_costs: dict[int, tuple] = {}
         # The orbit DP's latest choices and distances between them.
         self._orbit_pairs: tuple[np.ndarray, np.ndarray] | None = None
 
-    def block(self, t: int) -> np.ndarray:
-        """(m x m) sanitized distances among the first ``m`` nodes at slot
-        ``t``, read-only; entry [v, a] is the distance from node v to node a.
+    def _raw(self, t: int) -> np.ndarray | None:
+        """Slot ``t``'s full matrix when its entries can be read raw, with no
+        rounding to the DP dtype; else None."""
+        D = self.oracle.full(t)
+        return D if D is not None and np.can_cast(D.dtype, self.dp_dtype) else None
 
-        It is a view of the oracle matrix's ``[:m, :m]`` corner when the slot
-        has its full matrix and the corner holds ``uint8`` hop counts, which
-        readers convert to the DP dtype (see the module docstring), or can be
-        read in place as it is (see ``_in_place``). Else it is a
-        ``_SanitizedReads`` over the oracle.
+    def block(self, t: int) -> np.ndarray:
+        """(m x m) distances among the first ``m`` nodes at slot ``t``,
+        read-only, +inf where disconnected; entry [v, a] is the distance from
+        node v to node a.
+
+        It is a raw view of the oracle matrix's ``[:m, :m]`` corner, whose
+        entries may be ``uint8`` counts or floats narrower than the DP dtype,
+        when the slot has its full matrix of at most the DP dtype's width.
+        Else it is a ``_ConvertingReads`` over the oracle. Readers clip what
+        they do arithmetic on (see the module docstring).
         """
         B = self._blocks[t - 1]
         if B is None:
-            D = self.oracle.full(t)
-            if D is not None:
-                B = D[:self.m, :self.m]
-                in_place = B.dtype == np.uint8 or _in_place(self._shared, (t,), self.dp_dtype, B)
-                B = _read_only(B) if in_place else None
-            if B is None:
-                B = _SanitizedReads(self.oracle, t, self.m, self.dp_dtype)
-            self._blocks[t - 1] = B
+            D = self._raw(t)
+            B = self._blocks[t - 1] = _read_only(D[:self.m, :self.m]) if D is not None \
+                else _ConvertingReads(self.oracle, t, self.m, self.dp_dtype)
         return B
 
     def user_block(self, t: int) -> np.ndarray:
-        """(U x m) sanitized user-to-node distances at slot ``t``, read-only:
-        the users' oracle rows read in place when they can be, else a copy
-        kept for this problem."""
+        """(U x m) user-to-node distances at slot ``t``, read-only, +inf
+        where disconnected: the users' rows of the oracle matrix, raw as
+        ``block`` reads them, else a copy in the DP dtype kept for this
+        problem."""
         du = self._user_blocks[t - 1]
         if du is None:
-            u = self._u_index
-            du = self.oracle.take(t, u, slice(0, self.m))
-            if not _in_place(self._shared, (t, _key(u)), self.dp_dtype, du):
-                du = _sanitized(du, self.dp_dtype)
+            D, u = self._raw(t), self._u_index
+            if D is not None:
+                du = D[u, :self.m]
+            else:
+                du = self.oracle.take(t, u, slice(0, self.m)).astype(self.dp_dtype, copy=False)
             du = self._user_blocks[t - 1] = _read_only(du)
         return du
 
     def weighted_user_block(self, t: int) -> np.ndarray:
-        """``user_block(t)`` scaled by each user's demand weight at ``t``.
+        """``user_block(t)`` clipped to ``BIG`` in the DP dtype and scaled by
+        each user's demand weight at ``t``, so a zero weight gives 0, not NaN.
 
         As weights are nonnegative, ``w * min(a, b) == min(w * a, w * b)``
         exactly, so demand-weighted nearest distances can be taken from it.
         """
         wd = self._weighted[t - 1]
         if wd is None:
-            wd = self._weighted[t - 1] = self.weights(t)[:, None] * self.user_block(t)
+            wd = np.minimum(self.user_block(t), BIG, dtype=self.dp_dtype)
+            wd = self._weighted[t - 1] = np.multiply(self.weights(t)[:, None], wd, out=wd)
         return wd
 
     def base_costs(self, t: int, base: tuple[int, ...]):
@@ -415,17 +400,19 @@ def _two_smallest(mat: np.ndarray, members: np.ndarray, rows=slice(None), second
     only the nearest entries are computed and the other two are None.
 
     The entries come back in ``dtype`` (``mat``'s by default), which a
-    ``uint8`` block needs to be given. The second-nearest fold runs over the
-    member columns in order, so its values are those a per-row sort would
-    give.
+    ``uint8`` block needs to be given, clipped to ``BIG``: the clip commutes
+    with the minimums and maximums of the fold, so they are the entries of
+    the clipped ``mat`` and so is the nearest member. The second-nearest fold
+    runs over the member columns in order, so its values are those a per-row
+    sort would give.
     """
     dtype = mat.dtype if dtype is None else dtype
     if not second:
         block = mat[rows, members] if isinstance(rows, slice) else mat[rows[:, None], members]
-        return block.min(axis=1).astype(dtype, copy=False), None, None
+        return np.minimum(block.min(axis=1), BIG, dtype=dtype), None, None
     c0 = mat[rows, members[0]].astype(dtype)
     if members.size == 1:
-        return (c0, np.full(c0.shape, BIG, dtype=c0.dtype),
+        return (np.minimum(c0, BIG, out=c0, dtype=dtype), np.full(c0.shape, BIG, dtype=c0.dtype),
                 np.full(c0.shape, members[0], dtype=np.int64))
     c1 = mat[rows, members[1]].astype(dtype, copy=False)
     d1, d2 = np.minimum(c0, c1), np.maximum(c0, c1)
@@ -435,14 +422,16 @@ def _two_smallest(mat: np.ndarray, members: np.ndarray, rows=slice(None), second
         np.minimum(d2, np.maximum(d1, c), out=d2)
         np.copyto(a1, m, where=c < d1)
         np.minimum(d1, c, out=d1)
-    return d1, d2, a1
+    return (np.minimum(d1, BIG, out=d1, dtype=dtype), np.minimum(d2, BIG, out=d2, dtype=dtype),
+            a1)
 
 
 def _min_over_adds(B: np.ndarray, W: np.ndarray, pa: np.ndarray, w1: np.ndarray,
                    g_adds: np.ndarray, alpha: float, buf: np.ndarray, buf64: np.ndarray):
     """For each target ``W[i]``: the least ``g_adds[j] + alpha * min(w1[i],
     B[W[i], pa[j]])`` over the previous additions ``pa`` (ascending) and the
-    first ``j`` attaining it.
+    first ``j`` attaining it. ``w1`` is clipped to ``BIG``, so an +inf entry
+    of ``B`` never reaches the arithmetic.
 
     A (W x pa) block of at most ``buf.size`` entries is gathered. A larger one
     is read in place: the contiguous block spanning ``W``'s rows and ``pa``'s
@@ -595,7 +584,7 @@ def dp_pass(problem: ContentProblem, sets: list[tuple[int, ...]],
             nnd_small = trans_nnd(small)  # (n_prev, n_small)
             col = {int(x): i for i, x in enumerate(small)}
             du, wz = problem.user_block(t), problem.weights(t)
-            u1, u2, ua1 = _two_smallest(du, base_arr)
+            u1, u2, ua1 = _two_smallest(du, base_arr, dtype=dt)
 
             def qc_without(z: int) -> np.ndarray:
                 return np.where(ua1 == z, u2, u1)

@@ -11,8 +11,8 @@ import numpy as np
 
 from ..costmodel import CostParams, DistanceOracle
 from ..demand import DemandMatrix
-from .core import (ContentProblem, MoveSet, OptimizerConfig, PlacementResult, PlacementStats,
-                   dp_pass, evaluate_content, solve_per_content)
+from .core import (BIG, ContentProblem, MoveSet, OptimizerConfig, PlacementResult,
+                   PlacementStats, dp_pass, evaluate_content, solve_per_content)
 
 
 def _mtls_movegen(problem: ContentProblem, k: int):
@@ -89,6 +89,8 @@ def _orbit_dp(problem: ContentProblem, sets: list[tuple[int, ...]],
     # member costs nothing, as distances are nonnegative. The alpha-scaled
     # distances between consecutive choices are kept for the next iteration,
     # which reads again only the rows and columns whose choice changed.
+    # rep's distances are clipped to BIG before scaling; the pairs need no
+    # clip, as z's minimum with rep (at most alpha * BIG) absorbs an +inf.
     rep_d = np.empty((T, K, nO), dtype=problem.dp_dtype)
     kept = problem._orbit_pairs
     pair = np.empty((T - 1, nO, nO)) if kept is None else kept[1]
@@ -109,7 +111,8 @@ def _orbit_dp(problem: ContentProblem, sets: list[tuple[int, ...]],
         if cols.size:
             dst[:, cols] = np.multiply(alpha, B[cur[:, None], prv[cols]], dtype=np.float64)
     problem._orbit_pairs = (v_sel, pair)
-    rep = np.where(have, np.multiply(alpha, rep_d.min(axis=1), dtype=np.float64), 0.0)
+    near = np.minimum(rep_d.min(axis=1), BIG, dtype=rep_d.dtype)
+    rep = np.where(have, np.multiply(alpha, near, dtype=np.float64), 0.0)
     z = np.minimum(pair, rep[1:, :, None])
     if not have.all():
         np.copyto(z, rep[1:, :, None], where=~have[:-1, None, :])

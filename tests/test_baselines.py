@@ -8,7 +8,7 @@ from satcdn.placement import (OptimizerConfig, default_thresholds, solve_jms_gre
                               solve_local_search, solve_naive_greedy, solve_no_replica,
                               solve_pch, solve_starfront)
 from satcdn.placement.baselines import _TOL, _jms_greedy_slot, _opening_costs, _slot_by_slot
-from satcdn.placement.core import solve_per_content
+from satcdn.placement.core import BIG, solve_per_content
 
 SAT, USER, GATEWAY, ORIGIN = 0, 1, 2, 3
 
@@ -130,12 +130,15 @@ class TestJMSGreedy:
 
 def _jms_full_width_slot(prob, B, du, wz, prev):
     """``_jms_greedy_slot`` restated full width: every opening step takes the
-    prefix sums and rebates over all clients, with 0.0 for assigned ones."""
+    prefix sums and rebates over all clients, with 0.0 for assigned ones.
+    Distances are clipped to ``BIG`` in the DP dtype before any arithmetic,
+    as the solver's are."""
     clients = np.flatnonzero(wz > 0)
     facilities = np.concatenate([np.asarray(prob.s0), prob.cand_pos])
     f_open = np.concatenate([np.zeros(len(prob.s0)),
                              _opening_costs(prob, B, prev)[prob.cand_pos]])
-    Draw = du[np.ix_(clients, facilities)].astype(np.float64)
+    Draw = np.minimum(du[np.ix_(clients, facilities)], BIG, dtype=prob.dp_dtype)
+    Draw = Draw.astype(np.float64)
     D = Draw * wz[clients][:, None]
     order = np.argsort(Draw, axis=0, kind="stable")
     Ds = np.take_along_axis(D, order, axis=0)
@@ -199,10 +202,11 @@ def _slot_reads(prob, t):
 
 def _naive_greedy_ref(prob, B, du, wz, prev):
     """Per-slot greedy additions restated on their own: the nearest distances
-    are kept up to date one addition at a time."""
+    are kept up to date one addition at a time, clipped to ``BIG`` in the DP
+    dtype as the solver's are."""
     open_cost = _opening_costs(prob, B, prev)
     chosen = list(prob.s0)
-    d1u = du[:, np.asarray(chosen)].min(axis=1)
+    d1u = np.minimum(du[:, np.asarray(chosen)].min(axis=1), BIG, dtype=prob.dp_dtype)
     while True:
         in_set = np.zeros(prob.m, dtype=bool)
         in_set[np.asarray(chosen)] = True

@@ -2,12 +2,15 @@
 them in place.
 
 Solvers index the oracle by node. A slot's block holds the distances among
-the node prefix that contains every origin and candidate, and is a read-only
-view of the oracle matrix when that corner holds uint8 hop counts or already
-has the DP dtype and no +inf. Otherwise (+inf, another float dtype) the
-solvers read the oracle matrix through a wrapper that sanitizes each read.
-All must drive every solver to the same result, whatever nodes of the prefix
-are not candidates, and no solver may write to the oracle.
+the node prefix that contains every origin and candidate, and is a raw,
+read-only view of the oracle matrix, +inf included, when the slot has its full
+matrix in a dtype no wider than the DP's (uint8 hop counts, float32, float64
+under a float64 DP). Otherwise (float64 under a float32 DP, or no full
+matrix) the solvers read the oracle through a wrapper that casts each read
+to the DP dtype. Readers clip distances to ``BIG`` where arithmetic follows.
+All must drive every solver to the same result as ``BIG``-filled float
+blocks, whatever nodes of the prefix are not candidates, and no solver may
+write to the oracle.
 """
 
 import numpy as np
@@ -18,8 +21,9 @@ from satcdn import costmodel
 from satcdn.costmodel import CostParams, DistanceOracle, build_distance_oracle, total_cost
 from satcdn.demand import ContentCatalog, DemandMatrix
 from satcdn.placement import SOLVERS, OptimizerConfig, local_search
-from satcdn.placement.core import (BIG, ContentProblem, _min_over_adds, _sanitized,
-                                   _SanitizedReads, _two_smallest)
+from satcdn.placement.baselines import _opening_costs
+from satcdn.placement.core import (BIG, ContentProblem, _ConvertingReads, _min_over_adds,
+                                   _two_smallest)
 
 
 def rebuild(oracle, mats, dtype=np.float64, keep=None):
@@ -44,10 +48,9 @@ def instance():
     return oracle, mats, demand, catalog, params
 
 
-def outcome(solver, oracle, demand, catalog, params):
+def outcome(solver, oracle, demand, catalog, params, config=OptimizerConfig(max_iterations=6)):
     """Everything a solve reports, with replica sets as node ids."""
-    res = SOLVERS[solver](demand, oracle, params, OptimizerConfig(max_iterations=6),
-                          catalog=catalog)
+    res = SOLVERS[solver](demand, oracle, params, config, catalog=catalog)
     st = res.stats
     sets = {c: [tuple(oracle.ids[i] for i in s) for s in v] for c, v in res.schedule.sets.items()}
     return sets, st.iterations, st.relaxations, st.orbit_relaxations, st.history, st.orbit_sequence
@@ -55,7 +58,7 @@ def outcome(solver, oracle, demand, catalog, params):
 
 def block_kinds(oracle, demand, params):
     """How slot 1's block and user block are read: "view" (in place),
-    "reads" (through the oracle matrix, sanitizing each read) or "copy"."""
+    "reads" (through the oracle matrix, converting each read) or "copy"."""
     users = np.array([oracle.index[u] for u in demand.users])
     prob = ContentProblem(oracle, users, demand.values[:, 0, :], 1.0, params)
     D = oracle.matrix(1)
@@ -68,31 +71,83 @@ def block_kinds(oracle, demand, params):
     return kind(prob.block(1)), kind(prob.user_block(1))
 
 
+def sanitized(block, dtype):
+    """A copy of ``block`` in ``dtype`` with every +inf replaced by ``BIG``."""
+    out = np.array(block, dtype=dtype)
+    out[~np.isfinite(out)] = BIG
+    return out
+
+
 @pytest.mark.parametrize("solver", list(SOLVERS))
 class TestViewEqualsCopy:
     def test_dtype_mismatch(self, instance, solver):
+        """float32 storage under the float64 DP is read raw too."""
         oracle, mats, demand, catalog, params = instance
-        view, copy = rebuild(oracle, mats), rebuild(oracle, mats, np.float32)
-        assert block_kinds(view, demand, params) == ("view", "view")
-        assert block_kinds(copy, demand, params) == ("reads", "copy")
-        assert outcome(solver, view, demand, catalog, params) == \
-            outcome(solver, copy, demand, catalog, params)
+        wide, narrow = rebuild(oracle, mats), rebuild(oracle, mats, np.float32)
+        assert block_kinds(wide, demand, params) == ("view", "view")
+        assert block_kinds(narrow, demand, params) == ("view", "view")
+        assert outcome(solver, wide, demand, catalog, params) == \
+            outcome(solver, narrow, demand, catalog, params)
 
-    def test_inf_in_block(self, instance, solver):
+    @pytest.mark.parametrize("storage", [np.float64, np.float32])
+    def test_inf_in_block(self, instance, solver, storage):
+        """+inf read raw, from float64 or float32 storage under the float64
+        DP, solves as ``BIG`` stored in float64 does: the DP clips to ``BIG``
+        in its own dtype (float32 cannot hold 1e12). The cut user has no
+        demand, so its +inf user-block entries meet zero weights."""
         oracle, mats, demand, catalog, params = instance
-        x = 7  # a satellite candidate cut off from every other node
+        values = demand.values.copy()
+        values[2] = 0.0
+        demand = DemandMatrix(demand.users, demand.contents, values)
+        # a satellite candidate and a user cut off from every other node
+        cut_off = (7, oracle.index[demand.users[2]])
         far, cut = [], []
         for m in mats:
             for fill, out in ((BIG, far), (np.inf, cut)):
                 m2 = m.copy()
-                m2[x, :] = m2[:, x] = fill
-                m2[x, x] = 0.0
+                for x in cut_off:
+                    m2[x, :] = m2[:, x] = fill
+                    m2[x, x] = 0.0
                 out.append(m2)
-        view, copy = rebuild(oracle, far), rebuild(oracle, cut)
-        assert block_kinds(view, demand, params) == ("view", "view")
-        assert block_kinds(copy, demand, params) == ("reads", "copy")
-        assert outcome(solver, view, demand, catalog, params) == \
-            outcome(solver, copy, demand, catalog, params)
+        filled, raw = rebuild(oracle, far), rebuild(oracle, cut, storage)
+        assert block_kinds(filled, demand, params) == ("view", "view")
+        assert block_kinds(raw, demand, params) == ("view", "view")
+        assert outcome(solver, filled, demand, catalog, params) == \
+            outcome(solver, raw, demand, catalog, params)
+
+    @pytest.mark.parametrize("storage", [np.float64, np.float32])
+    @pytest.mark.parametrize("split", ["candidates", "users"])
+    def test_partitioned_raw_reads_solve_as_sanitized_copies(self, instance, solver, split,
+                                                            storage, monkeypatch):
+        """A network split in two: the origin's side, and 2 users with demand
+        together with (``candidates``) the 5 candidates nearest each at slot
+        1, satellites and a gateway, which store at different rates, or
+        alone. Sums over users or distances meet +inf. Raw reads, clipped
+        where arithmetic follows, give every solver what sanitized DP-dtype
+        copies of its blocks give (+inf as ``BIG``, the read path the clips
+        replace), costs included. One StarFront threshold, 3, lets the first
+        split user choose among satellites and a gateway."""
+        oracle, mats, demand, catalog, params = instance
+        side = oracle.users_idx[:2]
+        if split == "candidates":
+            near = np.argsort(mats[0][np.ix_(side, oracle.candidates_idx)], axis=1)[:, :5]
+            side = np.union1d(oracle.candidates_idx[near], side)
+            assert (oracle.kind[side] == GATEWAY).any()
+        other = np.setdiff1d(np.arange(oracle.n_nodes), side)
+        cut = []
+        for m in mats:
+            m2 = m.copy()
+            m2[np.ix_(side, other)] = m2[np.ix_(other, side)] = np.inf
+            cut.append(m2)
+        raw = rebuild(oracle, cut, storage)
+        assert block_kinds(raw, demand, params) == ("view", "view")
+        config = OptimizerConfig(max_iterations=6, starfront_thresholds=(3.0,))
+        got = outcome(solver, raw, demand, catalog, params, config)
+        for name in ("block", "user_block"):
+            read = getattr(ContentProblem, name)
+            monkeypatch.setattr(ContentProblem, name, lambda self, t, read=read: sanitized(
+                read(self, t)[:, :], self.dp_dtype))
+        assert got == outcome(solver, raw, demand, catalog, params, config)
 
     def test_non_contiguous_candidates(self, instance, solver):
         oracle = instance[0]
@@ -178,15 +233,16 @@ def test_solvers_leave_oracle_matrices_unchanged(instance, layout):
 
 
 @pytest.mark.parametrize("m", [9, 12])
-def test_sanitized_reads_match_reads_of_the_sanitized_block(m):
+def test_converting_reads_match_reads_of_the_cast_block(m):
     """Every read form the solvers use returns what the same read of the
-    sanitized block of the first ``m`` nodes gives, a prefix or the whole."""
+    block of the first ``m`` nodes, a prefix or the whole, cast to the DP
+    dtype gives, +inf kept."""
     rng = np.random.default_rng(4)
     D = rng.random((12, 12))
     D[rng.random(D.shape) < 0.2] = np.inf
     oracle = DistanceOracle.from_matrices([D], [f"n{i}" for i in range(12)], np.zeros(12))
-    reads = _SanitizedReads(oracle, 1, m, np.float32)
-    block = _sanitized(D[:m, :m], np.float32)
+    reads = _ConvertingReads(oracle, 1, m, np.float32)
+    block = D[:m, :m].astype(np.float32)
     a, b = np.array([4, 0, 2]), np.array([[1], [3]])
     for idx in [(slice(None), a), (a, slice(1, 4)), (slice(None), slice(None)),
                 (a[:, None], a), (b, a), (2, slice(None)), (slice(None), 3), (a, 1),
@@ -194,6 +250,27 @@ def test_sanitized_reads_match_reads_of_the_sanitized_block(m):
         got = reads[idx]
         assert got.dtype == np.float32 and got.shape == block[idx].shape
         assert np.array_equal(got, block[idx])
+
+
+@pytest.mark.parametrize("storage", [np.float32, np.float64])
+def test_opening_costs_of_raw_blocks_match_sanitized_copies(instance, storage):
+    """Opening costs scale each candidate's distance to the previous set, so
+    they clip it to ``BIG`` in the DP dtype, float64 here, first: clipped in
+    float32 storage's dtype it would read 999,999,995,904."""
+    oracle, mats, demand, _catalog, params = instance
+    cut = [m.copy() for m in mats]
+    for m in cut:
+        m[7, :] = m[:, 7] = np.inf
+        m[7, 7] = 0.0
+    prob = ContentProblem(rebuild(oracle, cut, storage), oracle.users_idx,
+                          demand.values[:, 0, :], 1.0, params)
+    assert prob.dp_dtype == np.float64
+    prev = tuple(sorted(prob.s0 + (3, 12)))
+    for t in range(1, prob.T + 1):
+        B = prob.block(t)
+        got = _opening_costs(prob, B, prev)
+        assert np.array_equal(got, _opening_costs(prob, sanitized(B, prob.dp_dtype), prev))
+        assert got[7] == params.gamma * params.c_qmin + prob.alpha * BIG
 
 
 @pytest.mark.parametrize("one_run", [True, False])
@@ -416,29 +493,35 @@ def chunk_sizes(monkeypatch):
     return sizes
 
 
-@pytest.mark.parametrize("mixed", [False, True])
-@pytest.mark.parametrize("solver", list(SOLVERS))
-def test_uint8_hop_counts_solve_as_float32_does(wide_hop, solver, mixed, chunk_sizes):
-    """The same hop distances stored as uint8 counts and as float32 give
-    every solver the same schedules, counts, costs and warnings bit for bit.
-    uint8 blocks are read in place, by MTLS in row chunks too. ``mixed``
-    cuts a candidate and a user off from every other node at slot 2, which
-    then stays float with +inf (its block read through ``_SanitizedReads``)
-    between two uint8 slots."""
-    oracle, levels, demand, catalog = wide_hop
+def hop_mats(oracle, levels, mixed):
+    """The hop levels, with (``mixed``) a candidate and a user cut off from
+    every other node at slot 2, which then stays float32 with +inf between
+    two uint8 slots."""
     mats = list(levels)
     if mixed:
         mats[1] = mats[1].astype(np.float32)
         for x in (5, oracle.index["user/u3"]):
             mats[1][x, :] = mats[1][:, x] = np.inf
             mats[1][x, x] = 0.0
+    return mats
+
+
+@pytest.mark.parametrize("mixed", [False, True])
+@pytest.mark.parametrize("solver", list(SOLVERS))
+def test_uint8_hop_counts_solve_as_float32_does(wide_hop, solver, mixed, chunk_sizes):
+    """The same hop distances stored as uint8 counts and as float32 give
+    every solver the same schedules, counts, costs and warnings bit for bit.
+    Blocks and user blocks of both are read raw, by MTLS in row chunks too;
+    a ``mixed`` oracle's float32 slot 2 holds +inf."""
+    oracle, levels, demand, catalog = wide_hop
+    mats = hop_mats(oracle, levels, mixed)
     counts = rebuild(oracle, mats, dtype=None)
     floats = rebuild(oracle, [D.astype(np.float32) for D in mats], dtype=None)
     assert counts.dtype == floats.dtype == np.float32
     params = CostParams("hop", 4.7, 1.0, 2.0, 1.0)
     assert ContentProblem(counts, counts.users_idx, demand.values[:, 0, :], 1.0,
                           params).dp_dtype == np.float32
-    assert block_kinds(counts, demand, params) == ("view", "copy")
+    assert block_kinds(counts, demand, params) == ("view", "view")
     assert block_kinds(floats, demand, params) == ("view", "view")
     assert [counts.matrix(t).dtype for t in (1, 2, 3)] == \
         [np.uint8, np.float32 if mixed else np.uint8, np.uint8]
@@ -446,6 +529,52 @@ def test_uint8_hop_counts_solve_as_float32_does(wide_hop, solver, mixed, chunk_s
         full_outcome(solver, floats, demand, catalog)
     if solver == "mtls":
         assert any(pairs > buf for pairs, buf in chunk_sizes)
+
+
+@pytest.mark.parametrize("mixed", [False, True])
+@pytest.mark.parametrize("solver", list(SOLVERS))
+def test_wider_storage_solves_through_converting_reads(wide_hop, solver, mixed):
+    """float64 storage under the float32 DP is not read raw, as NumPy would
+    promote its reads: blocks go through ``_ConvertingReads`` and user blocks
+    are float32 copies, which solve as float32 storage does."""
+    oracle, levels, demand, catalog = wide_hop
+    mats = [D.astype(np.float32) for D in hop_mats(oracle, levels, mixed)]
+    narrow = rebuild(oracle, mats, np.float32)
+    wide = rebuild(oracle, mats, np.float64)
+    params = CostParams("hop", 4.7, 1.0, 2.0, 1.0)
+    assert block_kinds(wide, demand, params) == ("reads", "copy")
+    assert block_kinds(narrow, demand, params) == ("view", "view")
+    assert full_outcome(solver, wide, demand, catalog) == \
+        full_outcome(solver, narrow, demand, catalog)
+
+
+@pytest.mark.parametrize("dp", [np.float32, np.float64])
+@pytest.mark.parametrize("storage", [np.uint8, np.float32, np.float64])
+@pytest.mark.parametrize("k", [1, 2, 8])
+@pytest.mark.parametrize("rows", ["all", "some"])
+def test_two_smallest_of_raw_blocks_matches_sanitized_copies(rows, k, storage, dp):
+    """Over a raw block, +inf included (uint8 holds counts only), the three
+    arrays equal those over its sanitized copy in the DP dtype bit for bit,
+    with and without the second-nearest. Entries are halves below 4, exact in
+    every dtype, so ties are many."""
+    rng = np.random.default_rng([k, np.dtype(storage).itemsize, np.dtype(dp).itemsize])
+    raw = rng.integers(0, 8, size=(30, 30)).astype(storage)
+    if storage != np.uint8:
+        raw /= 2
+        raw[rng.random(raw.shape) < 0.25] = np.inf
+        raw[3] = np.inf
+    members = np.sort(rng.choice(30, size=k, replace=False))
+    idx = slice(None) if rows == "all" else np.sort(rng.choice(30, size=12, replace=False))
+    clean = sanitized(raw, dp)
+    for second in (True, False):
+        got = _two_smallest(raw, members, idx, second=second, dtype=dp)
+        ref = _two_smallest(clean, members, idx, second=second, dtype=dp)
+        for a, b in zip(got, ref):
+            if b is None:
+                assert a is None
+                continue
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+        assert got[0].dtype == dp and np.isfinite(got[0]).all()
 
 
 def test_two_smallest_of_one_member_over_uint8_counts():

@@ -649,6 +649,21 @@ class TestMemoryGuard:
         with pytest.raises(MemoryError, match="1 slot"):
             lazy.matrix(1)
 
+    def test_predecessors_of_a_full_slot_are_charged_their_stack_only(self, monkeypatch):
+        """A slot with its full matrix has every predecessor row, so
+        ``predecessors`` allocates only their int32 stack, 4 bytes per pair,
+        and runs no Dijkstra to be charged for."""
+        monkeypatch.setattr(costmodel, "SMALL_NETWORK_NODES", 0)
+        oracle = build_distance_oracle(leo_network().snapshots(1), "ideal", need_paths=True)
+        n = oracle.n_nodes
+        assert n == 29
+        oracle.matrix(1)
+        monkeypatch.setattr(costmodel, "available_memory_bytes", lambda: 8 * n * n)
+        assert oracle.predecessors(1).shape == (n, n)
+        monkeypatch.setattr(costmodel, "available_memory_bytes", lambda: 3 * n * n)
+        with pytest.raises(MemoryError, match=rf"n={n} nodes needs about {4 * n * n} bytes"):
+            oracle.predecessors(1)
+
     @pytest.mark.parametrize("small", [True, False])
     def test_full_path_slot_is_charged_its_predecessor_rows(self, small, monkeypatch):
         """With paths, every source's int32 predecessor row stays alive next
