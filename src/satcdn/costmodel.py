@@ -34,7 +34,9 @@ class _Slot:
     ``pred``), or the slot graph, the predecessor rows computed from it by
     source (``preds``) and, until ``full`` is built, the distance rows:
     source ``s``'s is row ``pos[s]`` of ``rows`` (-1: not computed yet), and
-    the first ``count`` rows are in use. On an oracle with paths, which
+    the first ``count`` rows are in use. ``rows`` starts empty and lives in
+    an anonymous memory mapping of its own once it has rows (see
+    ``DistanceOracle._cache``). On an oracle with paths, which
     needs a latency metric, a source has a predecessor row exactly when it
     has a distance row, cached or in ``full``: one Dijkstra call computes
     both."""
@@ -153,20 +155,36 @@ class DistanceOracle:
 
     def _cache(self, slot: _Slot, sources) -> None:
         """Keep the rows of every source in ``sources`` not cached yet,
-        computed in one Dijkstra call. The row array grows by doubling, up to
-        one row per node."""
+        computed in one Dijkstra call.
+
+        The row store grows by doubling, up to one row per node. Each store
+        is an anonymous memory mapping of its own, made after checking that
+        it fits in memory and before the Dijkstra call. A fresh mapping's
+        pages become resident only as rows are written to them, and a
+        replaced store goes back to the OS at once. An ``np.empty`` store of
+        a few MB would instead land on heap memory that is already resident
+        (freed Dijkstra outputs raise glibc's mmap threshold above that
+        size), so its unwritten rows and the stores it replaced would count
+        too; and from 4 MiB up NumPy advises huge pages for it. ``mmap`` is
+        imported here, so a run whose oracles build their full matrices
+        before any row is read never loads the module.
+        """
         new = np.unique(sources)
         new = new[slot.pos[new] < 0]
         if not new.size:
             return
-        dist = self._solve(slot, new)
-        k, end = slot.count, slot.count + new.size
-        if end > len(slot.rows):
-            cap = min(max(end, 2 * len(slot.rows)), self.n_nodes)
-            grown = np.empty((cap, self.n_nodes), dtype=self.dtype)
-            grown[:k] = slot.rows[:k]
-            slot.rows = grown
-        slot.rows[k:end] = dist
+        k, end, n = slot.count, slot.count + new.size, self.n_nodes
+        rows = slot.rows
+        if end > len(rows):
+            import mmap
+
+            cap = min(max(end, 2 * len(rows)), n)
+            size = cap * n * self.dtype.itemsize
+            _require_memory(size, f"{cap} cached distance rows of n={n} nodes")
+            rows = np.frombuffer(mmap.mmap(-1, size), dtype=self.dtype).reshape(cap, n)
+            rows[:k] = slot.rows[:k]
+        rows[k:end] = self._solve(slot, new)
+        slot.rows = rows
         slot.pos[new] = np.arange(k, end)
         slot.count = end
 

@@ -1,6 +1,13 @@
 import dataclasses
 import math
+import mmap
+import os
+import subprocess
+import sys
+import textwrap
 import tracemalloc
+import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -164,6 +171,15 @@ def lazy_planning(monkeypatch):
     monkeypatch.setattr(costmodel, "SMALL_NETWORK_NODES", 0)
 
 
+def store_mapping(slot):
+    """The anonymous memory mapping that holds ``slot``'s row store."""
+    base = slot.rows
+    while isinstance(base, np.ndarray):
+        base = base.base
+    assert isinstance(base, memoryview) and isinstance(base.obj, mmap.mmap)
+    return base.obj
+
+
 def full_apsp(snap, metric):
     """Distances and predecessors of every source in one call, independent of
     the oracle's per-row routine."""
@@ -260,6 +276,110 @@ class TestLazyRows:
 
         monkeypatch.setattr(costmodel, "dijkstra", never)
         assert np.array_equal(oracle.predecessors(1), full_apsp(snap, "ideal")[1])
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.usefixtures("lazy_planning")
+    def test_row_store_keeps_every_row_across_its_growths(self, dtype):
+        """A lazy path oracle caches rows over ``row`` and ``take`` reads that
+        grow its row store several times. After every read, each cached
+        distance and predecessor row equals an undirected Dijkstra bit for
+        bit at an unchanged position, and the rows ``row`` handed out before
+        a growth keep their values. Every read, and ``matrix(t)`` at the end,
+        equals the eager oracle's."""
+        snaps = three_shell_network().snapshots(2)
+        lazy = build_distance_oracle(snaps, "ideal", need_paths=True, dtype=dtype)
+        eager = build_distance_oracle(snaps, "ideal", dtype=dtype)
+        eager.build_matrices(2)
+        n, cands = lazy.n_nodes, lazy.candidates_idx
+        rng = np.random.default_rng(4)
+        for t, snap in enumerate(snaps, start=1):
+            dist, pred = full_apsp(snap, "ideal")
+            want, slot = dist.astype(dtype), lazy._slots[t - 1]
+            D = eager.matrix(t)
+            caps, handed, where = [], {}, {}
+            while (slot.pos < 0).any():
+                src = rng.choice(n, size=int(rng.integers(1, 4)), replace=False)
+                if rng.random() < 0.5:
+                    for s in src.tolist():
+                        handed[s] = lazy.row(t, s)
+                        assert handed[s].tobytes() == eager.row(t, s).tobytes()
+                else:
+                    got = lazy.take(t, src[:, None], cands)
+                    assert got.tobytes() == D[src[:, None], cands].tobytes()
+                    got = lazy.take(t, cands[:, None], src)
+                    assert got.tobytes() == D[cands[:, None], src].tobytes()
+                if len(slot.rows) not in caps:
+                    caps.append(len(slot.rows))
+                cached = np.flatnonzero(slot.pos >= 0)
+                assert slot.count == cached.size == len(slot.preds)
+                assert all(where.get(s, p) == p
+                           for s, p in zip(cached.tolist(), slot.pos[cached].tolist()))
+                where = dict(zip(cached.tolist(), slot.pos[cached].tolist()))
+                assert slot.rows[slot.pos[cached]].tobytes() == want[cached].tobytes()
+                for s in cached.tolist():
+                    assert slot.preds[s].tobytes() == pred[s].astype(np.int32).tobytes()
+                for s, r in handed.items():
+                    assert r.tobytes() == want[s].tobytes()
+            assert caps[-1] == n and len(caps) >= 4
+            assert lazy.take(t, slice(None), cands).tobytes() == D[:, cands].tobytes()
+            assert lazy.matrix(t).tobytes() == D.tobytes()
+            for s, r in handed.items():
+                assert r.tobytes() == want[s].tobytes()
+
+    @pytest.mark.usefixtures("lazy_planning")
+    def test_each_growth_maps_a_fresh_store_and_frees_the_last(self):
+        """Every row store is an anonymous mapping of its own, and the one a
+        growth replaces is freed with it unless a handed-out row holds it."""
+        oracle = build_distance_oracle(three_shell_network().snapshots(1), "ideal")
+        slot, n = oracle._slots[0], oracle.n_nodes
+        assert slot.rows.shape == (0, n)
+        held = oracle.row(1, 0)
+        stores = [weakref.ref(store_mapping(slot))]
+        for src in range(n):
+            oracle.row(1, src)
+            if stores[-1]() is not store_mapping(slot):
+                stores.append(weakref.ref(store_mapping(slot)))
+        assert len(stores) >= 4 and len(slot.rows) == n
+        assert stores[0]() is not None and held[0] == 0.0
+        assert all(store() is None for store in stores[1:-1])
+        del held
+        assert stores[0]() is None
+
+    def test_eager_solves_never_import_mmap(self):
+        """A fresh interpreter that solves on eager oracles (``hop`` and a
+        small network's ``ideal``) never loads ``mmap``; only a cached row
+        does."""
+        script = textwrap.dedent("""\
+            import sys
+
+            import numpy as np
+
+            import satcdn
+            from satcdn import CostParams, DemandMatrix, GroundNode, Network, solve_mtols
+            from satcdn import build_distance_oracle, starlink_phase1
+
+            shell = starlink_phase1(orbit_count=4, sats_per_orbit=6, name="s",
+                                    min_elevation_deg=5.0)
+            ground = [GroundNode("origin/o", "origin", 40.0, -90.0),
+                      GroundNode("user/a", "user_region", 30.0, -100.0)]
+            snaps = Network([shell], ground, seed=2).snapshots(2)
+            seen = []
+            for metric in ("hop", "ideal"):
+                oracle = build_distance_oracle(snaps, metric)
+                users = [oracle.ids[i] for i in oracle.users_idx]
+                demand = DemandMatrix(users, ["c"], np.ones((len(users), 1, 2)))
+                solve_mtols(demand, oracle, CostParams.from_oracle(oracle))
+                seen.append("mmap" in sys.modules)
+            build_distance_oracle(snaps, "ideal").row(1, 0)
+            seen.append("mmap" in sys.modules)
+            print(seen)
+            """)
+        src = Path(__file__).resolve().parent.parent / "src"
+        env = dict(os.environ, PYTHONPATH=str(src))
+        proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                              text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        assert proc.stdout.split() == ["[False,", "False,", "True]"]
 
     def test_partitioned_rows_keep_inf_and_missing_predecessors(self):
         for metric in ("hop", "ideal"):
@@ -680,6 +800,34 @@ class TestMemoryGuard:
         planning.matrix(1)
         with pytest.raises(MemoryError, match=str(n * n * (slots * (item + 4) + 8))):
             paths.matrix(1)
+
+    @pytest.mark.usefixtures("lazy_planning")
+    def test_lazy_oracle_fails_before_growing_its_row_store(self, monkeypatch):
+        """A row store that would not fit raises the guard's MemoryError,
+        naming the rows, before any Dijkstra runs; the rows cached so far
+        stay readable."""
+        oracle = build_distance_oracle(leo_network().snapshots(1), "ideal")
+        n, item, users = oracle.n_nodes, oracle.dtype.itemsize, oracle.users_idx
+        assert (n, item, users.size) == (29, 4, 3)
+        first = oracle.row(1, users[0]).copy()
+        slot = oracle._slots[0]
+        assert len(slot.rows) == 3
+        gw = oracle.index["gw/b"]
+        need = 6 * n * item  # the store doubles from 3 rows to 6
+        monkeypatch.setattr(costmodel, "available_memory_bytes", lambda: need - 1)
+
+        def never(*_a, **_k):
+            raise AssertionError("Dijkstra ran before the memory check")
+
+        with monkeypatch.context() as m:
+            m.setattr(costmodel, "dijkstra", never)
+            with pytest.raises(MemoryError,
+                               match=rf"6 cached distance rows of n={n} nodes needs about {need}"):
+                oracle.row(1, gw)
+        assert (len(slot.rows), slot.count, slot.pos[gw]) == (3, 3, -1)
+        assert oracle.row(1, users[0]).tobytes() == first.tobytes()
+        monkeypatch.setattr(costmodel, "available_memory_bytes", lambda: need)
+        assert oracle.row(1, gw)[gw] == 0.0 and len(slot.rows) == 6
 
     @pytest.mark.usefixtures("lazy_planning")
     def test_lazy_planning_oracle_solves_until_mtls_asks_for_full_matrices(self, monkeypatch):
