@@ -272,13 +272,13 @@ class DistanceOracle:
 
     def full(self, t: int) -> np.ndarray | None:
         """The full matrix that slot ``t``'s block reads slice, or None while
-        they are made of cached rows. A ``hop`` oracle (one all-sources
-        breadth-first search per slot; every hop workload runs MTLS) and a
-        small network's, where an all-pairs Dijkstra costs about what the
-        row bookkeeping of the solvers' reads does, build every slot's full
-        matrix at their first block read, after checking that all fit in
-        memory. Larger ``ideal`` and ``sampled`` oracles build one only for
-        ``matrix(t)`` or MTLS (``build_matrices``)."""
+        they are made of cached rows. A ``hop`` oracle (one breadth-first
+        search per slot from many sources at once; every hop workload runs
+        MTLS) and a small network's, where an all-pairs Dijkstra costs about
+        what the row bookkeeping of the solvers' reads does, build every
+        slot's full matrix at their first block read, after checking that
+        all fit in memory. Larger ``ideal`` and ``sampled`` oracles build
+        one only for ``matrix(t)`` or MTLS (``build_matrices``)."""
         slot = self._slot(t)
         if slot.full is None and self._eager:
             self._build(self._slots)
@@ -297,9 +297,8 @@ class DistanceOracle:
 
     def _build(self, slots: Sequence[_Slot]) -> None:
         """Build the full matrix of every slot in ``slots`` that has none,
-        after checking that they all fit: one all-sources breadth-first
-        search for ``hop``, else Dijkstra from the sources not cached yet
-        next to the cached rows, which the full matrix then replaces."""
+        after checking that they all fit: ``_hop_matrix`` for ``hop``, else
+        ``_dijkstra_matrix``. The full matrix replaces the cached rows."""
         todo = [slot for slot in slots if slot.full is None]
         if todo:
             check_fits(self.n_nodes, len(todo), self.dtype.itemsize + 4 * self.has_paths)
@@ -307,14 +306,47 @@ class DistanceOracle:
             if self.metric == "hop":
                 slot.full = _hop_matrix(slot.graph, self.dtype)
             else:
-                full = np.empty((self.n_nodes, self.n_nodes), dtype=self.dtype)
-                have = np.flatnonzero(slot.pos >= 0)
-                full[have] = slot.rows[slot.pos[have]]
-                miss = np.flatnonzero(slot.pos < 0)
-                if miss.size:
-                    full[miss] = self._solve(slot, miss)
-                slot.full = full
+                slot.full = self._dijkstra_matrix(slot)
             slot.rows = slot.pos = None
+
+    def _dijkstra_matrix(self, slot: _Slot) -> np.ndarray:
+        """Slot ``slot``'s full matrix: the cached rows, Dijkstra rows from
+        the sources not cached yet, and rows derived from those.
+
+        A node ``v`` of the independent set ``I`` of ``_cover`` whose
+        neighbours are all still missing is not searched from. Its
+        neighbours are in the vertex cover, so Dijkstra runs from them in
+        the same call, and row ``v`` follows in one Bellman step,
+        ``D[v, :] = min over the neighbours u of v of (w(v, u) + D[u, :])``
+        (``_relax``). Every such sum is an exact path sum in float64
+        (``constellation.dyadic_weights``), so the minimum is the distance
+        Dijkstra would give, bit for bit. A cached row is stored in the
+        oracle's dtype, which may have rounded it, so a node next to a
+        cached one is searched from. A path oracle derives nothing: its
+        predecessor rows need Dijkstra."""
+        n = self.n_nodes
+        full = np.empty((n, n), dtype=self.dtype)
+        have = np.flatnonzero(slot.pos >= 0)
+        full[have] = slot.rows[slot.pos[have]]
+        search = slot.pos < 0
+        derive = np.empty(0, dtype=np.intp)
+        if not self.has_paths:
+            g = slot.graph
+            near_cached = np.zeros(n, dtype=bool)
+            # the first end of every edge whose other end is cached
+            deg = np.diff(_indptr(g))
+            near_cached[np.repeat(self._node, deg)[~search[g.indices]]] = True
+            derive = _cover(g)[1]
+            derive = derive[search[derive] & ~near_cached[derive]]
+            search[derive] = False
+        search = np.flatnonzero(search)
+        rows = self._solve(slot, search)
+        full[search] = rows
+        pos = np.empty(n, dtype=np.intp)
+        pos[search] = np.arange(search.size)
+        _relax(slot.graph, derive, rows, pos, full, hop=False)
+        full[derive, derive] = 0
+        return full
 
     def with_candidates(self, candidates: np.ndarray) -> "DistanceOracle":
         """Shallow view sharing distances but with a restricted candidate set."""
@@ -333,6 +365,12 @@ class DistanceOracle:
         return cls([np.asarray(m, dtype=float) for m in matrices], ids, kind, **kw)
 
 
+# Bytes per chunk buffer of ``_relax``. With 64 rows per chunk instead (two
+# 190 KB buffers per slot of the 381-node multishell_catalog benchmark), the
+# RSS held after building its 12 slots rose by about 0.2 MiB: freed buffers
+# of that size stay resident in the heap.
+_RELAX_CHUNK = 1 << 16
+
 # Row b holds the bits of byte b, least significant first, one byte each.
 _BYTE_BITS = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1, bitorder="little")
 
@@ -343,13 +381,77 @@ def _widened(values, dtype):
     return values.astype(dtype) if values.dtype == np.uint8 else values
 
 
-def _hop_matrix(graph, dtype) -> np.ndarray:
-    """All-pairs hop counts of a symmetric CSR graph by one breadth-first
-    search from every source at once.
+def _indptr(graph) -> np.ndarray:
+    """``graph.indptr`` as ``intp``. Its arithmetic then runs NumPy's int64
+    loops: the int32 ones are code that a weighted run touches nowhere
+    else, and faulting them in raised the multishell_catalog benchmark's
+    peak RSS by 64 KiB."""
+    return graph.indptr.astype(np.intp)
+
+
+def _cover(graph) -> tuple[np.ndarray, np.ndarray]:
+    """``(S, I)`` for a symmetric CSR graph without self-loops: ``I`` is the
+    maximal independent set that a greedy pass over the nodes in ascending
+    degree (ties by id) picks, ``S`` the other nodes. ``S`` is a vertex
+    cover: every neighbour of a node in ``I`` is in ``S``. Both are sorted."""
+    deg = np.diff(_indptr(graph))
+    indptr, indices = graph.indptr.tolist(), graph.indices.tolist()
+    free = bytearray(b"\1") * graph.shape[0]
+    for v in np.argsort(deg, kind="stable").tolist():
+        if free[v] == 1:
+            free[v] = 2
+            for u in indices[indptr[v]:indptr[v + 1]]:
+                free[u] = 0
+    picked = np.frombuffer(free, dtype=np.uint8) == 2
+    return np.flatnonzero(~picked), np.flatnonzero(picked)
+
+
+def _relax(graph, nodes, src, pos, dst, hop: bool) -> None:
+    """Fill row ``v`` of ``dst``, for every ``v`` in ``nodes``, with the
+    Bellman step from its neighbours' rows: the minimum over the neighbours
+    ``u`` of ``v`` of ``src[pos[u]] + w(v, u)``, with ``w = 1`` for ``hop``,
+    added after the minimum. A node of degree 0 gets a row of +inf (the
+    largest value of an integer ``src``). The diagonal is the caller's.
+
+    Nodes go by descending degree in chunks of as many rows as fit in
+    ``_RELAX_CHUNK`` bytes, so the minimum takes one gather of ``src`` rows
+    per neighbour rank, over the leading nodes that have that many
+    neighbours, and the temporaries stay at two such buffers.
+    """
+    indptr, indices = _indptr(graph), graph.indices
+    deg = indptr[nodes + 1] - indptr[nodes]
+    order = np.argsort(-deg, kind="stable")
+    fill = np.inf if src.dtype.kind == "f" else np.iinfo(src.dtype).max
+    step = max(1, _RELAX_CHUNK // (src.shape[1] * src.itemsize))
+    chunk = np.empty((min(len(nodes), step), src.shape[1]), dtype=src.dtype)
+    buf = np.empty_like(chunk)
+    for lo in range(0, len(nodes), step):
+        part = order[lo:lo + step]
+        first, d = indptr[nodes[part]], deg[part]
+        best = chunk[:part.size]
+        best.fill(fill)
+        for k in range(d[0]):  # d[0] is the chunk's largest degree
+            c = np.count_nonzero(d > k)
+            # mode="clip" lets take write to ``out`` unbuffered; every index is valid
+            rows = np.take(src, pos[indices[first[:c] + k]], axis=0, out=buf[:c],
+                           mode="clip")
+            if not hop:
+                rows += graph.data[first[:c] + k, None]
+            np.minimum(best[:c], rows, out=best[:c])
+        if hop:
+            best[:np.count_nonzero(d)] += 1
+        dst[nodes[part]] = best
+
+
+def _hop_levels(graph, sources) -> np.ndarray:
+    """Hop counts from each of ``sources`` to every node of a symmetric CSR
+    graph, by one breadth-first search from all of them at once: an (n,
+    len(sources)) array whose entry ``(v, j)`` counts the hops from
+    ``sources[j]`` to ``v``, 0 where ``v`` is that source or is not reached.
 
     Row ``v`` of ``unseen`` is a bitset (little-endian ``uint64`` words) of
-    the sources that have not reached node ``v`` yet; bit ``s`` lives in word
-    ``s // 64`` at position ``s % 64``. Each level ORs the neighbours'
+    the sources that have not reached node ``v`` yet; bit ``j`` lives in word
+    ``j // 64`` at position ``j % 64``. Each level ORs the neighbours'
     frontier bitsets and keeps the bits still unseen, updating whole arrays
     in place.
 
@@ -366,17 +468,10 @@ def _hop_matrix(graph, dtype) -> np.ndarray:
     256-entry table, shifted left by the plane index, that spreads the 8 bits
     of a byte over 8 accumulator lanes, one per pair, and is ORed into one
     accumulator (``uint8`` per pair up to 255 levels, wider above), which
-    holds the levels. Distances are symmetric, so entry ``(v, s)`` is also
-    the distance from ``s`` to ``v``; the diagonal is 0.
-
-    When every pair is reached within 255 levels the ``uint8`` levels are the
-    result, one byte per pair: a view of the accumulator, whose rows are
-    padded to a multiple of 64 pairs, so it keeps up to 63 more bytes per
-    row alive than its ``nbytes`` says (0.5% more at n = 1655, almost twice
-    as much at n = 65). Otherwise they are cast to ``dtype`` once and unreached pairs
-    are +inf, as with Dijkstra.
+    holds the levels. The result is a view of the accumulator, whose rows are
+    padded to a multiple of 64 sources.
     """
-    n = graph.shape[0]
+    n, m = graph.shape[0], len(sources)
     deg = np.diff(graph.indptr)
     indices = np.insert(graph.indices.astype(np.intp), graph.indptr[:-1][deg == 0], n)
     deg = np.maximum(deg, 1)
@@ -388,10 +483,10 @@ def _hop_matrix(graph, dtype) -> np.ndarray:
     extra = deg[tail] - d
     starts = np.cumsum(extra) - extra
 
-    w = (n + 63) // 64
-    node = np.arange(n)
+    w = (m + 63) // 64
+    bit = np.arange(m)
     frontier = np.zeros((n + 1, w), dtype="<u8")
-    frontier[node, node >> 6] = np.left_shift(np.uint64(1), (node & 63).astype(np.uint64))
+    frontier[sources, bit >> 6] = np.left_shift(np.uint64(1), (bit & 63).astype(np.uint64))
     unseen = ~frontier[:n]
     nxt, gathered = np.zeros_like(frontier), np.empty_like(unseen)
     tail_rows = np.empty((tail_idx.size, w), dtype="<u8")
@@ -427,14 +522,46 @@ def _hop_matrix(graph, dtype) -> np.ndarray:
         acc |= np.take(table << np.uint64(k), plane.view(np.uint8), axis=0, out=part,
                        mode="clip")
     del part, planes
-    levels = acc.view(acc_t).reshape(n, -1)[:, :n]
-    reached = np.count_nonzero(levels) == n * (n - 1)
-    if reached and acc_t == np.uint8:
-        return levels
-    out = levels.astype(dtype)
-    if not reached:
-        out[levels == 0] = np.inf
+    return acc.view(acc_t).reshape(n, -1)[:, :m]
+
+
+def _hop_matrix(graph, dtype) -> np.ndarray:
+    """All-pairs hop counts of a symmetric CSR graph, searched from a vertex
+    cover only.
+
+    ``_cover`` splits the nodes into a vertex cover ``S`` and an independent
+    set ``I`` (44–50% of the nodes of a snapshot). One breadth-first
+    search from the ``S`` sources at once (``_hop_levels``) gives the rows
+    ``D[S, :]`` by symmetry. Every neighbour of a node ``v`` in ``I`` is in
+    ``S``, so row ``v`` follows in one Bellman step, ``D[v, :] = 1 + min over
+    the neighbours u of v of D[u, :]`` (``_relax``), which is exact: the
+    result equals an all-sources search's.
+
+    When every pair is reached within 255 hops the result is ``uint8`` hop
+    counts, one byte per pair. Otherwise it is ``dtype`` with +inf for
+    unreached pairs, as with Dijkstra. The ``S`` rows decide that before the
+    step: when they are all reached within 255 hops, every pair is reached,
+    as each node of ``I`` is next to one of ``S`` (or ``n = 1``), but an
+    ``I`` row may hold a count of 256, which wraps to 0 in ``uint8``; then
+    the ``I`` rows are stepped again in ``dtype``.
+    """
+    n = graph.shape[0]
+    S, I = _cover(graph)
+    L = _hop_levels(graph, S)
+    counts = (L.dtype == np.uint8 and np.count_nonzero(L) == L.size - S.size
+              and (S.size > 0 or n == 1))
+    out = np.empty((n, n), dtype=np.uint8 if counts else dtype)
+    out[S] = L.T
+    del L
+    node = np.arange(n)
+    if not counts:
+        out[out == 0] = np.inf  # the I rows are garbage until the step
         np.fill_diagonal(out, 0)
+    _relax(graph, I, out, node, out, hop=True)
+    if counts and np.count_nonzero(out) < out.size - S.size:
+        out = out.astype(dtype)
+        _relax(graph, I, out, node, out, hop=True)
+    np.fill_diagonal(out, 0)
     return out
 
 
@@ -465,15 +592,25 @@ def check_fits(n: int, slots: int, itemsize: int) -> None:
     plus 4 on an oracle with paths, whose int32 predecessor rows stay alive.
     For ``hop`` that is an upper bound: a slot whose pairs are all reached
     within 255 hops stores one byte per pair (``uint8``), but any other slot
-    falls back to the oracle's dtype. The estimate adds one slot's float64
-    Dijkstra output, which exists while it is cast to the stored dtype.
-    Besides its output, the hop breadth-first search allocates bitset rows
-    of n/8 bytes (``unseen``, two frontiers, one plane per bit of the
+    falls back to the oracle's dtype. The estimate adds 8 bytes per pair
+    for one slot's temporaries.
+
+    A slot is searched from the vertex cover ``S`` of ``_cover`` only; the
+    rows of the independent set ``I`` follow in one Bellman step from their
+    neighbours' rows (``_relax``), exact because every sum is an exact path
+    sum. A weighted slot holds the float64 Dijkstra rows of ``S`` while
+    they are stored and ``I`` is derived, plus two buffers of
+    ``_RELAX_CHUNK`` bytes: within the 8 bytes per pair but on graphs of
+    up to about 200 nodes, where the buffers add at most 128 KiB. Besides
+    its output, the hop breadth-first search allocates bitset rows of
+    |S|/8 bytes (``unseen``, two frontiers, one plane per bit of the
     largest level, and one gathered row per tail edge) and the level
-    accumulator together with either one plane's table lookup or, when some
-    pair is unreached, the +inf mask: 2 bytes per pair up to 255 levels, 4 up
-    to 65,535. On sparse graphs such as the snapshots, with a few tail edges
-    per node, that stays within the 8 bytes per pair added.
+    accumulator over the (node, ``S`` source) pairs together with one
+    plane's table lookup: 2 bytes per such pair up to 255 levels, 4 up to
+    65,535. The accumulator lives until its ``S`` rows are copied to the
+    output, and when some pair is unreached the +inf mask takes 1 byte per
+    pair. On sparse graphs such as the snapshots, with a few tail edges per
+    node, that stays within the 8 bytes per pair added.
     """
     _require_memory(n * n * (slots * itemsize + 8),
                     f"distance oracle for n={n} nodes over {slots} slot(s)")
@@ -663,6 +800,16 @@ class CostBreakdown:
                              self.storage + other.storage)
 
 
+def _row_min(oracle: DistanceOracle, t: int, rows, cols) -> np.ndarray:
+    """``oracle.take(t, rows, cols).min(axis=1)``. A slot's full matrix is
+    reduced as stored and only the minima are cast to the oracle's dtype, so
+    ``uint8`` hop counts are not widened pair by pair: the cast is exact and
+    keeps their order, so the values are the same."""
+    full = oracle.full(t)
+    block = oracle.take(t, rows, cols) if full is None else full[rows, cols]
+    return _widened(block.min(axis=1), oracle.dtype)
+
+
 def _nearest(schedule: ReplicaSchedule, demand, oracle: DistanceOracle):
     """Yield (content, slot, per-user demand, per-user distance to the nearest
     replica) for every (content, slot) with some positive demand."""
@@ -671,8 +818,8 @@ def _nearest(schedule: ReplicaSchedule, demand, oracle: DistanceOracle):
     for ci, c in enumerate(demand.contents):
         values = demand.values[:, ci, :slots]
         for t in (np.flatnonzero(values.any(axis=0)) + 1).tolist():
-            block = oracle.take(t, rows, np.asarray(schedule.nodes(c, t), dtype=np.int64))
-            yield c, t, values[:, t - 1], block.min(axis=1)
+            nearest = _row_min(oracle, t, rows, np.asarray(schedule.nodes(c, t), dtype=np.int64))
+            yield c, t, values[:, t - 1], nearest
 
 
 def query_cost(schedule: ReplicaSchedule, demand, oracle: DistanceOracle) -> float:
@@ -694,8 +841,8 @@ def replication_cost(schedule: ReplicaSchedule, oracle: DistanceOracle, alpha: f
         prev = origins
         for t in range(1, schedule.slot_count + 1):
             cur = np.asarray(schedule.nodes(c, t), dtype=np.int64)
-            block = np.asarray(oracle.take(t, cur[:, None], prev), dtype=float)
-            total += alpha * float(block.min(axis=1).sum())
+            nearest = np.asarray(_row_min(oracle, t, cur[:, None], prev), dtype=float)
+            total += alpha * float(nearest.sum())
             prev = cur
     return total
 

@@ -11,12 +11,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy.sparse import csr_matrix
+from scipy.sparse import csr_matrix, triu
 from scipy.sparse.csgraph import dijkstra
 
 from helpers import has_full, motion_instance, schedule_cost_ref
 from satcdn import costmodel
-from satcdn.constellation import GroundNode, Network, o3b, starlink_phase1, viasat
+from satcdn.constellation import (GroundNode, Network, dyadic_weights, o3b, starlink_phase1,
+                                  viasat)
 from satcdn.costmodel import (CostParams, DistanceOracle, ReplicaSchedule,
                               build_distance_oracle, compute_c_qmin, disconnected_users,
                               query_cost, replication_cost, storage_cost, total_cost)
@@ -591,12 +592,14 @@ class TestTake:
         users = lazy.users_idx
         lazy.take(1, users[:, None], lazy.candidates_idx)
         assert np.array_equal(np.flatnonzero(lazy._slots[0].pos >= 0), users)
-        solved = []
-        solve = DistanceOracle._solve
-        monkeypatch.setattr(DistanceOracle, "_solve",
-                            lambda self, slot, src: solved.append(src) or solve(self, slot, src))
+        solved = record_sources(monkeypatch)
         D = lazy.matrix(1)
-        assert np.array_equal(solved[0], np.setdiff1d(np.arange(lazy.n_nodes), users))
+        # One call, from no cached source; every other row is searched or
+        # derived from its neighbours (the independent set of the cover).
+        assert len(solved) == 1 and not np.isin(solved[0], users).any()
+        derived = costmodel._cover(snaps[0].to_csr("ideal"))[1]
+        missing = np.setdiff1d(np.arange(lazy.n_nodes), users)
+        assert np.isin(missing, np.union1d(solved[0], derived)).all()
         eager = build_distance_oracle(snaps, "ideal")
         eager.build_matrices(1)
         assert D.tobytes() == eager.matrix(1).tobytes()
@@ -695,6 +698,9 @@ class TestHopBFS:
         assert out.dtype == (np.uint8 if connected else np.float32)
         assert out.nbytes == out.itemsize * n * n and np.isinf(out).any() != connected
         assert peak - out.nbytes <= 8 * n * n
+        # Searching from a vertex cover measured 1.02 (disconnected) and 1.68
+        # (connected) bytes per pair here; from every source, 2.38 and 2.84.
+        assert peak - out.nbytes <= 2 * n * n
 
     def test_only_the_eager_hop_oracle_skips_dijkstra(self, monkeypatch):
         calls = {"bfs": 0, "dijkstra": 0}
@@ -733,6 +739,132 @@ class TestHopBFS:
         assert calls == {"bfs": 4, "dijkstra": 9}
         hop.matrix(1)
         assert calls == {"bfs": 6, "dijkstra": 9}
+
+
+def dyadic_graph(graph, seed):
+    """``graph`` with random symmetric latency-like weights on the dyadic
+    grid, half of them from a few values so that shortest paths tie."""
+    rng = np.random.default_rng(seed)
+    n = graph.shape[0]
+    upper = triu(graph, k=1).tocoo()
+    w = np.where(rng.random(upper.nnz) < 0.5, rng.uniform(0.1, 40.0, upper.nnz),
+                 rng.integers(1, 4, upper.nnz) * 2.5)
+    w = dyadic_weights(w, n)
+    return csr_matrix((np.r_[w, w], (np.r_[upper.row, upper.col], np.r_[upper.col, upper.row])),
+                      shape=(n, n))
+
+
+def graph_oracle(graphs, metric="ideal", dtype=np.float64, paths=False):
+    """An oracle over the given slot graphs, every node a satellite."""
+    n = graphs[0].shape[0]
+    return DistanceOracle(None, [f"sat/s/00/{i:02d}" for i in range(n)], np.zeros(n),
+                          metric=metric, graphs=graphs, paths=paths, dtype=dtype)
+
+
+def record_sources(monkeypatch):
+    """The source arrays of every ``DistanceOracle._solve`` call, as made."""
+    calls = []
+    solve = DistanceOracle._solve
+    monkeypatch.setattr(DistanceOracle, "_solve", lambda self, slot, src:
+                        calls.append(np.array(src)) or solve(self, slot, src))
+    return calls
+
+
+class TestCoverBuild:
+    """Full matrices searched from a vertex cover, the other rows derived in
+    one Bellman step, against Dijkstra from every source."""
+
+    def test_cover_is_a_maximal_independent_set(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+
+        @hypothesis.settings(max_examples=300, deadline=None)
+        @hypothesis.given(st.integers(1, 40).flatmap(lambda n: st.tuples(
+            st.just(n), st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                                 max_size=3 * n))))
+        def check(case):
+            n, pairs = case
+            graph = edge_graph(n, sorted({(min(e), max(e)) for e in pairs if e[0] != e[1]}))
+            S, I = costmodel._cover(graph)
+            assert np.array_equal(np.union1d(S, I), np.arange(n)) and not np.isin(S, I).any()
+            coo = graph.tocoo()
+            in_i = np.isin(np.arange(n), I)
+            assert not (in_i[coo.row] & in_i[coo.col]).any()  # independent
+            hits = np.zeros(n, dtype=int)
+            np.add.at(hits, coo.row, in_i[coo.col])
+            assert (hits[S] > 0).all()  # maximal: every other node has a neighbour in I
+            again = costmodel._cover(graph.copy())
+            assert np.array_equal(again[0], S) and np.array_equal(again[1], I)
+
+        check()
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("name", BFS_GRAPHS)
+    def test_equals_dijkstra_bit_for_bit(self, name, dtype):
+        """Dyadic weights over the BFS graphs: isolated nodes first, in the
+        middle and last, several components, a star, paths, n = 1 and an
+        edgeless graph."""
+        graph = dyadic_graph(BFS_GRAPHS[name](), seed=len(name))
+        want = dijkstra(graph, directed=False).astype(dtype)
+        got = graph_oracle([graph], dtype=dtype).matrix(1)
+        assert got.dtype == dtype and got.tobytes() == want.tobytes()
+
+    def test_a_star_is_searched_from_its_hub_alone(self, monkeypatch):
+        graph = dyadic_graph(BFS_GRAPHS["star200"](), seed=3)
+        calls = record_sources(monkeypatch)
+        D = graph_oracle([graph]).matrix(1)
+        assert [c.tolist() for c in calls] == [[0]]
+        assert D.tobytes() == dijkstra(graph, directed=False).tobytes()
+
+    @pytest.mark.parametrize("metric", ["ideal", "sampled"])
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_eager_build_searches_from_the_cover_only(self, metric, dtype, monkeypatch):
+        """A small network's oracle passes ``_solve`` at most ``n - |I|``
+        sources per slot and equals Dijkstra from every source."""
+        snaps = three_shell_network().snapshots(2)
+        oracle = build_distance_oracle(snaps, metric, dtype=dtype)
+        calls = record_sources(monkeypatch)
+        oracle.take(1, oracle.users_idx[:, None], oracle.candidates_idx)
+        assert len(calls) == 2
+        for t, src in enumerate(calls, start=1):
+            graph = snaps[t - 1].to_csr(metric)
+            I = costmodel._cover(graph)[1]
+            assert 0 < src.size <= oracle.n_nodes - I.size
+            want = dijkstra(graph, directed=False).astype(dtype)
+            assert oracle.matrix(t).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.usefixtures("lazy_planning")
+    def test_lazy_oracle_with_cached_rows_builds_the_same_matrix(self, dtype, monkeypatch):
+        """As MTLS does after the other solvers: a lazy oracle holding cached
+        rows builds its full matrices. No cached source is searched again, a
+        node next to a cached one is searched from, and the matrix equals
+        Dijkstra's."""
+        snaps = three_shell_network().snapshots(2)
+        oracle = build_distance_oracle(snaps, "ideal", dtype=dtype)
+        oracle.take(1, oracle.users_idx[:, None], oracle.candidates_idx)
+        oracle.row(2, 5)
+        cached = [np.flatnonzero(slot.pos >= 0) for slot in oracle._slots]
+        calls = record_sources(monkeypatch)
+        oracle.build_matrices(2)
+        assert len(calls) == 2
+        for t, (src, have) in enumerate(zip(calls, cached), start=1):
+            graph = snaps[t - 1].to_csr("ideal")
+            I = costmodel._cover(graph)[1]
+            near = np.unique(graph[have].indices)
+            assert not np.isin(src, have).any()
+            assert np.isin(np.setdiff1d(np.intersect1d(I, near), have), src).all()
+            assert src.size < oracle.n_nodes - have.size
+            want = dijkstra(graph, directed=False).astype(dtype)
+            assert oracle.matrix(t).tobytes() == want.tobytes()
+
+    def test_path_oracle_searches_from_every_source(self, monkeypatch):
+        graph = dyadic_graph(BFS_GRAPHS["random65"](), seed=5)
+        calls = record_sources(monkeypatch)
+        oracle = graph_oracle([graph], paths=True)
+        D = oracle.matrix(1)
+        assert [c.tolist() for c in calls] == [list(range(65))]
+        assert D.tobytes() == dijkstra(graph, directed=False).tobytes()
 
 
 class TestMemoryGuard:
@@ -938,6 +1070,39 @@ class TestQueryCost:
         demand = demand_for(oracle, [[1.0]])
         assert query_cost(sched, demand, oracle) == np.inf
         assert disconnected_users(sched, demand, oracle) == [("c0", 1, "user/u")]
+
+
+class TestReducedReads:
+    @pytest.mark.parametrize("make_net", [connected_network, split_network])
+    def test_cost_model_equals_its_widened_reads(self, make_net, monkeypatch):
+        """The cost model reduces hop counts as stored (``uint8`` on a
+        connected network, float with +inf on a split one) and casts only
+        the minima: nearest distances, costs and disconnected users equal
+        those of reads that ``take`` widens first, bit for bit."""
+        oracle = build_distance_oracle(make_net().snapshots(3), "hop")
+        assert oracle.matrix(1).dtype == (np.uint8 if make_net is connected_network
+                                          else np.float64)
+        rng = np.random.default_rng(7)
+        users = [oracle.ids[i] for i in oracle.users_idx]
+        demand = DemandMatrix(users, ["c0", "c1"],
+                              rng.integers(0, 3, size=(len(users), 2, 3)).astype(float))
+        origins = [int(o) for o in oracle.origins_idx]
+        sched = ReplicaSchedule(["c0", "c1"], 3, {c: [tuple(sorted(set(origins) | set(
+            rng.choice(oracle.candidates_idx, size=2, replace=False).tolist())))
+            for _ in range(3)] for c in ("c0", "c1")})
+
+        def costs():
+            nearest = [(c, t, nn.dtype, nn.tobytes())
+                       for c, t, _dem, nn in costmodel._nearest(sched, demand, oracle)]
+            return (nearest, query_cost(sched, demand, oracle),
+                    replication_cost(sched, oracle, 50.0),
+                    disconnected_users(sched, demand, oracle))
+
+        got = costs()
+        monkeypatch.setattr(costmodel, "_row_min",
+                            lambda o, t, rows, cols: o.take(t, rows, cols).min(axis=1))
+        assert got == costs()
+        assert got[0] and all(dtype == np.float64 for _c, _t, dtype, _b in got[0])
 
 
 class TestReplicationCost:
