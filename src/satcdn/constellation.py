@@ -40,8 +40,8 @@ _GRID_BITS = 8
 
 def orbital_period_s(altitude_km: float) -> float:
     """Circular-orbit period in seconds from altitude above the mean surface."""
-    if altitude_km <= 0:
-        raise ValueError("altitude_km must be positive")
+    if not 0.0 < altitude_km < math.inf:
+        raise ValueError("altitude_km must be positive and finite")
     a = R_EARTH_KM + altitude_km
     return 2.0 * math.pi * math.sqrt(a ** 3 / MU_KM3_S2)
 
@@ -69,8 +69,8 @@ class ShellSpec:
     def __post_init__(self):
         if self.orbit_count < 1 or self.sats_per_orbit < 1:
             raise ValueError("orbit_count and sats_per_orbit must be >= 1")
-        if self.altitude_km <= 0:
-            raise ValueError("altitude_km must be positive")
+        if not 0.0 < self.altitude_km < math.inf:
+            raise ValueError("altitude_km must be positive and finite")
         if not 0.0 <= self.inclination_deg <= 180.0:
             raise ValueError("inclination_deg must be in [0, 180]")
         if not 0.0 <= self.phasing_offset < 1.0:
@@ -80,6 +80,8 @@ class ShellSpec:
         if self.geo_longitudes_deg is not None:
             if len(self.geo_longitudes_deg) != self.total_satellites:
                 raise ValueError("geo_longitudes_deg must list one longitude per satellite")
+            if not all(math.isfinite(lon) for lon in self.geo_longitudes_deg):
+                raise ValueError("geo_longitudes_deg must be finite")
 
     @property
     def total_satellites(self) -> int:
@@ -127,8 +129,10 @@ class GroundNode:
     def __post_init__(self):
         if self.kind not in GROUND_KINDS:
             raise ValueError(f"unknown ground node kind {self.kind!r}")
-        if abs(self.latitude_deg) > 90.0:
+        if not -90.0 <= self.latitude_deg <= 90.0:
             raise ValueError("latitude_deg must be in [-90, 90]")
+        if not math.isfinite(self.longitude_deg):
+            raise ValueError("longitude_deg must be finite")
         lon = (self.longitude_deg + 180.0) % 360.0 - 180.0
         object.__setattr__(self, "longitude_deg", lon)
 
@@ -238,6 +242,33 @@ def elevation_angle(sat_position, ground_position) -> float:
     if np.linalg.norm(sat_position) < R_EARTH_KM:
         raise ValueError("satellite position is inside the Earth sphere")
     return float(elevation_angles(sat_position[None, :], np.asarray(ground_position, dtype=float)[None, :])[0, 0])
+
+
+def _visible_pairs(sat_pos: np.ndarray, ground_pos: np.ndarray,
+                   min_elev: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``np.nonzero(elevation_angles(sat_pos, ground_pos) >= min_elev)``, with
+    exact angles computed only for pairs near or above the horizon.
+
+    ``min_elev`` holds each satellite's mask, in [0, 90), so a pair whose
+    ``g_hat . (sat - ground)`` is negative never passes. Positions must be finite.
+    """
+    g_norm = np.linalg.norm(ground_pos, axis=1, keepdims=True)
+    g_hat = ground_pos / g_norm
+    # g_hat . sat - |ground| equals elevation_angles' dot g_hat . (sat - ground)
+    # but for rounding: both are sums of three products, each within a few
+    # ulps of |sat| + |ground| of the exact value, so the two differ by less
+    # than 2e-15 * (|sat| + |ground|). The margin is a million times that and
+    # admits only pairs within centimetres below the horizon plane.
+    screen = np.einsum("mj,nj->mn", g_hat, sat_pos)
+    screen -= g_norm
+    margin = 1e-9 * (np.linalg.norm(sat_pos, axis=1).max(initial=0.0) + g_norm.max(initial=0.0))
+    g_idx, s_idx = np.nonzero(screen >= -margin)
+    # elevation_angles' elementwise formula on the survivors only.
+    los = sat_pos[s_idx] - ground_pos[g_idx]
+    los_norm = np.linalg.norm(los, axis=1)
+    sin_elev = np.einsum("kj,kj->k", g_hat[g_idx], los) / np.maximum(los_norm, 1e-12)
+    keep = np.rad2deg(np.arcsin(np.clip(sin_elev, -1.0, 1.0))) >= min_elev[s_idx]
+    return g_idx[keep], s_idx[keep]
 
 
 @dataclass
@@ -513,8 +544,7 @@ class Network:
         t_s = self.slot_time(slot)
         pos = np.vstack([c.positions(t_s) for c in self.constellations]
                         + [ground_positions(nt.ground_nodes, t_s)])
-        elev = elevation_angles(pos[:nt.n_sats], pos[nt.n_sats:])
-        g_idx, s_idx = np.nonzero(elev >= self._min_elevation)
+        g_idx, s_idx = _visible_pairs(pos[:nt.n_sats], pos[nt.n_sats:], self._min_elevation)
         # Every block lists its edges with u < v: ISL and mesh pairs are
         # sorted, and satellites come before ground nodes.
         edges = np.concatenate([self._isl, np.column_stack([s_idx, nt.n_sats + g_idx]), self._mesh])

@@ -692,6 +692,12 @@ class TestCLICommands:
         ("gateways.file line 2: could not convert",
          {"gateways": {"file": "@gw.csv"},
           "_files": {"gw.csv": "name,lat_deg,lon_deg\ng,north,-75\n"}}),
+        ("gateways.file line 2: latitude",
+         {"gateways": {"file": "@gw.csv"},
+          "_files": {"gw.csv": "name,lat_deg,lon_deg\ng,nan,-75\n"}}),
+        ("gateways.file line 3: longitude",
+         {"gateways": {"file": "@gw.csv"},
+          "_files": {"gw.csv": "name,lat_deg,lon_deg\ng,0,-75\nh,0,-inf\n"}}),
         ("config: must be a JSON object", {"_document": [minimal_config()]}),
         ("horizon_slots: must be an integer", {"horizon_slots": "2"}),
         ("beta: must be a number", {"beta": None}),
@@ -733,6 +739,7 @@ class TestCLICommands:
              "pch_inter_period_zero", "pch_intra_period_zero",
              "gateway_latitude", "duplicate_origin_names", "duplicate_gateway_names",
              "duplicate_gateway_file_names", "gateway_file_latitude", "gateway_file_not_a_number",
+             "gateway_file_nan_latitude", "gateway_file_inf_longitude",
              "top_level_list", "horizon_as_string", "beta_null", "algorithms_as_string",
              "users_typo", "nodes_file_header", "nodes_file_short_row", "nodes_file_not_a_number",
              "nodes_file_latitude", "nodes_file_short_weighted_row", "trace_short_row",

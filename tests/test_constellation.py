@@ -4,9 +4,11 @@ import math
 import numpy as np
 import pytest
 
+import satcdn.constellation as cst
 from satcdn.constellation import (C_KM_PER_MS, GEO_ALTITUDE_KM, R_EARTH_KM,
                                   GroundNode, LatencySampler, Network, ShellSpec,
-                                  build_shell, elevation_angle, ground_positions,
+                                  _visible_pairs, build_shell, elevation_angle,
+                                  elevation_angles, ground_positions, o3b,
                                   orbital_period_s, propagate, starlink_phase1,
                                   viasat)
 
@@ -45,6 +47,23 @@ class TestBuildShell:
             ShellSpec(0, 22, 550.0)
         with pytest.raises(ValueError):
             ShellSpec(72, 0, 550.0)
+
+    @pytest.mark.parametrize("field,value", [
+        ("altitude_km", math.nan), ("altitude_km", math.inf), ("inclination_deg", math.nan),
+        ("phasing_offset", math.nan), ("min_elevation_deg", math.nan)])
+    def test_rejects_non_finite_fields(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            ShellSpec(4, 4, **{"altitude_km": 550.0, field: value})
+
+    @pytest.mark.parametrize("lon", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_geo_longitudes(self, lon):
+        with pytest.raises(ValueError, match="geo_longitudes_deg must be finite"):
+            viasat(longitudes_deg=(-75.0, lon))
+
+    @pytest.mark.parametrize("alt", [math.nan, math.inf, 0.0])
+    def test_period_rejects_non_positive_and_non_finite_altitude(self, alt):
+        with pytest.raises(ValueError, match="altitude_km"):
+            orbital_period_s(alt)
 
     def test_walker_phasing_offset(self):
         con = build_shell(ShellSpec(4, 8, 550.0, phasing_offset=0.5))
@@ -124,6 +143,14 @@ class TestGroundNode:
             GroundNode("x", "satellite", 0.0, 0.0)
         with pytest.raises(ValueError):
             GroundNode("x", "gateway", 95.0, 0.0)
+
+    @pytest.mark.parametrize("lat,lon,field", [
+        (math.nan, 0.0, "latitude"), (math.inf, 0.0, "latitude"), (-math.inf, 0.0, "latitude"),
+        (0.0, math.nan, "longitude"), (0.0, math.inf, "longitude"),
+        (0.0, -math.inf, "longitude")])
+    def test_rejects_non_finite_coordinates(self, lat, lon, field):
+        with pytest.raises(ValueError, match=field):
+            GroundNode("x", "gateway", lat, lon)
 
 
 class TestSnapshot:
@@ -261,6 +288,115 @@ class TestSnapshot:
         ground = [GroundNode("user/far", "user_region", 0.0, 180.0)]
         snap = Network([shell], ground).snapshot(1)
         assert snap.isolated_users == ["user/far"]
+
+
+def _restated_pairs(sat_pos, ground_pos, min_elev):
+    """The visibility test from every pair's full elevation angle."""
+    return np.nonzero(elevation_angles(sat_pos, ground_pos) >= min_elev)
+
+
+def _worldwide_ground():
+    """104 ground nodes, every 15° of latitude from pole to pole by every 45° of
+    longitude, each shifted a little further east than the last."""
+    return [GroundNode(f"user/{i}", "user_region", float(lat), float(lon) + 0.37 * i)
+            for i, (lat, lon) in enumerate(itertools.product(range(-90, 91, 15),
+                                                             range(-180, 180, 45)))]
+
+
+class TestVisiblePairs:
+    """``_visible_pairs`` against the restatement from ``elevation_angles``."""
+
+    NETWORKS = {
+        "starlink": lambda mask: [starlink_phase1(min_elevation_deg=mask)],
+        "o3b": lambda mask: [o3b(min_elevation_deg=mask)],
+        "viasat": lambda mask: [viasat(min_elevation_deg=mask)],
+        "three_shells": lambda mask: [
+            starlink_phase1(orbit_count=24, sats_per_orbit=12, name="leo",
+                            min_elevation_deg=mask),
+            o3b(min_elevation_deg=mask), viasat(min_elevation_deg=mask)],
+    }
+
+    @pytest.mark.parametrize("mask", [0.0, 10.0])
+    @pytest.mark.parametrize("name", list(NETWORKS))
+    def test_equals_full_elevation_angles_over_fifty_slots(self, monkeypatch, name, mask):
+        net = Network(self.NETWORKS[name](mask), _worldwide_ground(), slot_seconds=173.0,
+                      seed=4)
+        nt = net.nodes
+        snaps = [net.snapshot(t) for t in range(1, 51)]
+        monkeypatch.setattr(cst, "_visible_pairs", _restated_pairs)
+        visible = 0
+        for t, snap in enumerate(snaps, start=1):
+            t_s = net.slot_time(t)
+            sat = np.vstack([c.positions(t_s) for c in net.constellations])
+            gnd = ground_positions(nt.ground_nodes, t_s)
+            got = _visible_pairs(sat, gnd, net._min_elevation)
+            want = _restated_pairs(sat, gnd, net._min_elevation)
+            assert all(np.array_equal(a, b) for a, b in zip(got, want))
+            visible += got[0].size
+            ref = net.snapshot(t)
+            for field in ("edge_u", "edge_v", "ideal_ms", "sampled_ms"):
+                a, b = getattr(snap, field), getattr(ref, field)
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+            assert snap.isolated_users == ref.isolated_users
+        assert visible
+
+    R = R_EARTH_KM
+
+    @pytest.mark.parametrize("sat_x,mask,visible", [
+        (R, 0.0, True), (R, 10.0, False),  # on the horizon: the dot is exactly 0
+        (np.nextafter(R, 0.0), 0.0, False),  # the least float below it
+        (np.nextafter(R, math.inf), 0.0, True), (R + 1e-9, 0.0, True), (R - 1e-9, 0.0, False)])
+    def test_pairs_on_the_horizon(self, sat_x, mask, visible):
+        # At t = 0 the node at (0, 0) sits at (R, 0, 0), so g_hat = (1, 0, 0)
+        # exactly and the dot is sat_x - R.
+        gnd = ground_positions([GroundNode("user/o", "user_region", 0.0, 0.0)], 0.0)
+        assert gnd.tolist() == [[self.R, 0.0, 0.0]]
+        sat = np.array([[sat_x, 1500.0, -700.0], [-sat_x, 1500.0, -700.0]])
+        min_elev = np.full(2, mask)
+        got = _visible_pairs(sat, gnd, min_elev)
+        want = _restated_pairs(sat, gnd, min_elev)
+        assert all(np.array_equal(a, b) for a, b in zip(got, want))
+        assert got[1].tolist() == ([0] if visible else [])
+
+    def test_tangent_pairs_match_the_restatement(self):
+        # Satellites in each ground node's horizon plane, nudged up or down by
+        # 2^-46 to 2^-35 km: the sign of every rounded dot decides, as in the
+        # full test. Some pairs round below zero on the screen but not in the
+        # exact dot, so a screen without its margin fails here.
+        rng = np.random.default_rng(11)
+        lat = np.degrees(np.arcsin(rng.uniform(-1.0, 1.0, 40)))
+        nodes = [GroundNode(f"user/{i}", "user_region", float(a), float(b))
+                 for i, (a, b) in enumerate(zip(lat, rng.uniform(-180.0, 180.0, 40)))]
+        gnd = ground_positions(nodes, 0.0)
+        g_hat = gnd / np.linalg.norm(gnd, axis=1, keepdims=True)
+        tangent = rng.normal(size=(40, 3))
+        tangent -= np.einsum("mj,mj->m", tangent, g_hat)[:, None] * g_hat
+        tangent *= rng.uniform(500.0, 3000.0, (40, 1)) / np.linalg.norm(tangent, axis=1,
+                                                                       keepdims=True)
+        nudge = np.ldexp(rng.integers(-8, 9, (40, 1)).astype(float),
+                         rng.integers(-46, -37, (40, 1)))
+        sat = gnd + tangent + nudge * g_hat
+        for mask in (0.0, 1e-12, 10.0):
+            min_elev = np.full(40, mask)
+            got = _visible_pairs(sat, gnd, min_elev)
+            want = _restated_pairs(sat, gnd, min_elev)
+            assert all(np.array_equal(a, b) for a, b in zip(got, want))
+        assert 0 < _visible_pairs(sat, gnd, np.zeros(40))[0].size
+
+    def test_network_with_no_visible_pair(self, monkeypatch):
+        ground = [GroundNode("user/far", "user_region", 0.0, 180.0),
+                  GroundNode("gw/far", "gateway", 10.0, 170.0)]
+        net = Network([viasat(longitudes_deg=(0.0, 20.0))], ground)
+        snaps = [net.snapshot(t) for t in (1, 2)]
+        monkeypatch.setattr(cst, "_visible_pairs", _restated_pairs)
+        for snap in snaps:
+            assert snap.isolated_users == ["user/far"]
+            assert snap.edge_u.tolist() == [] and snap.edge_u.dtype == np.int32
+            ref = net.snapshot(snap.slot)
+            assert snap.edge_v.tobytes() == ref.edge_v.tobytes()
+        g_idx, s_idx = _visible_pairs(np.zeros((0, 3)), ground_positions(ground, 0.0),
+                                      np.zeros(0))
+        assert g_idx.size == s_idx.size == 0
 
 
 class TestLatencySampler:
