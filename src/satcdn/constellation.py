@@ -203,13 +203,6 @@ def build_shell(spec: ShellSpec) -> Constellation:
     )
 
 
-def propagate(constellation: Constellation, t_seconds: float) -> np.ndarray:
-    """Positions of all satellites in a constellation at time ``t_seconds``."""
-    if t_seconds < 0:
-        raise ValueError("t_seconds must be >= 0")
-    return constellation.positions(t_seconds)
-
-
 def ground_positions(nodes: Sequence[GroundNode], t_seconds: float) -> np.ndarray:
     """Inertial positions (m, 3) of ground nodes on the rotating Earth."""
     lat = np.deg2rad([n.latitude_deg for n in nodes])
@@ -295,8 +288,8 @@ class LatencySampler:
                     v = float(line)
                 except ValueError as exc:
                     raise ValueError(f"{path}:{line_no}: not a latency value: {line!r}") from exc
-                if v <= 0:
-                    raise ValueError(f"{path}:{line_no}: latency must be positive")
+                if not 0 < v < math.inf:
+                    raise ValueError(f"{path}:{line_no}: latency must be positive and finite")
                 values.append(v)
         if not values:
             raise ValueError(f"{path}: no latency samples found")

@@ -190,8 +190,8 @@ class DistanceOracle:
 
     def row(self, t: int, src: int) -> np.ndarray:
         """Source ``src``'s distance row; a missing one is computed together
-        with every user row not cached yet (delivery and the cost model read
-        from each user in turn)."""
+        with every user row not cached yet (delivery reads from each user in
+        turn; the cost model reads blocks through ``take``)."""
         slot = self._slot(t)
         if slot.full is not None:
             return _widened(slot.full[src], self.dtype)

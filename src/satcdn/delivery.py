@@ -98,17 +98,11 @@ class Router:
         order = np.lexsort((replicas, d))
         return [int(r) for r in replicas[order[:self.policy.fanout]]]
 
-    def route(self, user, content: str, slot: int):
-        """Pick the serving replica; falls back to the lowest-id origin with an
-        unreachable flag when nothing is reachable."""
-        user_idx = self.oracle.index[user] if isinstance(user, str) else int(user)
-        (pick,), reachable = self.picks(user_idx, content, slot, 1)
-        return pick, reachable
-
     def picks(self, user_idx: int, content: str, slot: int, n: int) -> tuple[list[int], bool]:
         """The serving replicas of the next ``n`` requests of one user for one
-        content at one slot, in request order, as ``n`` calls of ``route``
-        would pick them, and whether they are reachable."""
+        content at one slot, in request order, and whether they are
+        reachable. With nothing reachable every request falls back to the
+        lowest-id origin."""
         ranked = self._ranked(user_idx, content, slot)
         if not ranked:
             return [int(np.min(self.oracle.origins_idx))] * n, False
@@ -158,24 +152,6 @@ def _bottleneck_gbps(oracle: DistanceOracle, links, model: LinkModel) -> float:
         sat_link = oracle.kind[a] == SAT or oracle.kind[b] == SAT
         best = min(best, model.satellite_gbps if sat_link else model.terrestrial_gbps)
     return best
-
-
-def chunk_download_time(user, replica, chunk_size_mb: float, slot: int,
-                        links: LinkModel, oracle: DistanceOracle) -> float:
-    """Propagation plus transmission seconds for one chunk; +inf if unreachable."""
-    if chunk_size_mb <= 0:
-        raise ValueError("chunk_size_mb must be positive")
-    if oracle.metric == "hop":
-        raise ValueError("download times need a latency-metric oracle (ideal or sampled)")
-    user_idx = oracle.index[user] if isinstance(user, str) else int(user)
-    rep_idx = oracle.index[replica] if isinstance(replica, str) else int(replica)
-    prop_ms = float(oracle.row(slot, user_idx)[rep_idx])
-    if not math.isfinite(prop_ms):
-        return math.inf
-    edges = path_links(oracle, slot, user_idx, rep_idx)
-    gbps = _bottleneck_gbps(oracle, edges, links)
-    transmit_s = (chunk_size_mb * 8.0e6) / (gbps * 1.0e9)
-    return prop_ms / 1000.0 + transmit_s
 
 
 @dataclass

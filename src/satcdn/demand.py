@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 import importlib.resources
+import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -28,8 +29,8 @@ class ContentCatalog:
             raise ValueError("one size per content required")
         if len(set(self.contents)) != len(self.contents):
             raise ValueError("content ids must be unique")
-        if np.any(self.size_mb <= 0):
-            raise ValueError("content sizes must be positive")
+        if not np.all((self.size_mb > 0) & (self.size_mb < np.inf)):
+            raise ValueError("content sizes must be positive and finite")
         self._index = {c: i for i, c in enumerate(self.contents)}
 
     @classmethod
@@ -53,8 +54,8 @@ class DemandMatrix:
         expect = (len(self.users), len(self.contents))
         if self.values.ndim != 3 or self.values.shape[:2] != expect:
             raise ValueError(f"values must have shape ({expect[0]}, {expect[1]}, T)")
-        if np.any(self.values < 0):
-            raise ValueError("demand values must be >= 0")
+        if not np.all((self.values >= 0) & (self.values < np.inf)):
+            raise ValueError("demand values must be finite and >= 0")
 
     @property
     def slot_count(self) -> int:
@@ -95,8 +96,8 @@ def load_trace(path, *, known_users: Sequence[str] | None = None, top_k: int | N
                 raise ValueError(f"{path}:{line_no}: malformed row {row!r}") from exc
             if slot < 1:
                 raise ValueError(f"{path}:{line_no}: slot must be >= 1")
-            if dem < 0:
-                raise ValueError(f"{path}:{line_no}: demand must be >= 0")
+            if not 0 <= dem < math.inf:
+                raise ValueError(f"{path}:{line_no}: demand must be finite and >= 0")
             user, content = row[1].strip(), row[2].strip()
             if known is not None and user not in known:
                 raise ValueError(f"{path}:{line_no}: unknown user node id {user!r}")
@@ -156,9 +157,12 @@ def load_catalog(path) -> ContentCatalog:
                 raise ValueError(f"{path}:{line_no}: expected 2 fields")
             contents.append(row[0].strip())
             try:
-                sizes.append(float(row[1]))
+                size = float(row[1])
             except ValueError as exc:
                 raise ValueError(f"{path}:{line_no}: malformed size {row[1]!r}") from exc
+            if not 0 < size < math.inf:
+                raise ValueError(f"{path}:{line_no}: size must be positive and finite")
+            sizes.append(size)
     return ContentCatalog(contents, np.asarray(sizes))
 
 
@@ -215,8 +219,8 @@ def synth_population_demand(population_weights: Mapping[str, float], request_cou
     """
     users = list(population_weights)
     w = np.array([population_weights[u] for u in users], dtype=float)
-    if np.any(w < 0):
-        raise ValueError("population weights must be >= 0")
+    if not np.all((w >= 0) & (w < np.inf)):
+        raise ValueError("population weights must be finite and >= 0")
     if w.sum() <= 0:
         raise ValueError("population weights must not all be zero")
     if horizon < 1:

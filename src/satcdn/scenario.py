@@ -17,7 +17,7 @@ import inspect
 import json
 import math
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass, make_dataclass
+from dataclasses import asdict, make_dataclass
 from pathlib import Path
 from typing import Any, NamedTuple
 
@@ -210,18 +210,6 @@ def load_config(source, **overrides) -> Scenario:
     return Scenario(**cfg)
 
 
-@dataclass
-class BuiltScenario:
-    scenario: Scenario
-    network: cst.Network
-    snapshots: list[cst.SnapshotGraph]
-    oracle: DistanceOracle
-    demand: dm.DemandMatrix
-    planning_demand: dm.DemandMatrix
-    catalog: dm.ContentCatalog
-    params: CostParams
-
-
 def _ground_node(path: str, node_id: str, kind: str, entry: dict) -> cst.GroundNode:
     with _field(path):
         return cst.GroundNode(node_id, kind, entry["lat_deg"], entry["lon_deg"])
@@ -296,8 +284,8 @@ def _build_users_demand(sc: Scenario):
 
 
 def build_network(sc: Scenario) -> tuple[cst.Network, dm.ContentCatalog, dm.DemandMatrix]:
-    """The network and demand half of ``build_scenario``: shells, ground
-    nodes, latency sampler, catalog and demand, with no snapshots or oracle."""
+    """Shells, ground nodes, latency sampler, catalog and demand of ``sc``,
+    with no snapshots or oracle."""
     shells = []
     for i, s in enumerate(sc.shells):
         with _field(f"shells[{i}]"):
@@ -324,28 +312,6 @@ def build_network(sc: Scenario) -> tuple[cst.Network, dm.ContentCatalog, dm.Dema
         network = cst.Network(shells, gateways + origins + users,
                               slot_seconds=sc.slot_seconds, latency_sampler=sampler, seed=sc.seed)
     return network, catalog, demand
-
-
-def build_scenario(sc: Scenario) -> BuiltScenario:
-    network, catalog, demand = build_network(sc)
-    horizon = demand.slot_count if sc.users["mode"] == "trace" else sc.horizon_slots
-    snapshots = network.snapshots(horizon)
-    oracle = build_distance_oracle(snapshots, sc.metric)
-    if sc.candidates == "gateways_only":
-        oracle = oracle.restrict_kinds([cst.GATEWAY])
-    elif sc.candidates == "satellites_only":
-        oracle = oracle.restrict_kinds([cst.SAT])
-
-    gamma_map = {i: shell["gamma"] for i, shell in enumerate(sc.shells)}
-    params = CostParams.from_oracle(oracle, alpha=sc.alpha, beta=sc.beta, gamma=gamma_map)
-
-    if sc.prediction["mode"] == "moving_average":
-        planning = dm.predict_demand(demand, sc.prediction["window_slots"])
-    else:
-        planning = demand
-
-    return BuiltScenario(scenario=sc, network=network, snapshots=snapshots, oracle=oracle,
-                         demand=demand, planning_demand=planning, catalog=catalog, params=params)
 
 
 def _fmt(x) -> str:
@@ -396,20 +362,31 @@ def run_scenario(config, out_dir, *, algorithms=None, metric=None, seed=None) ->
 
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    built = build_scenario(sc)
-    oracle, demand, catalog, params = built.oracle, built.demand, built.catalog, built.params
+    network, catalog, demand = build_network(sc)
+    horizon = demand.slot_count if sc.users["mode"] == "trace" else sc.horizon_slots
+    snapshots = network.snapshots(horizon)
+    oracle = build_distance_oracle(snapshots, sc.metric)
+    if sc.candidates == "gateways_only":
+        oracle = oracle.restrict_kinds([cst.GATEWAY])
+    elif sc.candidates == "satellites_only":
+        oracle = oracle.restrict_kinds([cst.SAT])
+    params = CostParams.from_oracle(oracle, alpha=sc.alpha, beta=sc.beta,
+                                    gamma={i: shell["gamma"] for i, shell in enumerate(sc.shells)})
+    predicted = demand
+    if sc.prediction["mode"] == "moving_average":
+        predicted = dm.predict_demand(demand, sc.prediction["window_slots"])
 
     delivery_oracle = None
     if policies:
         # the planning snapshots cover the demand horizon; reuse them
-        delivery_oracle = build_distance_oracle(built.snapshots[:demand.slot_count], "ideal",
+        delivery_oracle = build_distance_oracle(snapshots[:demand.slot_count], "ideal",
                                                 need_paths=True)
 
-    nodes = built.network.nodes
+    nodes = network.nodes
     metadata: dict[str, Any] = {
         "resolved_config": asdict(sc),
         "c_qmin": params.c_qmin,
-        "latency_source": built.network.latency_sampler.source,
+        "latency_source": network.latency_sampler.source,
         "node_counts": {"satellites": int(nodes.n_sats),
                         "gateways": int(nodes.gateways_idx.size),
                         "origins": int(nodes.origins_idx.size),
@@ -420,7 +397,7 @@ def run_scenario(config, out_dir, *, algorithms=None, metric=None, seed=None) ->
 
     results = {}
     for name in sc.algorithms:
-        planning = demand if name == "pch" else built.planning_demand
+        planning = demand if name == "pch" else predicted
         try:
             results[name] = SOLVERS[name](planning, oracle, params, opt_config, catalog=catalog)
         except Exception as exc:  # record and keep going

@@ -14,7 +14,7 @@ from helpers import best_nearby_sequence, motion_instance
 from satcdn.constellation import GroundNode, Network, o3b, orbital_period_s, starlink_phase1
 from satcdn.costmodel import (CostParams, ReplicaSchedule, build_distance_oracle,
                               query_cost, replication_cost, total_cost)
-from satcdn.delivery import LinkModel, Router, RoutingPolicy, chunk_download_time
+from satcdn.delivery import Router, RoutingPolicy
 from satcdn.demand import (US_BBOX, ContentCatalog, DemandMatrix, random_ground_sites,
                            synth_grid_demand)
 from satcdn.placement import (SOLVERS, OptimizerConfig, solve_mtls, solve_mtols,
@@ -276,18 +276,18 @@ def test_criterion_7_baseline_signatures(starlink_env):
 def test_criterion_8_routing_arithmetic():
     with criterion(8, "WRR splits 4/2/1 over 7 requests; 1 GB at 10 Gbps "
                       "takes 0.8 s plus propagation"):
-        from test_delivery import all_sats_oracle
+        from test_delivery import all_sats_oracle, download_time, first_pick
         oracle = all_sats_oracle([1.0, 2.0, 3.0])
         sched = ReplicaSchedule(["c0"], 1, {"c0": [(0, 1, 2, 3)]})
         router = Router(sched, oracle, RoutingPolicy(kind="weighted_round_robin"))
-        picks = [router.route("user/u", "c0", 1)[0] for _ in range(7)]
+        picks = [first_pick(router)[0] for _ in range(7)]
         assert (picks.count(0), picks.count(1), picks.count(2)) == (4, 2, 1)
 
         near = all_sats_oracle([1e-6])
-        t = chunk_download_time("user/u", "sat/s/00/00", 1000.0, 1, LinkModel(), near)
+        t = download_time(near, "user/u", "sat/s/00/00", 1000.0)
         assert t == pytest.approx(0.8, abs=1e-6)
         far = all_sats_oracle([25.0])  # 25 ms away
-        t = chunk_download_time("user/u", "sat/s/00/00", 1000.0, 1, LinkModel(), far)
+        t = download_time(far, "user/u", "sat/s/00/00", 1000.0)
         assert t == pytest.approx(0.8 + 0.025, abs=1e-9)
 
 

@@ -9,10 +9,10 @@ import pytest
 
 from helpers import has_full, motion_instance, schedule_cost_ref
 from satcdn.cli import main
-from satcdn.costmodel import ReplicaSchedule, query_cost
+from satcdn.costmodel import ReplicaSchedule, build_distance_oracle, query_cost
 from satcdn.demand import (US_BBOX, load_trace, save_trace, synth_grid_demand,
                            synth_population_demand, us_state_nodes)
-from satcdn.scenario import (_REQUIRED, _SCHEMA, F, ConfigError, Tagged, build_scenario,
+from satcdn.scenario import (_REQUIRED, _SCHEMA, F, ConfigError, Tagged, build_network,
                              load_config, run_scenario)
 
 
@@ -244,7 +244,6 @@ class TestRunScenario:
         replica-load files equal those of ``simulate_delivery`` on a
         separately built path oracle."""
         import satcdn.scenario as sc_mod
-        from satcdn.costmodel import build_distance_oracle
         from satcdn.delivery import simulate_delivery
 
         built, calls = [], []
@@ -263,19 +262,19 @@ class TestRunScenario:
 
         sc = load_config(cfg)
         _opt, policies, links, qoe = sc_mod._settings(sc)
-        b = build_scenario(sc)
-        oracle = build_distance_oracle(b.snapshots[:b.demand.slot_count], "ideal",
+        network, catalog, demand = build_network(sc)
+        oracle = build_distance_oracle(network.snapshots(demand.slot_count), "ideal",
                                        need_paths=True)
         for name in cfg["algorithms"]:
             rows = read_csv(out / f"{name}_schedule.csv")[1:]
             T = max(int(t) for _c, t, _n in rows)
             sets = {c: [tuple(sorted(oracle.index[n] for c2, t2, n in rows
                                      if (c2, int(t2)) == (c, t))) for t in range(1, T + 1)]
-                    for c in b.demand.contents}
-            sched = ReplicaSchedule(b.demand.contents, T, sets)
+                    for c in demand.contents}
+            sched = ReplicaSchedule(demand.contents, T, sets)
             drows, lrows = [], []
             for policy in policies:
-                rep = simulate_delivery(sched, b.demand, policy, links, qoe, oracle, b.catalog)
+                rep = simulate_delivery(sched, demand, policy, links, qoe, oracle, catalog)
                 drows.extend((t, pol, q, rep.traffic_gb) for t, pol, q in rep.rows())
                 lrows.extend(rep.replica_rows())
             assert lrows
@@ -376,13 +375,15 @@ class TestRunScenario:
             assert float(per[0][3]) > 0 and float(per[1][3]) > 0
             assert float(total[6]) == summary[name]
         # each content's query term is its own demand against its own sets
-        built = build_scenario(load_config(cfg))
+        sc = load_config(cfg)
+        network, _catalog, demand = build_network(sc)
+        oracle = build_distance_oracle(network.snapshots(sc.horizon_slots), sc.metric)
         rows = read_csv(out / "mtols_schedule.csv")[1:]
         for c in ("content/a", "content/b"):
-            sets = [tuple(sorted(built.oracle.index[r[2]] for r in rows
+            sets = [tuple(sorted(oracle.index[r[2]] for r in rows
                                  if r[0] == c and int(r[1]) == t)) for t in (1, 2, 3, 4)]
             one = ReplicaSchedule([c], 4, {c: sets})
-            want = query_cost(one, built.demand.only(c), built.oracle)
+            want = query_cost(one, demand.only(c), oracle)
             got = [float(r[3]) for r in read_csv(out / "mtols_breakdown.csv")[1:] if r[1] == c]
             assert got == [want]
 
@@ -727,6 +728,20 @@ class TestCLICommands:
                                     "_files": {"lat.csv": "latency_ms\nfast\n"}}),
         ("latency_samples_file: ", {"latency_samples_file": "@lat.csv",
                                     "_files": {"lat.csv": "latency_ms\n"}}),
+        ("users.trace_file: ", {"users": TRACE_USERS, "_says": "t.csv:3: demand", "_files": {
+            "n.csv": TRACE_NODES, "t.csv": "slot,user_node,content,demand\n1,user/a,c,1\n"
+                                           "2,user/a,c,nan\n"}}),
+        ("users.trace_file: ", {"users": TRACE_USERS, "_says": "t.csv:2: demand", "_files": {
+            "n.csv": TRACE_NODES, "t.csv": "slot,user_node,content,demand\n1,user/a,c,inf\n"}}),
+        ("users.catalog_file: ", {"users": {**TRACE_USERS, "catalog_file": "@c.csv"},
+                                  "_says": "c.csv:2: size", "_files": {
+            "n.csv": TRACE_NODES, "c.csv": "content,size_mb\nc,nan\n"}}),
+        ("latency_samples_file: ", {"latency_samples_file": "@lat.csv",
+                                    "_says": "lat.csv:3: latency",
+                                    "_files": {"lat.csv": "latency_ms\n12.5\ninf\n"}}),
+        ("latency_samples_file: ", {"latency_samples_file": "@lat.csv",
+                                    "_says": "lat.csv:2: latency",
+                                    "_files": {"lat.csv": "latency_ms\nnan\n"}}),
         ("seed: must be >= 0", {"seed": -1, "metric": "sampled"}),
         ("users.top_k: must be >= 1", {"users": {**TRACE_USERS, "top_k": 0}}),
         ("users.contents: must list at least 1",
@@ -745,7 +760,9 @@ class TestCLICommands:
              "nodes_file_latitude", "nodes_file_short_weighted_row", "trace_short_row",
              "trace_unknown_user", "trace_no_rows",
              "catalog_not_a_number", "latency_not_a_number",
-             "latency_file_empty", "negative_seed", "top_k_zero", "no_contents"] + [case_id for *_, case_id in SCHEMA_CASES])
+             "latency_file_empty", "nan_demand", "inf_demand", "nan_catalog_size",
+             "inf_latency_sample", "nan_latency_sample", "negative_seed", "top_k_zero",
+             "no_contents"] + [case_id for *_, case_id in SCHEMA_CASES])
     def test_bad_settings_exit_code_before_any_solver(self, tmp_path, capsys, monkeypatch,
                                                       field, over):
         import satcdn.scenario as sc_mod
@@ -753,6 +770,7 @@ class TestCLICommands:
         called = []
         monkeypatch.setitem(sc_mod.SOLVERS, "no_replica", lambda *a, **k: called.append(a))
         over = dict(over)
+        says = over.pop("_says", "")  # and the message names this file line
         for name, text in over.pop("_files", {}).items():  # "@name" is tmp_path / name
             (tmp_path / name).write_text(text)
         config = over.pop("_document") if "_document" in over else minimal_config(**over)
@@ -760,4 +778,5 @@ class TestCLICommands:
         cfg_path.write_text(json.dumps(config).replace('"@', f'"{tmp_path}/'))
         rc = main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "o")])
         assert rc == 2 and not called
-        assert capsys.readouterr().err.startswith(f"config error: {field}")
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {field}") and says in err

@@ -9,8 +9,7 @@ from satcdn.constellation import (C_KM_PER_MS, GEO_ALTITUDE_KM, R_EARTH_KM,
                                   GroundNode, LatencySampler, Network, ShellSpec,
                                   _visible_pairs, build_shell, elevation_angle,
                                   elevation_angles, ground_positions, o3b,
-                                  orbital_period_s, propagate, starlink_phase1,
-                                  viasat)
+                                  orbital_period_s, starlink_phase1, viasat)
 
 MU = 398600.4418
 
@@ -83,28 +82,26 @@ class TestPropagate:
         periods = [orbital_period_s(a) for a in alts]
         assert all(a < b for a, b in zip(periods, periods[1:]))
 
-    def test_zero_time_identity(self):
+    def test_positions_on_the_shell_sphere(self):
         con = build_shell(ShellSpec(4, 4, 550.0))
-        assert np.array_equal(propagate(con, 0.0), con.positions(0.0))
+        for t in (0.0, 1234.5):
+            pos = con.positions(t)
+            assert pos.shape == (16, 3)
+            assert np.allclose(np.linalg.norm(pos, axis=1), R_EARTH_KM + 550.0)
 
     def test_periodicity_in_inertial_frame(self):
         con = build_shell(ShellSpec(6, 8, 550.0))
         T = orbital_period_s(550.0)
-        assert np.allclose(propagate(con, T), propagate(con, 0.0), atol=1e-6)
+        assert np.allclose(con.positions(T), con.positions(0.0), atol=1e-6)
 
     def test_geo_fixed_relative_to_ground(self):
         con = build_shell(viasat(longitudes_deg=(-75.0,)))
         ground = [GroundNode("g", "gateway", 0.0, -75.0)]
         for t in (0.0, 3600.0, 40000.0):
-            sat = propagate(con, t)[0]
+            sat = con.positions(t)[0]
             g = ground_positions(ground, t)[0]
             rel = sat - g * (np.linalg.norm(sat) / np.linalg.norm(g))
             assert np.linalg.norm(rel) < 1e-6
-
-    def test_rejects_negative_time(self):
-        con = build_shell(ShellSpec(1, 1, 550.0))
-        with pytest.raises(ValueError):
-            propagate(con, -1.0)
 
 
 class TestElevation:
@@ -425,4 +422,11 @@ class TestLatencySampler:
         p = tmp_path / "lat.csv"
         p.write_text("latency_ms\nnot-a-number\n")
         with pytest.raises(ValueError, match="lat.csv:2"):
+            LatencySampler.from_file(p)
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "0", "-3.5"])
+    def test_rejects_non_positive_and_non_finite_samples(self, tmp_path, value):
+        p = tmp_path / "lat.csv"
+        p.write_text(f"latency_ms\n25.0\n{value}\n")
+        with pytest.raises(ValueError, match="lat.csv:3: latency must be positive and finite"):
             LatencySampler.from_file(p)

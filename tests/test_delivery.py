@@ -7,7 +7,7 @@ from scipy.sparse.csgraph import dijkstra
 from satcdn.constellation import GroundNode, Network, starlink_phase1
 from satcdn.costmodel import DistanceOracle, ReplicaSchedule, build_distance_oracle
 from satcdn.delivery import (POLICIES, DeliveryReport, LinkModel, QoEModel, Router,
-                             RoutingPolicy, chunk_download_time, path_links, simulate_delivery)
+                             RoutingPolicy, path_links, simulate_delivery)
 from satcdn.demand import (US_BBOX, ContentCatalog, DemandMatrix, random_ground_sites,
                            synth_population_demand, us_state_nodes)
 
@@ -66,6 +66,39 @@ def all_sats_oracle(dists_to_user, *, origin_dist=50.0, slots=1):
                                         predecessors=[pred] * slots)
 
 
+def first_pick(router):
+    """The serving replica of one request of ``user/u`` for ``c0`` at slot 1,
+    and whether it is reachable."""
+    (pick,), reachable = router.picks(router.oracle.index["user/u"], "c0", 1, 1)
+    return pick, reachable
+
+
+def download_time(oracle, user, replica, size_mb, slot=1):
+    """Seconds to download one ``size_mb`` chunk of ``user`` from ``replica``
+    (an id or an index) at ``slot``, read back from ``simulate_delivery``'s
+    score of that one request; +inf if it is unreachable. The QoE budget
+    halves from 64 s until the time lies on the score's linear part, between
+    the budget and twice the budget, where score = max_score * (2 - time /
+    budget)."""
+    r = oracle.index[replica] if isinstance(replica, str) else int(replica)
+    sched = ReplicaSchedule(["c0"], slot, {"c0": [(r,)] * slot})
+    values = np.zeros((1, 1, slot))
+    values[0, 0, -1] = 1.0
+    demand = DemandMatrix([user], ["c0"], values)
+    catalog = ContentCatalog(["c0"], [size_mb])
+    for k in range(6, -40, -1):
+        qoe = QoEModel(budget_s=2.0 ** k)
+        rep = simulate_delivery(sched, demand, RoutingPolicy(), LinkModel(), qoe, oracle,
+                                catalog)
+        score = rep.mean_qoe[-1]
+        if rep.unreachable_requests:
+            return math.inf
+        if score < qoe.max_score:
+            assert score > 0.0
+            return qoe.budget_s * (2.0 - score / qoe.max_score)
+    raise AssertionError("download time below 2**-40 s")
+
+
 class TestRoutingPolicies:
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -79,14 +112,14 @@ class TestRoutingPolicies:
         oracle = latency_oracle()
         sched = ReplicaSchedule.origin_only(["c0"], 2, oracle.origins_idx)
         for kind in ("closest", "round_robin", "weighted_round_robin"):
-            got = Router(sched, oracle, RoutingPolicy(kind=kind)).route("user/u", "c0", 1)[0]
+            got = first_pick(Router(sched, oracle, RoutingPolicy(kind=kind)))[0]
             assert got == 3
 
     def test_wrr_exact_split_over_seven(self):
         oracle = all_sats_oracle([1.0, 2.0, 3.0])
         sched = ReplicaSchedule(["c0"], 1, {"c0": [(0, 1, 2, 3)]})
         router = Router(sched, oracle, RoutingPolicy(kind="weighted_round_robin"))
-        picks = [router.route("user/u", "c0", 1)[0] for _ in range(7)]
+        picks = [first_pick(router)[0] for _ in range(7)]
         assert picks.count(0) == 4 and picks.count(1) == 2 and picks.count(2) == 1
 
     def test_wrr_long_run_shares(self):
@@ -94,7 +127,7 @@ class TestRoutingPolicies:
         sched = ReplicaSchedule(["c0"], 1, {"c0": [(0, 1, 2, 3)]})
         router = Router(sched, oracle, RoutingPolicy(kind="weighted_round_robin"))
         n = 7 * 120
-        picks = [router.route("user/u", "c0", 1)[0] for _ in range(n)]
+        picks = [first_pick(router)[0] for _ in range(n)]
         for idx, share in ((0, 4 / 7), (1, 2 / 7), (2, 1 / 7)):
             assert abs(picks.count(idx) / n - share) <= 1.0 / n + 1e-12
 
@@ -102,7 +135,7 @@ class TestRoutingPolicies:
         oracle = all_sats_oracle([1.0, 2.0, 3.0, 4.0])
         sched = ReplicaSchedule(["c0"], 1, {"c0": [(0, 1, 2, 3, 4)]})
         router = Router(sched, oracle, RoutingPolicy(kind="round_robin"))
-        picks = [router.route("user/u", "c0", 1)[0] for _ in range(6)]
+        picks = [first_pick(router)[0] for _ in range(6)]
         assert picks == [0, 1, 2, 0, 1, 2]  # fanout 3 over the closest three
 
     def test_closest_matches_bruteforce(self):
@@ -110,7 +143,7 @@ class TestRoutingPolicies:
         d = rng.uniform(1, 30, size=6).tolist()
         oracle = all_sats_oracle(d)
         sched = ReplicaSchedule(["c0"], 1, {"c0": tuple([tuple(range(7))])})
-        got = Router(sched, oracle, RoutingPolicy(kind="closest")).route("user/u", "c0", 1)[0]
+        got = first_pick(Router(sched, oracle, RoutingPolicy(kind="closest")))[0]
         D = oracle.matrix(1)
         u = oracle.index["user/u"]
         want = min(range(7), key=lambda v: (D[u, v], v))
@@ -125,46 +158,42 @@ class TestRoutingPolicies:
                                               predecessors=[pred])
         sched = ReplicaSchedule(["c0"], 1, {"c0": [(0, 1)]})
         router = Router(sched, oracle, RoutingPolicy(kind="closest"))
-        rep, reachable = router.route("user/u", "c0", 1)
+        rep, reachable = first_pick(router)
         assert rep == 1 and not reachable
 
 
 class TestChunkDownloadTime:
+    """One request's download time: propagation plus the chunk over the
+    path's bottleneck link, as ``simulate_delivery`` scores it."""
+
     def test_gigabyte_at_10gbps(self):
         oracle = all_sats_oracle([1e-6])
-        t = chunk_download_time("user/u", "sat/s/00/00", 1000.0, 1,
-                                LinkModel(), oracle)
+        t = download_time(oracle, "user/u", "sat/s/00/00", 1000.0)
         assert t == pytest.approx(0.8, abs=1e-6)
 
     def test_propagation_added(self):
         oracle = latency_oracle()
         # user -> gw/g: 9 ms propagation; bottleneck satellite 10 Gbps
-        t = chunk_download_time("user/u", "gw/g", 1000.0, 1, LinkModel(), oracle)
+        t = download_time(oracle, "user/u", "gw/g", 1000.0)
         assert t == pytest.approx(0.8 + 0.009, abs=1e-9)
 
     def test_bottleneck_rule_mixed_path(self):
         oracle = latency_oracle()
         # user -> origin crosses one terrestrial link (g-o) and satellite links
-        t = chunk_download_time("user/u", "origin/o", 1000.0, 1, LinkModel(), oracle)
+        t = download_time(oracle, "user/u", "origin/o", 1000.0)
         assert t == pytest.approx(0.8 + 0.014, abs=1e-9)
 
     def test_local_serve_transmission_only(self):
         oracle = latency_oracle()
-        t = chunk_download_time("user/u", "user/u", 500.0, 1, LinkModel(), oracle)
+        t = download_time(oracle, "user/u", "user/u", 500.0)
         assert t == pytest.approx((500.0 * 8e6) / 20e9, abs=1e-9)
 
     def test_monotone_in_size_and_path(self):
         oracle = latency_oracle()
-        t1 = chunk_download_time("user/u", "sat/s/00/00", 10.0, 1, LinkModel(), oracle)
-        t2 = chunk_download_time("user/u", "sat/s/00/00", 20.0, 1, LinkModel(), oracle)
-        t3 = chunk_download_time("user/u", "gw/g", 10.0, 1, LinkModel(), oracle)
+        t1 = download_time(oracle, "user/u", "sat/s/00/00", 10.0)
+        t2 = download_time(oracle, "user/u", "sat/s/00/00", 20.0)
+        t3 = download_time(oracle, "user/u", "gw/g", 10.0)
         assert t1 < t2 and t1 < t3
-
-    def test_hop_oracle_rejected(self):
-        oracle = all_sats_oracle([1.0])
-        oracle.metric = "hop"
-        with pytest.raises(ValueError, match="latency"):
-            chunk_download_time("user/u", "sat/s/00/00", 1.0, 1, LinkModel(), oracle)
 
 
 class TestPathLinks:
@@ -180,8 +209,7 @@ class TestPathLinks:
 
 class TestSimulateDelivery:
     def test_hop_oracle_rejected(self):
-        """Hop counts are not milliseconds: delivery refuses them as
-        ``chunk_download_time`` does."""
+        """Hop counts are not milliseconds: delivery refuses them."""
         oracle = latency_oracle()
         oracle.metric = "hop"
         sched = ReplicaSchedule.origin_only(["c0"], 1, oracle.origins_idx)
@@ -298,12 +326,15 @@ class TestLazyOracleDelivery:
 
     def test_download_time_and_paths_match(self):
         lazy, eager, sched, demand = network_oracles()
+        finite = 0
         for user in demand.users[:10]:
             u = lazy.index[user]
             for rep in sched.nodes("c0", 2):
                 assert path_links(lazy, 2, u, rep) == path_links(eager, 2, u, rep)
-                assert chunk_download_time(user, rep, 4.0, 2, LinkModel(), lazy) == \
-                    chunk_download_time(user, rep, 4.0, 2, LinkModel(), eager)
+                t = download_time(lazy, user, rep, 4.0, slot=2)
+                assert t == download_time(eager, user, rep, 4.0, slot=2)
+                finite += math.isfinite(t)
+        assert finite > 20
 
     @pytest.mark.parametrize("kind", POLICIES)
     @pytest.mark.parametrize("capacity", [None, 96.0])
@@ -347,7 +378,7 @@ class TestLazyOracleDelivery:
 
 
 def per_request_report(sched, demand, policy, links, qoe, oracle, catalog):
-    """``simulate_delivery`` restated one request at a time: a ``Router.route``
+    """``simulate_delivery`` restated one request at a time: a ``Router.picks``
     call per request, then its path, bottleneck, FIFO wait and download time
     from the oracle's full matrices, with no memo. Returns the report and
     every pick in request order."""
@@ -363,7 +394,7 @@ def per_request_report(sched, demand, policy, links, qoe, oracle, catalog):
             for uj, user in enumerate(demand.users):
                 u = oracle.index[user]
                 for _ in range(int(round(demand.values[uj, ci, t - 1]))):
-                    rep, reachable = router.route(user, c, t)
+                    (rep,), reachable = router.picks(u, c, t, 1)
                     picks.append(rep)
                     rec = per_replica.setdefault(oracle.ids[rep], {"requests": 0.0, "gb": 0.0})
                     rec["requests"] += 1
@@ -382,8 +413,6 @@ def per_request_report(sched, demand, policy, links, qoe, oracle, catalog):
                         wait = backlog.get((rep, t), 0.0)
                         backlog[rep, t] = wait + transmit
                     dt = D[u, rep] / 1000.0 + wait + transmit
-                    if cap is None:
-                        assert dt == chunk_download_time(user, rep, size_mb, t, links, oracle)
                     qoe_sum[t - 1] += qoe.score(dt)
                     traffic += size_mb / 1000.0 * len(edges)
                     rec["gb"] += size_mb / 1000.0

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -46,6 +48,13 @@ class TestLoadTrace:
         with pytest.raises(ValueError, match=":3"):
             load_trace(p)
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "-1.0"])
+    def test_non_finite_or_negative_demand_reports_line(self, tmp_path, value):
+        p = tmp_path / "t.csv"
+        write_trace(p, [(1, "user/a", "c0", 2.0), (2, "user/a", "c0", value)])
+        with pytest.raises(ValueError, match="t.csv:3: demand must be finite and >= 0"):
+            load_trace(p)
+
     def test_unknown_user_rejected(self, tmp_path):
         p = tmp_path / "t.csv"
         write_trace(p, [(1, "user/zzz", "c0", 1.0)])
@@ -61,6 +70,13 @@ class TestLoadTrace:
         _, back = load_trace(p, known_users=users)
         assert back.slot_count == 3
         assert np.array_equal(back.values, demand.values)
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "0", "-2"])
+    def test_catalog_non_finite_or_non_positive_size_reports_line(self, tmp_path, value):
+        p = tmp_path / "cat.csv"
+        p.write_text(f"content,size_mb\nc0,1.5\nc1,{value}\n")
+        with pytest.raises(ValueError, match="cat.csv:3: size must be positive and finite"):
+            load_catalog(p)
 
     def test_catalog_round_trip(self, tmp_path):
         p = tmp_path / "cat.csv"
@@ -123,6 +139,11 @@ class TestSynthPopulation:
         with pytest.raises(ValueError):
             synth_population_demand({"user/x": 0.0}, 10, 2, 0)
 
+    @pytest.mark.parametrize("weight", [math.nan, math.inf, -math.inf])
+    def test_non_finite_weights_rejected(self, weight):
+        with pytest.raises(ValueError, match="finite"):
+            synth_population_demand({"user/x": 1.0, "user/y": weight}, 10, 2, 0)
+
 
 class TestPredict:
     def make(self, series):
@@ -176,8 +197,22 @@ class TestSiteHelpers:
 
 
 class TestCatalogs:
+    @pytest.mark.parametrize("size", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_size(self, size):
+        with pytest.raises(ValueError, match="positive and finite"):
+            ContentCatalog(["a", "b"], np.array([1.0, size]))
+
     def test_validation(self):
         with pytest.raises(ValueError):
             ContentCatalog(["a", "a"], np.array([1.0, 1.0]))
         with pytest.raises(ValueError):
             ContentCatalog(["a"], np.array([0.0]))
+
+
+class TestDemandMatrix:
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, -1.0])
+    def test_rejects_non_finite_or_negative_values(self, value):
+        vals = np.ones((2, 1, 3))
+        vals[1, 0, 2] = value
+        with pytest.raises(ValueError, match="demand values must be finite and >= 0"):
+            DemandMatrix(["user/a", "user/b"], ["c0"], vals)
