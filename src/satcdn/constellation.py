@@ -276,6 +276,17 @@ class LatencySampler:
     median_ms: float = 40.0
     sigma: float = 0.5
 
+    def __post_init__(self):
+        # each check is written so that NaN fails it
+        if not (0 < self.median_ms < math.inf and 0 < self.sigma < math.inf):
+            raise ValueError("median_ms and sigma must be positive and finite")
+        if self.samples is not None:
+            samples = np.asarray(self.samples, dtype=float)
+            if not samples.size:
+                raise ValueError("no latency samples given")
+            if not np.all((samples > 0) & (samples < math.inf)):
+                raise ValueError("latency samples must be positive and finite")
+
     @classmethod
     def from_file(cls, path) -> "LatencySampler":
         values = []
@@ -297,8 +308,6 @@ class LatencySampler:
 
     @classmethod
     def lognormal(cls, median_ms: float = 40.0, sigma: float = 0.5) -> "LatencySampler":
-        if not (0 < median_ms < math.inf and 0 < sigma < math.inf):
-            raise ValueError("median_ms and sigma must be positive and finite")
         return cls(samples=None, median_ms=float(median_ms), sigma=float(sigma))
 
     @property
@@ -430,8 +439,10 @@ class SnapshotGraph:
         return self.edge_u.size
 
     def weights(self, metric: str) -> np.ndarray:
+        """Per-edge weights under ``metric``. ``hop`` weights are ones of one
+        byte each: no hop search reads them, so they only mark the edges."""
         if metric == "hop":
-            return np.ones(self.n_edges)
+            return np.ones(self.n_edges, dtype=np.uint8)
         if metric == "ideal":
             return self.ideal_ms
         if metric == "sampled":

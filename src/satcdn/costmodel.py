@@ -300,8 +300,11 @@ class DistanceOracle:
         after checking that they all fit: ``_hop_matrix`` for ``hop``, else
         ``_dijkstra_matrix``. The full matrix replaces the cached rows."""
         todo = [slot for slot in slots if slot.full is None]
-        if todo:
-            check_fits(self.n_nodes, len(todo), self.dtype.itemsize + 4 * self.has_paths)
+        n = self.n_nodes
+        if todo and self.metric == "hop":
+            check_fits(n, len(todo), 1, _hop_temporaries(n))
+        elif todo:
+            check_fits(n, len(todo), self.dtype.itemsize + 4 * self.has_paths)
         for slot in todo:
             if self.metric == "hop":
                 slot.full = _hop_matrix(slot.graph, self.dtype)
@@ -443,17 +446,19 @@ def _relax(graph, nodes, src, pos, dst, hop: bool) -> None:
         dst[nodes[part]] = best
 
 
-def _hop_levels(graph, sources) -> np.ndarray:
+def _hop_levels(graph, sources) -> list[np.ndarray]:
     """Hop counts from each of ``sources`` to every node of a symmetric CSR
-    graph, by one breadth-first search from all of them at once: an (n,
-    len(sources)) array whose entry ``(v, j)`` counts the hops from
-    ``sources[j]`` to ``v``, 0 where ``v`` is that source or is not reached.
+    graph, by one breadth-first search from all of them at once, as bit
+    planes: plane ``k`` is an (n, w) array of bitsets (little-endian
+    ``uint64`` words, w = ceil(len(sources) / 64)) whose bit ``j`` of row
+    ``v`` is bit ``k`` of the hop count from ``sources[j]`` to ``v``. The
+    count is 0 where ``v`` is that source or is not reached; there are as
+    many planes as the largest count has bits. Bit ``j`` lives in word
+    ``j // 64`` at position ``j % 64``.
 
-    Row ``v`` of ``unseen`` is a bitset (little-endian ``uint64`` words) of
-    the sources that have not reached node ``v`` yet; bit ``j`` lives in word
-    ``j // 64`` at position ``j % 64``. Each level ORs the neighbours'
-    frontier bitsets and keeps the bits still unseen, updating whole arrays
-    in place.
+    Row ``v`` of ``unseen`` is a bitset of the sources that have not reached
+    node ``v`` yet. Each level ORs the neighbours' frontier bitsets and keeps
+    the bits still unseen, updating whole arrays in place.
 
     - *Sentinel.* Every node of degree 0 gets one edge to node ``n``, whose
       frontier row stays all zero, so every node has at least one neighbour.
@@ -463,13 +468,9 @@ def _hop_levels(graph, sources) -> np.ndarray:
     - *Tail.* The neighbours past the first ``d`` of higher-degree nodes are
       ORed per node by ``np.bitwise_or.reduceat`` and added to those nodes.
 
-    The level of each new bit is recorded in binary across ``planes``, plane
-    ``k`` holding bit ``k``. At the end each plane's bytes go through a
-    256-entry table, shifted left by the plane index, that spreads the 8 bits
-    of a byte over 8 accumulator lanes, one per pair, and is ORed into one
-    accumulator (``uint8`` per pair up to 255 levels, wider above), which
-    holds the levels. The result is a view of the accumulator, whose rows are
-    padded to a multiple of 64 sources.
+    Besides the planes, the search holds four bitset arrays of about n rows
+    (``unseen``, two frontiers, one gathered lane) and one gathered row per
+    tail edge.
     """
     n, m = graph.shape[0], len(sources)
     deg = np.diff(graph.indptr)
@@ -510,19 +511,45 @@ def _hop_levels(graph, sources) -> np.ndarray:
             if level >> k & 1:
                 planes[k] |= new
         frontier, nxt = nxt, frontier
-    del frontier, nxt, gathered, tail_rows, unseen
+    return planes
 
-    acc_t = np.min_scalar_type(level)
-    table = _BYTE_BITS.astype(acc_t).view("<u8")
-    # Zeroed: taking plane 0 into a new array instead raised the peak RSS of
-    # the paper_hop_mtls benchmark by about 4 MiB.
-    acc = np.zeros((n, w * 8, table.shape[1]), dtype="<u8")
+
+def _unpack_levels(planes, sources, out) -> int:
+    """Write the hop counts of ``_hop_levels``'s ``planes`` into the rows
+    ``out[sources]`` (the counts from ``sources[j]`` are its row, by
+    symmetry) and return how many are nonzero.
+
+    Nodes are unpacked in chunks of as many as fit in ``_RELAX_CHUNK`` bytes
+    of level accumulator. Each plane's bytes go through a 256-entry table,
+    shifted left by the plane index, that spreads the 8 bits of a byte over
+    8 accumulator lanes, one per pair, and are ORed into the accumulator
+    (``uint8`` per pair up to 8 planes, wider above), which then holds the
+    chunk's counts, one row per node; its transpose is copied into the
+    chunk's columns of ``out[sources]``. Besides ``out`` the unpacking
+    holds two such buffers.
+    """
+    n, m = out.shape[1], len(sources)
+    w = (m + 63) // 64
+    acc_t = np.min_scalar_type((1 << len(planes)) - 1)
+    base = _BYTE_BITS.astype(acc_t).view("<u8")
+    tables = [base << np.uint64(k) for k in range(len(planes))]
+    step = max(1, _RELAX_CHUNK // (max(w, 1) * 64 * acc_t.itemsize))
+    acc = np.zeros((min(n, step), w * 8, base.shape[1]), dtype="<u8")
     part = np.empty_like(acc)
-    for k, plane in enumerate(planes):
-        acc |= np.take(table << np.uint64(k), plane.view(np.uint8), axis=0, out=part,
-                       mode="clip")
-    del part, planes
-    return acc.view(acc_t).reshape(n, -1)[:, :m]
+    nonzero = 0
+    for lo in range(0, n, step):
+        hi = min(lo + step, n)
+        a = acc[:hi - lo]
+        for k, plane in enumerate(planes):
+            # mode="clip" lets take write to ``out`` unbuffered; every index is valid
+            np.take(tables[k], plane[lo:hi].view(np.uint8), axis=0,
+                    out=a if k == 0 else part[:hi - lo], mode="clip")
+            if k:
+                a |= part[:hi - lo]
+        levels = a.view(acc_t).reshape(hi - lo, -1)[:, :m]
+        nonzero += np.count_nonzero(levels)
+        out[sources, lo:hi] = levels.T
+    return nonzero
 
 
 def _hop_matrix(graph, dtype) -> np.ndarray:
@@ -532,7 +559,8 @@ def _hop_matrix(graph, dtype) -> np.ndarray:
     ``_cover`` splits the nodes into a vertex cover ``S`` and an independent
     set ``I`` (44–50% of the nodes of a snapshot). One breadth-first
     search from the ``S`` sources at once (``_hop_levels``) gives the rows
-    ``D[S, :]`` by symmetry. Every neighbour of a node ``v`` in ``I`` is in
+    ``D[S, :]`` by symmetry, unpacked straight into the output
+    (``_unpack_levels``). Every neighbour of a node ``v`` in ``I`` is in
     ``S``, so row ``v`` follows in one Bellman step, ``D[v, :] = 1 + min over
     the neighbours u of v of D[u, :]`` (``_relax``), which is exact: the
     result equals an all-sources search's.
@@ -543,26 +571,44 @@ def _hop_matrix(graph, dtype) -> np.ndarray:
     step: when they are all reached within 255 hops, every pair is reached,
     as each node of ``I`` is next to one of ``S`` (or ``n = 1``), but an
     ``I`` row may hold a count of 256, which wraps to 0 in ``uint8``; then
-    the ``I`` rows are stepped again in ``dtype``.
+    the ``I`` rows are stepped again in ``dtype``. A search of more than 255
+    levels writes ``dtype`` from the start; a partitioned slot's counts are
+    widened to ``dtype`` after the unpacking. Either fails with
+    ``MemoryError`` before allocating ``dtype`` when that would not fit.
     """
     n = graph.shape[0]
     S, I = _cover(graph)
-    L = _hop_levels(graph, S)
-    counts = (L.dtype == np.uint8 and np.count_nonzero(L) == L.size - S.size
-              and (S.size > 0 or n == 1))
-    out = np.empty((n, n), dtype=np.uint8 if counts else dtype)
-    out[S] = L.T
-    del L
+    planes = _hop_levels(graph, S)
+    wide = len(planes) > 8
+    if wide:
+        _check_float_hops(n, dtype, 1)
+    out = np.empty((n, n), dtype=dtype if wide else np.uint8)
+    nonzero = _unpack_levels(planes, S, out)
+    del planes
+    counts = not wide and nonzero == S.size * (n - 1) and (S.size > 0 or n == 1)
     node = np.arange(n)
     if not counts:
+        if not wide:
+            _check_float_hops(n, dtype, 1)
+            out = out.astype(dtype)
         out[out == 0] = np.inf  # the I rows are garbage until the step
         np.fill_diagonal(out, 0)
     _relax(graph, I, out, node, out, hop=True)
     if counts and np.count_nonzero(out) < out.size - S.size:
+        _check_float_hops(n, dtype, 0)
         out = out.astype(dtype)
         _relax(graph, I, out, node, out, hop=True)
     np.fill_diagonal(out, 0)
     return out
+
+
+def _check_float_hops(n: int, dtype, mask: int) -> None:
+    """Fail before a hop slot of ``n`` nodes is stored in ``dtype``, with
+    ``mask`` more bytes per pair for the +inf mask of unreached pairs."""
+    dtype = np.dtype(dtype)
+    _require_memory(n * n * (dtype.itemsize + mask),
+                    f"hop distances of n={n} nodes in {dtype.name} "
+                    "(a pair not reached within 255 hops)")
 
 
 def available_memory_bytes() -> int | None:
@@ -584,36 +630,49 @@ def available_memory_bytes() -> int | None:
         return None
 
 
-def check_fits(n: int, slots: int, itemsize: int) -> None:
+def check_fits(n: int, slots: int, itemsize: int, temporary: int | None = None) -> None:
     """Raise MemoryError before building ``slots`` full (n, n) distance arrays
-    that would not fit in memory.
+    that would not fit in memory: ``itemsize`` bytes per pair and slot plus
+    ``temporary`` bytes for one slot's temporaries, by default 8 per pair.
 
-    Each slot is charged ``itemsize`` bytes per pair: the oracle's dtype,
-    plus 4 on an oracle with paths, whose int32 predecessor rows stay alive.
-    For ``hop`` that is an upper bound: a slot whose pairs are all reached
-    within 255 hops stores one byte per pair (``uint8``), but any other slot
-    falls back to the oracle's dtype. The estimate adds 8 bytes per pair
-    for one slot's temporaries.
+    A weighted slot is charged the oracle's dtype, plus 4 bytes per pair on
+    an oracle with paths, whose int32 predecessor rows stay alive. It is
+    searched from the vertex cover ``S`` of ``_cover`` only; the rows of the
+    independent set ``I`` follow in one Bellman step from their neighbours'
+    rows (``_relax``), exact because every sum is an exact path sum. It
+    holds the float64 Dijkstra rows of ``S`` while they are stored and ``I``
+    is derived, plus two buffers of ``_RELAX_CHUNK`` bytes: within the 8
+    bytes per pair but on graphs of up to about 200 nodes, where the
+    buffers add at most 128 KiB.
 
-    A slot is searched from the vertex cover ``S`` of ``_cover`` only; the
-    rows of the independent set ``I`` follow in one Bellman step from their
-    neighbours' rows (``_relax``), exact because every sum is an exact path
-    sum. A weighted slot holds the float64 Dijkstra rows of ``S`` while
-    they are stored and ``I`` is derived, plus two buffers of
-    ``_RELAX_CHUNK`` bytes: within the 8 bytes per pair but on graphs of
-    up to about 200 nodes, where the buffers add at most 128 KiB. Besides
-    its output, the hop breadth-first search allocates bitset rows of
-    |S|/8 bytes (``unseen``, two frontiers, one plane per bit of the
-    largest level, and one gathered row per tail edge) and the level
-    accumulator over the (node, ``S`` source) pairs together with one
-    plane's table lookup: 2 bytes per such pair up to 255 levels, 4 up to
-    65,535. The accumulator lives until its ``S`` rows are copied to the
-    output, and when some pair is unreached the +inf mask takes 1 byte per
-    pair. On sparse graphs such as the snapshots, with a few tail edges per
-    node, that stays within the 8 bytes per pair added.
+    A ``hop`` slot is charged 1 byte per pair, what it stores when every
+    pair is reached within 255 hops, and ``_hop_temporaries`` for one slot.
+    A slot that stores its oracle's dtype instead (partitioned, or a pair
+    farther apart) is checked again by ``_hop_matrix`` before it is
+    widened.
     """
-    _require_memory(n * n * (slots * itemsize + 8),
+    temporary = 8 * n * n if temporary is None else temporary
+    _require_memory(n * n * slots * itemsize + temporary,
                     f"distance oracle for n={n} nodes over {slots} slot(s)")
+
+
+def _hop_temporaries(n: int) -> int:
+    """Bytes that one ``hop`` slot's build holds besides its output: 2 per
+    pair for the breadth-first search's bitsets and 4 ``_RELAX_CHUNK``
+    buffers.
+
+    The search holds bitset rows of |S|/8 bytes, ``S`` the vertex cover:
+    ``unseen``, two frontiers, one gathered lane, one plane per bit of the
+    largest level (8 for ``uint8`` counts) and, for the tail, one gathered
+    row per tail edge and two per node that has tail edges. With |S| = n
+    and two tail edges per node that is 2 bytes per pair; snapshots have
+    covers of about half their nodes, and a paper-scale Starlink slot
+    (n = 1,655, 3.3 tail edges per node, 5 planes) peaked at 0.52 bytes
+    per pair under ``tracemalloc``. The unpacking (``_unpack_levels``) then
+    holds the output, the planes and two buffers; the Bellman step
+    (``_relax``) two more.
+    """
+    return 2 * n * n + 4 * _RELAX_CHUNK
 
 
 def _require_memory(need: int, what: str) -> None:

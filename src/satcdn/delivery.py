@@ -36,11 +36,12 @@ class RoutingPolicy:
             raise ValueError("fanout must be >= 1")
         if len(self.weights) != self.fanout:
             raise ValueError("one weight per fanout slot required")
-        if any(w < 0 for w in self.weights):
+        # each check is written so that NaN fails it
+        if not all(w >= 0 for w in self.weights):
             raise ValueError("weights must be nonnegative")
-        if abs(sum(self.weights) - 1.0) > 1e-9:
+        if not abs(sum(self.weights) - 1.0) <= 1e-9:
             raise ValueError("weights must sum to 1")
-        if any(self.weights[i] < self.weights[i + 1] for i in range(len(self.weights) - 1)):
+        if not all(self.weights[i] >= self.weights[i + 1] for i in range(len(self.weights) - 1)):
             raise ValueError("weights must be non-increasing with replica distance")
 
 
@@ -51,7 +52,7 @@ class LinkModel:
     server_capacity_mbps: float | None = None
 
     def __post_init__(self):
-        if self.terrestrial_gbps <= 0 or self.satellite_gbps <= 0:
+        if not (self.terrestrial_gbps > 0 and self.satellite_gbps > 0):
             raise ValueError("throughputs must be positive")
         if self.server_capacity_mbps is not None and not self.server_capacity_mbps > 0:
             raise ValueError("server_capacity_mbps must be positive")
@@ -66,8 +67,10 @@ class QoEModel:
     max_score: float = 10.0
 
     def __post_init__(self):
-        if self.budget_s <= 0:
+        if not self.budget_s > 0:
             raise ValueError("budget_s must be positive")
+        if not self.max_score > 0:
+            raise ValueError("max_score must be positive")
 
     def score(self, download_s: float) -> float:
         if not math.isfinite(download_s):

@@ -22,6 +22,9 @@ reported costs always come from a clean re-evaluation against the oracle.
 Minimums, first argmins, sorts and ``<=`` tests of raw distances need no
 clip: the clip is monotone and ``BIG`` exceeds every finite distance.
 
+No demand-weighted copy of a block is kept: query costs weight the user
+rows' distances as they sum them (``ContentProblem.query_costs_with``).
+
 ``uint8`` arithmetic wraps, so the DP computes in its dtype only: every count
 read from a ``uint8`` block is converted first, exactly, by an explicit cast or
 as a ufunc operand next to one in the DP dtype.
@@ -236,6 +239,10 @@ class ContentProblem:
     most ``SMALL_NETWORK_NODES`` origins and candidates, else float32. The
     layout attributes (``m``, ``cand_pos``, ``orbit_members``, ...) are shared
     by every problem on the same oracle and must not be modified.
+
+    A problem keeps, per slot, its block and user block (views where they
+    can be) and the latest ``base_costs``: per-user vectors, no (users x
+    nodes) copy weighted by demand.
     """
 
     def __init__(self, oracle: DistanceOracle, users_global: np.ndarray, dem: np.ndarray,
@@ -256,11 +263,9 @@ class ContentProblem:
         # Row-chunk buffers of dp_pass, reused across slots and passes.
         self._buf = np.empty(max(_CHUNK, self.m), dtype=self.dp_dtype)
         self._buf64 = np.empty(self._buf.size)
-        # Per slot: the blocks, the user blocks, their demand-weighted
-        # copies and the latest base_costs.
+        # Per slot: the blocks, the user blocks and the latest base_costs.
         self._blocks: list[np.ndarray | _ConvertingReads | None] = [None] * self.T
         self._user_blocks: list[np.ndarray | None] = [None] * self.T
-        self._weighted: list[np.ndarray | None] = [None] * self.T
         self._base_costs: dict[int, tuple] = {}
         # The orbit DP's latest choices and distances between them.
         self._orbit_pairs: tuple[np.ndarray, np.ndarray] | None = None
@@ -304,45 +309,42 @@ class ContentProblem:
             du = self._user_blocks[t - 1] = _read_only(du)
         return du
 
-    def weighted_user_block(self, t: int) -> np.ndarray:
-        """``user_block(t)`` clipped to ``BIG`` in the DP dtype and scaled by
-        each user's demand weight at ``t``, so a zero weight gives 0, not NaN.
-
-        As weights are nonnegative, ``w * min(a, b) == min(w * a, w * b)``
-        exactly, so demand-weighted nearest distances can be taken from it.
-        """
-        wd = self._weighted[t - 1]
-        if wd is None:
-            wd = np.minimum(self.user_block(t), BIG, dtype=self.dp_dtype)
-            wd = self._weighted[t - 1] = np.multiply(self.weights(t)[:, None], wd, out=wd)
-        return wd
-
     def base_costs(self, t: int, base: tuple[int, ...]):
         """Costs of replica set ``base`` (node indices) at slot ``t``: the query
         cost (the demand-weighted distance from each user to its nearest
         member, summed), the storage cost, and each user's demand-weighted
         distance to its nearest member. The latest set of each slot is kept,
-        so the orbit DP and the DP pass of one MTOLS iteration share them.
+        with each user's unweighted nearest distance clipped to ``BIG``, so
+        the orbit DP and the DP pass of one MTOLS iteration share them.
         """
         kept = self._base_costs.get(t)
         if kept is None or kept[0] != base:
             base_arr = np.asarray(base, dtype=np.int64)
-            wu1 = self.weighted_user_block(t)[:, base_arr].min(axis=1)
+            d1 = np.minimum(self.user_block(t)[:, base_arr].min(axis=1), BIG,
+                            dtype=self.dp_dtype)
+            wu1 = self.weights(t) * d1
             kept = self._base_costs[t] = (base, float(wu1.sum()),
-                                          float(self.rate[base_arr].sum()), wu1)
-        return kept[1:]
+                                          float(self.rate[base_arr].sum()), wu1, d1)
+        return kept[1:4]
 
     def query_costs_with(self, t: int, base: tuple[int, ...], cols) -> np.ndarray:
         """Query cost of ``base`` at slot ``t`` with each node of ``cols`` (an
-        index array or a slice) added: the column sums of the (users x cols)
-        block of weighted distances.
+        index array or a slice) added: the column sums of the demand-weighted
+        nearest distances, weighted as they are summed, from the raw user
+        rows (``uint8`` counts are converted by the minimum with the DP-dtype
+        nearest distances, and +inf loses to them, as they are at most
+        ``BIG``). As weights are nonnegative and rounding is monotone,
+        ``w * min(a, b) == min(w * a, w * b)``, so each entry is the minimum of
+        the weighted distances, bit for bit.
 
         The sum order follows the block's layout, and the last bits with it:
         an index-array gather is laid out column by column, so NumPy sums
         each column pairwise; a sliced block is summed row by row.
         """
-        wu1 = self.base_costs(t, base)[2]
-        return np.minimum(wu1[:, None], self.weighted_user_block(t)[:, cols]).sum(axis=0)
+        self.base_costs(t, base)
+        d1 = self._base_costs[t][4]
+        near = np.minimum(d1[:, None], self.user_block(t)[:, cols])
+        return np.multiply(self.weights(t)[:, None], near, out=near).sum(axis=0)
 
     def weights(self, t: int) -> np.ndarray:
         return self._weights[t - 1]

@@ -366,6 +366,12 @@ def run_scenario(config, out_dir, *, algorithms=None, metric=None, seed=None) ->
     horizon = demand.slot_count if sc.users["mode"] == "trace" else sc.horizon_slots
     snapshots = network.snapshots(horizon)
     oracle = build_distance_oracle(snapshots, sc.metric)
+    delivery_oracle = None
+    if policies:
+        # the planning snapshots cover the demand horizon; reuse them
+        delivery_oracle = build_distance_oracle(snapshots[:demand.slot_count], "ideal",
+                                                need_paths=True)
+    del snapshots  # the oracles hold their slot graphs; nothing reads the snapshots again
     if sc.candidates == "gateways_only":
         oracle = oracle.restrict_kinds([cst.GATEWAY])
     elif sc.candidates == "satellites_only":
@@ -375,12 +381,6 @@ def run_scenario(config, out_dir, *, algorithms=None, metric=None, seed=None) ->
     predicted = demand
     if sc.prediction["mode"] == "moving_average":
         predicted = dm.predict_demand(demand, sc.prediction["window_slots"])
-
-    delivery_oracle = None
-    if policies:
-        # the planning snapshots cover the demand horizon; reuse them
-        delivery_oracle = build_distance_oracle(snapshots[:demand.slot_count], "ideal",
-                                                need_paths=True)
 
     nodes = network.nodes
     metadata: dict[str, Any] = {

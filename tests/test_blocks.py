@@ -592,3 +592,106 @@ def test_two_smallest_of_one_member_over_uint8_counts():
             assert (d2 == BIG).all() and (a1 == 5).all()
             near = _two_smallest(counts, np.array([5]), idx, second=False, dtype=dtype)[0]
             assert near.dtype == dtype and np.array_equal(near, d1)
+
+
+def weighted_block_costs(prob, t, base, cols):
+    """``base_costs`` and ``query_costs_with`` in the form that kept a
+    demand-weighted copy of each user block: the block clipped to ``BIG``
+    in the DP dtype and scaled in place by the weights, its least entry
+    over the members per user, and each column's minimum with that, summed
+    in the layout of the column gather."""
+    wd = np.minimum(prob.user_block(t), BIG, dtype=prob.dp_dtype)
+    np.multiply(prob.weights(t)[:, None], wd, out=wd)
+    wu1 = wd[:, np.asarray(base, dtype=np.int64)].min(axis=1)
+    return float(wu1.sum()), wu1, np.minimum(wu1[:, None], wd[:, cols]).sum(axis=0)
+
+
+def assert_query_costs_match_weighted_blocks(oracle, dem, params, seed):
+    """Over every slot, a few bases and index-array and slice ``cols``, the
+    query costs weighted on the fly equal the weighted-block form's bit for
+    bit, in the same dtype."""
+    prob = ContentProblem(oracle, oracle.users_idx, dem, 1.0, params)
+    rng = np.random.default_rng(seed)
+    C = prob.cand_pos
+    for t in range(1, prob.T + 1):
+        for _ in range(3):
+            base = tuple(sorted(prob.s0 + tuple(rng.choice(C, 2, replace=False).tolist())))
+            qc, wu1, _ = weighted_block_costs(prob, t, base, C[:1])
+            got = prob.base_costs(t, base)
+            assert got[0] == qc
+            assert got[2].dtype == wu1.dtype and got[2].tobytes() == wu1.tobytes()
+            free = np.setdiff1d(C, base)
+            for cols in (free[:1], np.sort(rng.choice(free, 5, replace=False)), free,
+                         slice(int(C[0]), int(C[-1]) + 1), slice(0, prob.m), prob._cand_cols):
+                ref = weighted_block_costs(prob, t, base, cols)[2]
+                got = prob.query_costs_with(t, base, cols)
+                assert got.dtype == ref.dtype == prob.dp_dtype
+                assert got.tobytes() == ref.tobytes()
+
+
+def zero_some(dem, seed):
+    """``dem`` with about a third of its (user, slot) weights set to 0."""
+    dem = dem.copy()
+    dem[np.random.default_rng(seed).random(dem.shape) < 0.3] = 0.0
+    return dem
+
+
+def cut_off(mats, nodes):
+    """Float copies of ``mats`` with ``nodes`` cut off from every other node
+    at every slot: +inf in their rows and columns."""
+    out = [np.array(m, dtype=np.float64) for m in mats]
+    for m in out:
+        for x in nodes:
+            m[x, :] = m[:, x] = np.inf
+            m[x, x] = 0.0
+    return out
+
+
+@pytest.mark.parametrize("mixed", [False, True])
+def test_query_costs_of_uint8_hop_blocks_match_weighted_blocks(wide_hop, mixed):
+    """``uint8`` counts read raw under the float32 DP; ``mixed`` makes slot
+    2 float32 with +inf, a user cut off among them."""
+    oracle, levels, demand, _catalog = wide_hop
+    counts = rebuild(oracle, hop_mats(oracle, levels, mixed), dtype=None)
+    assert counts.matrix(1).dtype == np.uint8
+    params = CostParams("hop", 4.7, 1.0, 2.0, 1.0)
+    for c in range(2):
+        assert_query_costs_match_weighted_blocks(counts, zero_some(demand.values[:, c, :], c),
+                                                 params, c)
+
+
+@pytest.mark.parametrize("dp", [np.float64, np.float32])
+def test_query_costs_of_lazy_float32_rows_match_weighted_blocks(network, dp, monkeypatch):
+    """A planning oracle that computes float32 rows on demand, read through
+    user-block copies; slots 2 and 3 of the network hold +inf."""
+    from satcdn.placement import core
+    monkeypatch.setattr(costmodel, "SMALL_NETWORK_NODES", 0)
+    if dp == np.float32:
+        monkeypatch.setattr(core, "SMALL_NETWORK_NODES", 0)
+    snaps, demand, _catalog = network
+    oracle = build_distance_oracle(snaps, "ideal", dtype=np.float32)
+    params = CostParams.from_oracle(oracle, alpha=5.0, beta=1.0, gamma=4.0)
+    assert ContentProblem(oracle, oracle.users_idx, demand.values[:, 0, :], 1.0,
+                          params).dp_dtype == dp
+    for c in range(2):
+        assert_query_costs_match_weighted_blocks(oracle, zero_some(demand.values[:, c, :], c),
+                                                 params, c)
+    assert not any(has_full(oracle, t) for t in range(1, 5))
+
+
+@pytest.mark.parametrize("storage", [np.float64, np.float32])
+def test_query_costs_of_small_network_blocks_match_weighted_blocks(network, instance, storage):
+    """Small networks' float64 blocks (and float32 ones) read raw under the
+    float64 DP, with users and a candidate cut off (+inf) and zero weights
+    on cut-off users too."""
+    snaps, demand, _catalog = network
+    eager = build_distance_oracle(snaps, "ideal")
+    params = CostParams.from_oracle(eager, alpha=5.0, beta=1.0, gamma=4.0)
+    assert_query_costs_match_weighted_blocks(eager, zero_some(demand.values[:, 0, :], 5),
+                                             params, 5)
+    oracle, mats, demand, _catalog, params = instance
+    users = oracle.users_idx
+    cut = rebuild(oracle, cut_off(mats, [3, users[0], users[1]]), storage)
+    dem = zero_some(demand.values[:, 0, :], 7)
+    dem[0], dem[1] = 0.0, 2.5  # one cut-off user without demand, one with
+    assert_query_costs_match_weighted_blocks(cut, dem, params, 7)

@@ -418,6 +418,21 @@ class TestLatencySampler:
         with pytest.raises(ValueError, match="positive and finite"):
             LatencySampler.lognormal(median_ms, sigma)
 
+    @pytest.mark.parametrize("field,kwargs", [
+        ("samples", dict(samples=np.array([25.0, float("nan")]))),
+        ("median_ms", dict(median_ms=float("nan"))),
+        ("sigma", dict(sigma=float("nan"))),
+    ], ids=["samples", "median_ms", "sigma"])
+    def test_constructor_rejects_nan(self, field, kwargs):
+        """The constructor checks what ``from_file`` and ``lognormal`` do."""
+        with pytest.raises(ValueError, match="positive and finite"):
+            LatencySampler(**kwargs)
+
+    @pytest.mark.parametrize("samples", [[], [0.0], [-1.0], [float("inf")]])
+    def test_constructor_rejects_empty_and_non_positive_samples(self, samples):
+        with pytest.raises(ValueError, match="samples"):
+            LatencySampler(samples=np.array(samples))
+
     def test_rejects_bad_file(self, tmp_path):
         p = tmp_path / "lat.csv"
         p.write_text("latency_ms\nnot-a-number\n")

@@ -127,6 +127,16 @@ def isolated_network():
     return Network([viasat(longitudes_deg=(0.0,))], ground)
 
 
+def paper_network():
+    """The paper instance's network: the 72x22 Starlink shell over 20
+    synthetic US gateways, one origin and a 5x10 grid of user regions."""
+    from satcdn.demand import US_BBOX, random_ground_sites, synth_grid_demand
+    users = synth_grid_demand(5, 10, US_BBOX, 1.0, 1)[0]
+    origin = GroundNode("origin/east", "origin", 39.0, -77.0)
+    return Network([starlink_phase1()], random_ground_sites(20, US_BBOX, seed=42)
+                   + [origin] + users, seed=7)
+
+
 def three_shell_network():
     """LEO, MEO and GEO shells over spread-out ground sites: edge latencies
     span two orders of magnitude, and the GEO and MEO hops are long."""
@@ -627,12 +637,15 @@ def path_graph(n):
 # Graphs that cross bitset words, take more than 8 level planes, have a
 # high-degree tail, or have nodes of degree 0 at the ends and the middle; and
 # connected graphs, whose levels are stored as uint8 counts up to 255 levels
-# (path256) but not past them (path257).
+# (path256) but not past them (path257). The graphs of 600 nodes and more
+# are unpacked in several chunks of nodes, from more than 64 sources.
 BFS_GRAPHS = {
-    **{f"random{n}": (lambda n=n: random_graph(n, seed=n)) for n in (63, 64, 65, 130)},
+    **{f"random{n}": (lambda n=n: random_graph(n, seed=n)) for n in (63, 64, 65, 130, 1200)},
+    "random1200_path": lambda: random_graph(1200, seed=3) + path_graph(1200),
     "path256": lambda: path_graph(256),
     "path257": lambda: path_graph(257),
     "path300": lambda: path_graph(300),
+    "path600": lambda: path_graph(600),
     "ring130_chords": lambda: edge_graph(
         130, [(i, (i + 1) % 130) for i in range(130)] + [(i, (7 * i + 3) % 130)
                                                          for i in range(0, 130, 9)]),
@@ -675,16 +688,25 @@ class TestHopBFS:
         # Stored as counts: connected within 255 levels, the last at 255.
         counts = [name for name, make in BFS_GRAPHS.items() if stored_dtype(
             dijkstra(make(), directed=False, unweighted=True), "hop", np.float32) == np.uint8]
-        assert counts == ["path256", "ring130_chords", "star200", "edgeless1"]
+        assert counts == ["random1200_path", "path256", "ring130_chords", "star200", "edgeless1"]
+        # At least four unpack chunks, from more than one bitset word of sources.
+        for name in ("random1200", "random1200_path", "path600"):
+            graph = BFS_GRAPHS[name]()
+            n, cover = graph.shape[0], costmodel._cover(graph)[0].size
+            levels = dijkstra(graph, directed=False, unweighted=True)
+            row = (cover + 63) // 64 * 64 * (1 if levels[np.isfinite(levels)].max() < 256 else 2)
+            assert cover > 64 and n * row >= 4 * costmodel._RELAX_CHUNK
         assert dijkstra(path_graph(256), indices=0, unweighted=True).max() == 255
         assert sorted(degrees["star200"])[-2:] == [1, 199]
         assert np.flatnonzero(degrees["isolated_first_middle_last"] == 0).tolist() == [0, 35, 69]
 
     @pytest.mark.parametrize("connected", [False, True])
     def test_transient_memory_fits_the_estimate(self, connected):
-        """Besides its output, the search allocates at most the 8 bytes per
-        pair that ``check_fits`` adds for one slot. A connected graph's
-        output takes 1 byte per pair, a disconnected one's 4 (float32)."""
+        """Besides its output, the build allocates at most what ``check_fits``
+        charges one hop slot's temporaries (``_hop_temporaries``). A
+        connected graph's output takes 1 byte per pair, a disconnected one's
+        4 (float32), next to which its 1-byte counts live while they are
+        widened."""
         n = 1000
         graph = random_graph(n, seed=1)
         if connected:
@@ -697,10 +719,39 @@ class TestHopBFS:
             tracemalloc.stop()
         assert out.dtype == (np.uint8 if connected else np.float32)
         assert out.nbytes == out.itemsize * n * n and np.isinf(out).any() != connected
-        assert peak - out.nbytes <= 8 * n * n
-        # Searching from a vertex cover measured 1.02 (disconnected) and 1.68
-        # (connected) bytes per pair here; from every source, 2.38 and 2.84.
+        assert peak - out.nbytes <= costmodel._hop_temporaries(n)
+        # Unpacked in row chunks, this measured 1.02 (disconnected) and 0.57
+        # (connected) bytes per pair; with a level accumulator over every
+        # (node, source) pair, 1.02 and 1.68; searched from every source,
+        # 2.38 and 2.84.
         assert peak - out.nbytes <= 2 * n * n
+
+    def test_paper_slot_holds_its_output_and_bounded_scratch(self):
+        """One slot of the paper network peaks, under tracemalloc, within
+        the larger of what its two phases hold by design. The search holds
+        bitset rows of |S|/8 bytes: ``unseen``, two frontiers and a gathered
+        lane, the tail's gathered rows, the tail nodes' rows and their ORs,
+        and at most 8 planes for ``uint8`` counts; and int64 index arrays
+        over the CSR entries, at most 8 alive. The unpacking holds the n^2
+        output, the planes and two ``_RELAX_CHUNK`` buffers; the Bellman
+        step, the output and two more."""
+        graph = paper_network().snapshot(1).to_csr("hop")
+        n, nnz = graph.shape[0], graph.nnz
+        cover = costmodel._cover(graph)[0].size
+        row = (cover + 63) // 64 * 8
+        deg = np.diff(graph.indptr)
+        tail = int(np.maximum(deg - max(deg.min(), 1), 0).sum())
+        planes = 8 * n * row
+        search = (6 * (n + 1) + tail) * row + planes + 8 * 8 * (nnz + n)
+        unpack = n * n + planes + 4 * costmodel._RELAX_CHUNK
+        tracemalloc.start()
+        try:
+            out = costmodel._hop_matrix(graph, np.float32)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out.dtype == np.uint8 and out.shape == (n, n) and n > 1600
+        assert peak <= max(search, unpack)
 
     def test_only_the_eager_hop_oracle_skips_dijkstra(self, monkeypatch):
         calls = {"bfs": 0, "dijkstra": 0}
@@ -979,6 +1030,46 @@ class TestMemoryGuard:
         monkeypatch.setattr(DistanceOracle, "_solve", never)
         with pytest.raises(MemoryError, match=rf"n={oracle.n_nodes} nodes over 3 slot"):
             solve_mtls(demand, oracle, params)
+
+    def test_connected_hop_slots_are_charged_one_byte_per_pair(self, monkeypatch):
+        """Two connected paper-network hop slots build under a budget below
+        their float32 charge, as they store uint8 counts; the guard still
+        refuses a budget below their uint8 charge and temporaries."""
+        snaps = paper_network().snapshots(2)
+        n = snaps[0].n_nodes
+        oracle = build_distance_oracle(snaps, "hop")
+        assert oracle.dtype == np.float32
+        charge = 2 * n * n + costmodel._hop_temporaries(n)
+        monkeypatch.setattr(costmodel, "available_memory_bytes", lambda: charge - 1)
+        with pytest.raises(MemoryError, match=rf"n={n} nodes over 2 slot"):
+            oracle.matrix(1)
+        float32_charge = n * n * (2 * 4 + 8)
+        assert charge < float32_charge
+        monkeypatch.setattr(costmodel, "available_memory_bytes", lambda: float32_charge - 1)
+        assert [oracle.matrix(t).dtype for t in (1, 2)] == [np.uint8, np.uint8]
+
+    def test_partitioned_hop_slot_fails_before_it_is_widened(self, monkeypatch):
+        """A partitioned GEO slot's counts are widened to the float dtype, with
+        +inf where unreached, only when that and the mask fit."""
+        graph = split_network().snapshot(1).to_csr("hop")
+        n = graph.shape[0]
+        need = n * n * (8 + 1)
+        monkeypatch.setattr(costmodel, "available_memory_bytes", lambda: need - 1)
+        with pytest.raises(MemoryError, match=rf"hop distances of n={n} nodes in float64 .* "
+                                              rf"needs about {need} bytes"):
+            costmodel._hop_matrix(graph, np.float64)
+        monkeypatch.setattr(costmodel, "available_memory_bytes", lambda: need)
+        out = costmodel._hop_matrix(graph, np.float64)
+        assert out.dtype == np.float64 and np.isinf(out).any()
+
+    def test_hop_slot_beyond_255_levels_fails_before_allocating(self, monkeypatch):
+        graph = path_graph(300)
+        need = 300 * 300 * (4 + 1)  # float32 and the +inf mask
+        monkeypatch.setattr(costmodel, "available_memory_bytes", lambda: need - 1)
+        with pytest.raises(MemoryError, match="hop distances of n=300 nodes in float32"):
+            costmodel._hop_matrix(graph, np.float32)
+        monkeypatch.setattr(costmodel, "available_memory_bytes", lambda: need)
+        assert costmodel._hop_matrix(graph, np.float32)[0, -1] == 299
 
     def test_estimate_counts_matrices_and_temporary(self, monkeypatch):
         # 48 float32 slots of 1000x1000 plus one float64 Dijkstra output
