@@ -302,7 +302,13 @@ class DistanceOracle:
         todo = [slot for slot in slots if slot.full is None]
         n = self.n_nodes
         if todo and self.metric == "hop":
-            check_fits(n, len(todo), 1, _hop_temporaries(n))
+            # 1 byte per pair and slot, what a slot stores when every pair
+            # is reached within 255 hops. A slot that stores the oracle's
+            # dtype instead (partitioned, or a pair farther apart) is checked
+            # again by ``_hop_matrix`` before it is widened, so a run of such
+            # slots may fail after its earlier slots are built.
+            _require_memory(n * n * len(todo) + _hop_temporaries(n),
+                            f"distance oracle for n={n} nodes over {len(todo)} slot(s)")
         elif todo:
             check_fits(n, len(todo), self.dtype.itemsize + 4 * self.has_paths)
         for slot in todo:
@@ -630,29 +636,23 @@ def available_memory_bytes() -> int | None:
         return None
 
 
-def check_fits(n: int, slots: int, itemsize: int, temporary: int | None = None) -> None:
-    """Raise MemoryError before building ``slots`` full (n, n) distance arrays
-    that would not fit in memory: ``itemsize`` bytes per pair and slot plus
-    ``temporary`` bytes for one slot's temporaries, by default 8 per pair.
+def check_fits(n: int, slots: int, itemsize: int) -> None:
+    """Raise MemoryError before building ``slots`` full (n, n) weighted
+    distance arrays that would not fit in memory: ``itemsize`` bytes per pair
+    and slot, the oracle's dtype plus 4 on an oracle with paths, whose int32
+    predecessor rows stay alive, and 8 bytes per pair for one slot's
+    temporaries.
 
-    A weighted slot is charged the oracle's dtype, plus 4 bytes per pair on
-    an oracle with paths, whose int32 predecessor rows stay alive. It is
-    searched from the vertex cover ``S`` of ``_cover`` only; the rows of the
-    independent set ``I`` follow in one Bellman step from their neighbours'
-    rows (``_relax``), exact because every sum is an exact path sum. It
-    holds the float64 Dijkstra rows of ``S`` while they are stored and ``I``
-    is derived, plus two buffers of ``_RELAX_CHUNK`` bytes: within the 8
-    bytes per pair but on graphs of up to about 200 nodes, where the
-    buffers add at most 128 KiB.
-
-    A ``hop`` slot is charged 1 byte per pair, what it stores when every
-    pair is reached within 255 hops, and ``_hop_temporaries`` for one slot.
-    A slot that stores its oracle's dtype instead (partitioned, or a pair
-    farther apart) is checked again by ``_hop_matrix`` before it is
-    widened.
+    A slot is searched from the vertex cover ``S`` of ``_cover`` only; the
+    rows of the independent set ``I`` follow in one Bellman step from their
+    neighbours' rows (``_relax``), exact because every sum is an exact path
+    sum. It holds the float64 Dijkstra rows of ``S`` while they are stored
+    and ``I`` is derived, plus two buffers of ``_RELAX_CHUNK`` bytes: within
+    the 8 bytes per pair but on graphs of up to about 200 nodes, where the
+    buffers add at most 128 KiB. ``hop`` slots are charged in
+    ``DistanceOracle._build``.
     """
-    temporary = 8 * n * n if temporary is None else temporary
-    _require_memory(n * n * slots * itemsize + temporary,
+    _require_memory(n * n * (slots * itemsize + 8),
                     f"distance oracle for n={n} nodes over {slots} slot(s)")
 
 

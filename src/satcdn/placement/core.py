@@ -35,7 +35,7 @@ from __future__ import annotations
 import time
 import weakref
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -228,6 +228,15 @@ def _layout(oracle: DistanceOracle) -> dict:
         _cand_cols=_as_index(cand_pos), _orbit_perm=_as_index(orbit_perm))
 
 
+class _Kept(NamedTuple):
+    """A slot's latest replica set and its costs (``ContentProblem._kept``)."""
+    base: tuple[int, ...]
+    query: float
+    storage: float
+    wu1: np.ndarray  # each user's demand-weighted nearest distance
+    d1: np.ndarray  # each user's nearest distance, clipped to BIG
+
+
 class ContentProblem:
     """One content's optimization view: demand rows, candidate set, rates.
 
@@ -266,7 +275,7 @@ class ContentProblem:
         # Per slot: the blocks, the user blocks and the latest base_costs.
         self._blocks: list[np.ndarray | _ConvertingReads | None] = [None] * self.T
         self._user_blocks: list[np.ndarray | None] = [None] * self.T
-        self._base_costs: dict[int, tuple] = {}
+        self._base_costs: dict[int, _Kept] = {}
         # The orbit DP's latest choices and distances between them.
         self._orbit_pairs: tuple[np.ndarray, np.ndarray] | None = None
 
@@ -313,19 +322,23 @@ class ContentProblem:
         """Costs of replica set ``base`` (node indices) at slot ``t``: the query
         cost (the demand-weighted distance from each user to its nearest
         member, summed), the storage cost, and each user's demand-weighted
-        distance to its nearest member. The latest set of each slot is kept,
-        with each user's unweighted nearest distance clipped to ``BIG``, so
-        the orbit DP and the DP pass of one MTOLS iteration share them.
-        """
+        distance to its nearest member."""
+        kept = self._kept(t, base)
+        return kept.query, kept.storage, kept.wu1
+
+    def _kept(self, t: int, base: tuple[int, ...]) -> _Kept:
+        """Slot ``t``'s costs of ``base``. The latest set of each slot is
+        kept, so the orbit DP and the DP pass of one MTOLS iteration share
+        them."""
         kept = self._base_costs.get(t)
-        if kept is None or kept[0] != base:
+        if kept is None or kept.base != base:
             base_arr = np.asarray(base, dtype=np.int64)
             d1 = np.minimum(self.user_block(t)[:, base_arr].min(axis=1), BIG,
                             dtype=self.dp_dtype)
             wu1 = self.weights(t) * d1
-            kept = self._base_costs[t] = (base, float(wu1.sum()),
-                                          float(self.rate[base_arr].sum()), wu1, d1)
-        return kept[1:4]
+            kept = self._base_costs[t] = _Kept(base, float(wu1.sum()),
+                                               float(self.rate[base_arr].sum()), wu1, d1)
+        return kept
 
     def query_costs_with(self, t: int, base: tuple[int, ...], cols) -> np.ndarray:
         """Query cost of ``base`` at slot ``t`` with each node of ``cols`` (an
@@ -341,8 +354,7 @@ class ContentProblem:
         an index-array gather is laid out column by column, so NumPy sums
         each column pairwise; a sliced block is summed row by row.
         """
-        self.base_costs(t, base)
-        d1 = self._base_costs[t][4]
+        d1 = self._kept(t, base).d1
         near = np.minimum(d1[:, None], self.user_block(t)[:, cols])
         return np.multiply(self.weights(t)[:, None], near, out=near).sum(axis=0)
 

@@ -192,7 +192,8 @@ def solve_mtls(demand: DemandMatrix, oracle: DistanceOracle, params: CostParams,
     """Multi-time local search with full per-iteration DP over nearby sets.
 
     Its DP reads whole blocks, so the oracle's full matrices are built first;
-    a MemoryError names every slot before the first is built."""
+    a MemoryError names every slot before the first is built (a ``hop``
+    slot widened to the float dtype is checked again as it is built)."""
     oracle.build_matrices(demand.slot_count)
     rule = _search_rule(demand.users, catalog, config or OptimizerConfig(), orbit_mode=False)
     return solve_per_content("mtls", demand, oracle, params, catalog, rule)

@@ -702,8 +702,8 @@ class TestHopBFS:
 
     @pytest.mark.parametrize("connected", [False, True])
     def test_transient_memory_fits_the_estimate(self, connected):
-        """Besides its output, the build allocates at most what ``check_fits``
-        charges one hop slot's temporaries (``_hop_temporaries``). A
+        """Besides its output, the build allocates at most what the memory
+        guard charges one hop slot's temporaries (``_hop_temporaries``). A
         connected graph's output takes 1 byte per pair, a disconnected one's
         4 (float32), next to which its 1-byte counts live while they are
         widened."""
@@ -720,10 +720,7 @@ class TestHopBFS:
         assert out.dtype == (np.uint8 if connected else np.float32)
         assert out.nbytes == out.itemsize * n * n and np.isinf(out).any() != connected
         assert peak - out.nbytes <= costmodel._hop_temporaries(n)
-        # Unpacked in row chunks, this measured 1.02 (disconnected) and 0.57
-        # (connected) bytes per pair; with a level accumulator over every
-        # (node, source) pair, 1.02 and 1.68; searched from every source,
-        # 2.38 and 2.84.
+        # This measured 1.02 (disconnected) and 0.57 (connected) bytes per pair.
         assert peak - out.nbytes <= 2 * n * n
 
     def test_paper_slot_holds_its_output_and_bounded_scratch(self):

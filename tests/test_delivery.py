@@ -108,30 +108,6 @@ class TestRoutingPolicies:
         with pytest.raises(ValueError):
             RoutingPolicy(weights=(0.5, 0.2))  # wrong length
 
-
-NAN = float("nan")
-
-
-@pytest.mark.parametrize("make", [
-    lambda: RoutingPolicy("weighted_round_robin", 3, (NAN, NAN, NAN)),
-    lambda: RoutingPolicy("weighted_round_robin", 3, (0.5, 0.5, NAN)),
-    lambda: LinkModel(NAN, 10.0),
-    lambda: LinkModel(20.0, NAN),
-    lambda: QoEModel(budget_s=NAN),
-    lambda: QoEModel(max_score=NAN),
-], ids=["routing.weights", "routing.last_weight", "link.terrestrial_gbps",
-        "link.satellite_gbps", "qoe.budget_s", "qoe.max_score"])
-def test_delivery_settings_reject_nan(make):
-    """A NaN setting fails its check, as NaN compares false both ways."""
-    with pytest.raises(ValueError):
-        make()
-
-
-def test_qoe_max_score_must_be_positive():
-    with pytest.raises(ValueError, match="max_score"):
-        QoEModel(max_score=0.0)
-    assert QoEModel(max_score=1.0).score(0.0) == 1.0
-
     def test_origin_only_every_policy(self):
         oracle = latency_oracle()
         sched = ReplicaSchedule.origin_only(["c0"], 2, oracle.origins_idx)
@@ -184,6 +160,30 @@ def test_qoe_max_score_must_be_positive():
         router = Router(sched, oracle, RoutingPolicy(kind="closest"))
         rep, reachable = first_pick(router)
         assert rep == 1 and not reachable
+
+
+NAN = float("nan")
+
+
+@pytest.mark.parametrize("make", [
+    lambda: RoutingPolicy("weighted_round_robin", 3, (NAN, NAN, NAN)),
+    lambda: RoutingPolicy("weighted_round_robin", 3, (0.5, 0.5, NAN)),
+    lambda: LinkModel(NAN, 10.0),
+    lambda: LinkModel(20.0, NAN),
+    lambda: QoEModel(budget_s=NAN),
+    lambda: QoEModel(max_score=NAN),
+], ids=["routing.weights", "routing.last_weight", "link.terrestrial_gbps",
+        "link.satellite_gbps", "qoe.budget_s", "qoe.max_score"])
+def test_delivery_settings_reject_nan(make):
+    """A NaN setting fails its check, as NaN compares false both ways."""
+    with pytest.raises(ValueError):
+        make()
+
+
+def test_qoe_max_score_must_be_positive():
+    with pytest.raises(ValueError, match="max_score"):
+        QoEModel(max_score=0.0)
+    assert QoEModel(max_score=1.0).score(0.0) == 1.0
 
 
 class TestChunkDownloadTime:
